@@ -11,8 +11,6 @@ The acceptance bar for the engine fast paths:
   through the set-based loop, with exact agreement;
 * the sparse CSR kernel must beat the dense kernel on a sparse
   ``n >= 2048`` snapshot, again with exact agreement;
-* the bit-packed kernel must beat the dense kernel at least 3x on an
-  ``n >= 2048`` prepacked snapshot, with exact agreement;
 * the realization-batch kernel must beat per-trial execution at least 3x on
   a wide node-MEG batch, with exact agreement, and ``backend="auto"`` must
   route that shape to it;
@@ -35,7 +33,6 @@ import networkx as nx
 from bench_utils import run_once
 
 from repro.engine import (
-    NUMBA_AVAILABLE,
     Engine,
     ResultStore,
     StoppingRule,
@@ -207,24 +204,6 @@ def test_sparse_kernel_beats_dense_on_sparse_snapshot():
     assert timings["sparse"] < timings["vectorized"]
 
 
-def test_bitset_kernel_speedup():
-    # The packed kernel reduces uint64 words (64 adjacency entries each)
-    # where the dense kernel reduces bytes.  On a prepacked static snapshot
-    # (packing cached by StaticGraphProcess, so rounds measure the word-wise
-    # pass alone) the acceptance bar is >= 3x at n >= 2048, exact agreement.
-    model = _sparse_snapshot(2048)
-
-    def spec() -> TrialSpec:
-        return TrialSpec.from_model(model, num_trials=3, seed=0)
-
-    timings = _compare_backends(spec, ("vectorized", "bitset"), repeats=3)
-    speedup = timings["vectorized"] / timings["bitset"]
-    print()
-    print(f"prepacked snapshot n=2048:  dense {timings['vectorized'] * 1e3:8.1f} ms   "
-          f"bitset {timings['bitset'] * 1e3:8.1f} ms   (speedup x{speedup:.1f})")
-    assert speedup >= 3.0
-
-
 def test_realization_batch_speedup():
     # Flooding 512 trials of one small node-MEG as lock-step tensor rounds
     # vs one kernel call per trial.  Acceptance: >= 3x with exact agreement,
@@ -242,20 +221,6 @@ def test_realization_batch_speedup():
     print(f"node-MEG n=48, 512 trials:  per-trial {timings['vectorized'] * 1e3:8.1f} ms   "
           f"batched {timings['batch'] * 1e3:8.1f} ms   (speedup x{speedup:.1f})")
     assert speedup >= 3.0
-
-
-def test_jit_csr_exactness():
-    # The sparse kernel's frontier expansion routes through repro.engine.jit
-    # (numba row loop when the repro[jit] extra is installed, exact NumPy
-    # matvec otherwise).  Either path must match the set-based loop; the
-    # printed status records which one this environment measured.
-    def spec() -> TrialSpec:
-        return TrialSpec.from_model(_sparse_snapshot(1024), num_trials=3, seed=0)
-
-    timings = _compare_backends(spec, ("set", "sparse"), repeats=2)
-    print()
-    print(f"sparse kernel n=1024 (numba {'active' if NUMBA_AVAILABLE else 'absent'}):  "
-          f"set {timings['set'] * 1e3:8.1f} ms   sparse {timings['sparse'] * 1e3:8.1f} ms")
 
 
 def test_engine_worker_count_invariance():
@@ -489,18 +454,6 @@ def run_benchmark_suite(quick: bool = False) -> dict:
         "speedup": timings["vectorized"] / timings["sparse"],
     }
 
-    bitset_model = _sparse_snapshot(snapshot_n)
-    timings = _compare_backends(
-        lambda: TrialSpec.from_model(bitset_model, num_trials=3, seed=0),
-        ("vectorized", "bitset"),
-        repeats=repeats,
-    )
-    report["benchmarks"]["bitset_vs_dense"] = {
-        "num_nodes": snapshot_n,
-        "milliseconds": {k: v * 1e3 for k, v in timings.items()},
-        "speedup": timings["vectorized"] / timings["bitset"],
-    }
-
     batch_trials = 128 if quick else 512
     batch_model = _batch_node_meg(48)
     timings = _compare_backends(
@@ -513,22 +466,6 @@ def run_benchmark_suite(quick: bool = False) -> dict:
         "num_trials": batch_trials,
         "milliseconds": {k: v * 1e3 for k, v in timings.items()},
         "speedup": timings["vectorized"] / timings["batch"],
-    }
-
-    jit_model = _sparse_snapshot(1024)
-    timings = _compare_backends(
-        lambda: TrialSpec.from_model(jit_model, num_trials=3, seed=0),
-        ("vectorized", "sparse"),
-        repeats=repeats,
-    )
-    # The trajectory point tracks the JIT-capable path: which implementation
-    # (numba row loop / NumPy matvec fallback) this run measured, and how the
-    # sparse kernel sits against dense on the same snapshot.
-    report["benchmarks"]["jit_csr"] = {
-        "num_nodes": 1024,
-        "numba_available": NUMBA_AVAILABLE,
-        "milliseconds": {k: v * 1e3 for k, v in timings.items()},
-        "speedup": timings["vectorized"] / timings["sparse"],
     }
 
     # Adaptive-sampling trajectory: trials the stopping rule needs to hit the

@@ -61,7 +61,7 @@ try:
 
     __version__ = _distribution_version("repro-dynamic-graphs")
 except PackageNotFoundError:  # pragma: no cover - depends on install mode
-    __version__ = "1.9.0"
+    __version__ = "2.0.0"
 
 __all__ = [
     "DynamicGraph",

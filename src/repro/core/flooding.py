@@ -254,7 +254,7 @@ def batch_source_flooding_times(
     capped at an ``n x chunk_size`` informed matrix).
     """
     # Imported here: repro.engine builds on this module (no import cycle).
-    from repro.engine import flood_sources_batch, resolve_backend
+    from repro.engine.engine import run_source_batch
 
     generator = ensure_rng(rng)
     n = process.num_nodes
@@ -273,27 +273,9 @@ def batch_source_flooding_times(
         source_list = [int(s) for s in chosen]
     else:
         source_list = [int(s) for s in sources]
-    resolved = resolve_backend(backend, process)
-    if resolved == "set":
-        times = flood_sources_set(
-            process, source_list, rng=generator, max_steps=max_steps
-        )
-    else:
-        times = flood_sources_batch(
-            process,
-            source_list,
-            rng=generator,
-            max_steps=max_steps,
-            backend="sparse" if resolved == "sparse" else "dense",
-            chunk_size=chunk_size,
-        )
-    unfinished = sum(1 for time in times if time is None)
-    if unfinished:
-        raise RuntimeError(
-            f"flooding did not complete within the step limit for "
-            f"{unfinished}/{len(times)} sources"
-        )
-    return [int(time) for time in times]
+    return run_source_batch(
+        process, source_list, generator, max_steps, backend, chunk_size
+    )
 
 
 def batched_flooding_time_samples(

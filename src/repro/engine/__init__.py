@@ -16,15 +16,10 @@ The execution backbone all trial-running code routes through:
     mergeable back into the full batch.
 ``repro.engine.kernel``
     The vectorized flooding kernels — dense NumPy and sparse CSR, single
-    source and whole source batches — plus the backend-selection predicates.
-``repro.engine.bitset``
-    The bit-packed kernel — informed vectors and adjacency packed into
-    ``uint64`` words so one flooding round is a word-wise OR/popcount sweep.
+    source and whole source batches.
 ``repro.engine.batch``
     The realization-batch kernel — many trials of one family flooded as a
-    single tensor pass (state-level fast paths for node-MEGs).
-``repro.engine.jit``
-    Optional Numba-JIT CSR frontier expansion with a pure-NumPy fallback.
+    single tensor pass, for models with a trial-batch runner (node-MEGs).
 ``repro.engine.replay``
     :class:`SnapshotReplay` — record one realization's snapshots, replay
     them bit-identically (chunked source batches never re-step the model).
@@ -36,37 +31,19 @@ The execution backbone all trial-running code routes through:
 """
 
 from repro.engine.batch import flood_trials_batch
-from repro.engine.bitset import (
-    flood_bitset,
-    pack_bool_matrix,
-    pack_bool_vector,
-    packed_width,
-    unpack_bit_vector,
-)
 from repro.engine.engine import (
     BACKENDS,
     BATCH_AUTO_MAX_NODES,
     BATCH_AUTO_MIN_TRIALS,
-    BITSET_AUTO_MIN_NODES,
     EXECUTORS,
     SPARSE_AUTO_MAX_DENSITY,
     SPARSE_AUTO_MIN_NODES,
     Engine,
     estimated_snapshot_density,
     resolve_backend,
+    run_source_batch,
 )
-from repro.engine.jit import NUMBA_AVAILABLE
-from repro.engine.kernel import (
-    flood_sources_batch,
-    flood_sparse,
-    flood_vectorized,
-    has_fast_adjacency,
-    has_fast_packed_adjacency,
-    has_fast_reach_mask,
-    has_fast_reach_mask_batch,
-    has_fast_sparse_adjacency,
-    has_fast_trial_batch,
-)
+from repro.engine.kernel import flood_sources_batch, flood_sparse, flood_vectorized
 from repro.engine.replay import SnapshotReplay
 from repro.engine.shard import (
     ShardSpec,
@@ -89,13 +66,11 @@ __all__ = [
     "BACKENDS",
     "BATCH_AUTO_MAX_NODES",
     "BATCH_AUTO_MIN_TRIALS",
-    "BITSET_AUTO_MIN_NODES",
     "BatchResult",
     "EXECUTORS",
     "Engine",
     "MergeConflictError",
     "MergeReport",
-    "NUMBA_AVAILABLE",
     "ResultStore",
     "SPARSE_AUTO_MAX_DENSITY",
     "SPARSE_AUTO_MIN_NODES",
@@ -105,25 +80,15 @@ __all__ = [
     "TrialSpec",
     "batch_store_key",
     "estimated_snapshot_density",
-    "flood_bitset",
     "flood_sources_batch",
     "flood_sparse",
     "flood_trials_batch",
     "flood_vectorized",
-    "has_fast_adjacency",
-    "has_fast_packed_adjacency",
-    "has_fast_reach_mask",
-    "has_fast_reach_mask_batch",
-    "has_fast_sparse_adjacency",
-    "has_fast_trial_batch",
     "jsonify",
-    "pack_bool_matrix",
-    "pack_bool_vector",
-    "packed_width",
     "parse_shard",
     "resolve_backend",
+    "run_source_batch",
     "seed_token",
     "shard_specs",
     "shard_store_key",
-    "unpack_bit_vector",
 ]

@@ -11,17 +11,14 @@ Exactness is the whole point: trial ``b`` consumes the random stream of
 ``np.random.default_rng(seeds[b])`` exactly as a solo
 :func:`~repro.engine.kernel.flood_vectorized` run would, so the returned
 :class:`~repro.core.flooding.FloodingResult` objects are bit-identical to
-per-trial execution.  Two runner strategies provide this:
+per-trial execution.  The model supplies the runner through
+:meth:`~repro.meg.base.DynamicGraph.trial_batch`: it keeps all ``B``
+realizations in stacked state arrays and mirrors the per-trial draws with
+batched equivalents (the node-MEG runner lives in :mod:`repro.meg.node_meg`).
+Models without a runner are flooded per trial; the engine resolves
+``backend="batch"`` to the vectorized kernel for them.
 
-* models overriding :meth:`~repro.meg.base.DynamicGraph.trial_batch` supply a
-  *fast runner* that keeps all ``B`` realizations in stacked state arrays and
-  mirrors the per-trial draws with batched equivalents (the node-MEG runner
-  lives in :mod:`repro.meg.node_meg`);
-* every other model gets the *generic runner* — one pickled model copy per
-  trial, advanced in a Python loop.  Same results, no per-round speedup; it
-  exists so ``backend="batch"`` is legal for every family.
-
-Over-drawing note: a fast runner may draw uniforms a few rounds ahead of a
+Over-drawing note: a runner may draw uniforms a few rounds ahead of a
 trial's completion (the node-MEG runner pre-draws fixed windows of rounds to
 amortize generator dispatch).  This never changes results — each trial's
 generator is private to the trial and discarded afterwards, and the values a
@@ -30,7 +27,6 @@ finished trial never uses are never observable.
 
 from __future__ import annotations
 
-import pickle
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,29 +36,6 @@ from repro.meg.base import DynamicGraph
 from repro.telemetry import core as telemetry
 
 __all__ = ["flood_trials_batch"]
-
-
-class _GenericTrialBatch:
-    """Fallback runner: one pickled model copy per trial, looped per round."""
-
-    def __init__(self, process: DynamicGraph, count: int) -> None:
-        frozen = pickle.dumps(process)
-        self._models = [pickle.loads(frozen) for _ in range(count)]
-
-    def reset(self, rngs: Sequence[np.random.Generator]) -> None:
-        for model, rng in zip(self._models, rngs):
-            model.reset(rng)
-
-    def reach(self, informed: np.ndarray, sub: np.ndarray) -> np.ndarray:
-        out = np.empty((sub.size, informed.shape[1]), dtype=bool)
-        for position, trial in enumerate(sub):
-            out[position] = self._models[trial].reach_mask(informed[trial])
-        return out
-
-    def step(self, sub: np.ndarray, round_index: int) -> None:
-        del round_index
-        for trial in sub:
-            self._models[trial].step()
 
 
 def flood_trials_batch(
@@ -76,9 +49,9 @@ def flood_trials_batch(
     Equivalent to ``[flood_vectorized(process, source=source,
     rng=np.random.default_rng(seed)) for seed in seeds]`` — same flooding
     times, same informed-count histories — but every round advances all
-    still-running trials together.  ``process`` itself is never mutated when
-    it provides a fast :meth:`~repro.meg.base.DynamicGraph.trial_batch`
-    runner; the generic fallback advances private pickled copies.
+    still-running trials together.  ``process`` must provide a
+    :meth:`~repro.meg.base.DynamicGraph.trial_batch` runner (a
+    :class:`ValueError` otherwise) and is never mutated itself.
 
     Each seed is passed to ``np.random.default_rng``, so anything that
     function accepts (ints, ``SeedSequence`` objects, ``None``) works.
@@ -96,9 +69,11 @@ def flood_trials_batch(
         return []
 
     runner = process.trial_batch(batch)
-    fast = runner is not None
     if runner is None:
-        runner = _GenericTrialBatch(process, batch)
+        raise ValueError(
+            f"{type(process).__name__} has no trial_batch runner; "
+            f"flood its trials one at a time"
+        )
     rngs = [np.random.default_rng(seed) for seed in seeds]
     runner.reset(rngs)
 
@@ -128,7 +103,7 @@ def flood_trials_batch(
 
     tel = telemetry.active()
     if tel is not None:
-        tel.count(f"kernel.flood.batch_trials_{'fast' if fast else 'generic'}", batch)
+        tel.count("kernel.flood.batch_trials", batch)
         tel.timing("kernel.batch_width", batch)
         finished = [t for t in times if t is not None]
         if finished:

@@ -44,26 +44,17 @@ import numpy as np
 
 from repro.core.flooding import flood, flood_sources_set
 from repro.engine.batch import flood_trials_batch
-from repro.engine.bitset import flood_bitset
-from repro.engine.kernel import (
-    flood_sources_batch,
-    flood_sparse,
-    flood_vectorized,
-    has_fast_adjacency,
-    has_fast_packed_adjacency,
-    has_fast_reach_mask,
-    has_fast_trial_batch,
-)
+from repro.engine.kernel import flood_sources_batch, flood_sparse, flood_vectorized
 from repro.engine.shard import ShardSpec, seed_token, shard_store_key
 from repro.engine.spec import BatchResult, TrialSpec
 from repro.engine.store import ResultStore
-from repro.meg.base import DynamicGraph
+from repro.meg.base import DynamicGraph, overrides
 from repro.stats.sequential import MomentSketch, sketch_from_samples, sketch_salt
 from repro.telemetry import core as telemetry
 from repro.telemetry import trace as tracectx
 from repro.util.rng import spawn_seed_sequences
 
-BACKENDS = ("auto", "set", "vectorized", "sparse", "bitset", "batch")
+BACKENDS = ("auto", "set", "vectorized", "sparse", "batch")
 EXECUTORS = ("process", "thread")
 
 # ``backend="auto"`` upgrades from the dense to the sparse kernel when the
@@ -72,13 +63,6 @@ EXECUTORS = ("process", "thread")
 # dense n x n matrix; above it the dense kernel's contiguous memory wins.
 SPARSE_AUTO_MIN_NODES = 1024
 SPARSE_AUTO_MAX_DENSITY = 0.05
-
-# ``backend="auto"`` upgrades to the bit-packed kernel for models serving a
-# cached/incremental packed adjacency once they are at least this large:
-# below it the word-wise OR and the dense row reduction are within noise of
-# each other, from here the 64-entries-per-word pass wins (measured ~1.1x at
-# 512 nodes growing to ~7x at 2048).
-BITSET_AUTO_MIN_NODES = 512
 
 # ``backend="auto"`` switches single-source batches to the realization-batch
 # kernel when the model supplies a fast trial-batch runner, the (chunk's)
@@ -97,7 +81,6 @@ _KERNELS = {
     "set": flood,
     "vectorized": flood_vectorized,
     "sparse": flood_sparse,
-    "bitset": flood_bitset,
 }
 
 
@@ -125,21 +108,6 @@ def estimated_snapshot_density(model: DynamicGraph) -> Optional[float]:
     return None
 
 
-def _bitset_eligible(model: DynamicGraph) -> bool:
-    """Whether auto should consider the bit-packed kernel for ``model``.
-
-    The bitset kernel only wins when the packed rows come cached or
-    incrementally maintained — packing the dense matrix per round costs about
-    one dense reach — so eligibility requires an overridden
-    :meth:`~repro.meg.base.DynamicGraph.packed_adjacency` plus enough nodes
-    for the word-wise pass to pay off.
-    """
-    return (
-        has_fast_packed_adjacency(model)
-        and model.num_nodes >= BITSET_AUTO_MIN_NODES
-    )
-
-
 def resolve_backend(
     backend: str,
     model: DynamicGraph,
@@ -154,44 +122,40 @@ def resolve_backend(
       trial-batch runner, the batch is wide (``>= BATCH_AUTO_MIN_TRIALS``
       single-source trials) and the model small (``<= BATCH_AUTO_MAX_NODES``
       nodes) — the regime where per-trial dispatch dominates;
-    * the set-based loop for models without a fast adjacency override
-      (upgraded to the bitset kernel when a fast *packed* adjacency exists
-      and the model has ``>= BITSET_AUTO_MIN_NODES`` nodes — static
-      snapshots, whose packed rows are cached);
+    * the set-based loop for models without a fast adjacency override;
     * otherwise a vectorized kernel — upgraded to the sparse CSR kernel when
       the model is large (``>= SPARSE_AUTO_MIN_NODES`` nodes) and its
-      estimated snapshot density small (``<= SPARSE_AUTO_MAX_DENSITY``), or
-      to the bitset kernel when a fast packed adjacency exists.  Models with
-      a fast :meth:`~repro.meg.base.DynamicGraph.reach_mask` (node-MEGs,
-      graph mobility models) stay on the vectorized kernel at any size:
-      their state-level update already avoids the dense matrix.
+      estimated snapshot density small (``<= SPARSE_AUTO_MAX_DENSITY``).
+      Models with a fast :meth:`~repro.meg.base.DynamicGraph.reach_mask`
+      (node-MEGs, graph mobility models) stay on the vectorized kernel at
+      any size: their state-level update already avoids the dense matrix.
 
-    An explicit ``"batch"`` is honoured for single-source trials on any model
-    (models without a fast runner run the generic, equally-exact batched
-    loop) and falls back to ``"vectorized"`` for batched-source trials,
-    which the realization-batch kernel does not cover.
+    An explicit ``"batch"`` is honoured for single-source trials on models
+    with a trial-batch runner and resolves to ``"vectorized"`` otherwise —
+    for batched-source trials, which the realization-batch kernel does not
+    cover, and for models without a runner.  Either way the samples are the
+    same.
     """
     if backend == "auto":
         if (
             not batched_sources
             and num_trials >= BATCH_AUTO_MIN_TRIALS
             and model.num_nodes <= BATCH_AUTO_MAX_NODES
-            and has_fast_trial_batch(model)
+            and overrides(model, "trial_batch")
         ):
             return "batch"
-        if not has_fast_adjacency(model):
-            return "bitset" if _bitset_eligible(model) else "set"
-        if not has_fast_reach_mask(model):
-            if model.num_nodes >= SPARSE_AUTO_MIN_NODES:
-                density = estimated_snapshot_density(model)
-                if density is not None and density <= SPARSE_AUTO_MAX_DENSITY:
-                    return "sparse"
-            if _bitset_eligible(model):
-                return "bitset"
+        if not overrides(model, "adjacency_matrix"):
+            return "set"
+        if not overrides(model, "reach_mask") and model.num_nodes >= SPARSE_AUTO_MIN_NODES:
+            density = estimated_snapshot_density(model)
+            if density is not None and density <= SPARSE_AUTO_MAX_DENSITY:
+                return "sparse"
         return "vectorized"
     if backend == "batch":
-        return "vectorized" if batched_sources else "batch"
-    if backend in ("set", "vectorized", "sparse", "bitset"):
+        if batched_sources or not overrides(model, "trial_batch"):
+            return "vectorized"
+        return "batch"
+    if backend in _KERNELS:
         return backend
     raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
 
@@ -222,6 +186,45 @@ def _trial_sources(
     if sources is not None:
         return [int(s) for s in sources]
     return None
+
+
+def run_source_batch(
+    model: DynamicGraph,
+    sources: Sequence[int],
+    rng: np.random.Generator,
+    max_steps: Optional[int],
+    backend: str = "auto",
+    chunk_size: Optional[int] = None,
+) -> list[int]:
+    """Flooding time of every source in ``sources`` over one shared realization.
+
+    The one source-batch dispatch behind both the engine's batched-source
+    trials and :func:`repro.core.flooding.batch_source_flooding_times`:
+    ``backend`` resolves as for a batched-source trial, the set loop runs
+    :func:`~repro.core.flooding.flood_sources_set` and the vectorized kernels
+    run :func:`~repro.engine.kernel.flood_sources_batch` with the dense or
+    sparse product (``chunk_size`` bounds its width per pass).  Raises if any
+    source hits the step cap.
+    """
+    resolved = resolve_backend(backend, model, batched_sources=True)
+    if resolved == "set":
+        times = flood_sources_set(model, sources, rng=rng, max_steps=max_steps)
+    else:
+        times = flood_sources_batch(
+            model,
+            sources,
+            rng=rng,
+            max_steps=max_steps,
+            backend="sparse" if resolved == "sparse" else "dense",
+            chunk_size=chunk_size,
+        )
+    unfinished = sum(1 for t in times if t is None)
+    if unfinished:
+        raise RuntimeError(
+            f"flooding did not complete within the step limit for "
+            f"{unfinished}/{len(times)} sources"
+        )
+    return [int(t) for t in times]
 
 
 def _run_single_trial(
@@ -255,23 +258,7 @@ def _run_single_trial(
                 f"({result.final_informed}/{result.num_nodes} nodes informed)"
             )
         return result.flooding_time, result.num_nodes
-    if resolved == "set":
-        times = flood_sources_set(model, source_batch, rng=rng, max_steps=max_steps)
-    else:
-        times = flood_sources_batch(
-            model,
-            source_batch,
-            rng=rng,
-            max_steps=max_steps,
-            backend="sparse" if resolved == "sparse" else "dense",
-            chunk_size=source_chunk,
-        )
-    if any(t is None for t in times):
-        unfinished = sum(1 for t in times if t is None)
-        raise RuntimeError(
-            f"flooding did not complete within the step limit for "
-            f"{unfinished}/{len(times)} sources"
-        )
+    times = run_source_batch(model, source_batch, rng, max_steps, resolved, source_chunk)
     return max(times), model.num_nodes
 
 
@@ -459,10 +446,10 @@ class Engine:
         Number of worker processes (1 = run in-process, the default).
     backend:
         ``"auto"`` (default) or one of the concrete kernels — ``"set"``,
-        ``"vectorized"``, ``"sparse"``, ``"bitset"`` or ``"batch"`` (the
-        realization-batch kernel; single-source specs only, batched-source
-        specs fall back to the vectorized kernel).  All kernels produce
-        bit-identical samples; the choice is purely about speed.
+        ``"vectorized"``, ``"sparse"`` or ``"batch"`` (the realization-batch
+        kernel; single-source specs on models with a trial-batch runner,
+        everything else falls back to the vectorized kernel).  All kernels
+        produce bit-identical samples; the choice is purely about speed.
     executor:
         Pool kind used when ``workers > 1``: ``"process"`` (default, one
         OS process per worker — true CPU parallelism) or ``"thread"``

@@ -27,8 +27,7 @@ import numpy as np
 import scipy.sparse
 
 from repro.core.flooding import FloodingResult, default_max_steps
-from repro.engine.jit import NUMBA_AVAILABLE, csr_reach
-from repro.meg.base import DynamicGraph
+from repro.meg.base import DynamicGraph, overrides
 from repro.telemetry import core as telemetry
 from repro.util.rng import RNGLike
 
@@ -51,36 +50,6 @@ def _record_flood(kernel: str, history: Sequence[int]) -> None:
             "kernel.frontier_peak",
             max(later - earlier for earlier, later in zip(history, history[1:])),
         )
-
-
-def has_fast_adjacency(process: DynamicGraph) -> bool:
-    """Whether ``process`` overrides the generic (edge-scan) adjacency matrix."""
-    return type(process).adjacency_matrix is not DynamicGraph.adjacency_matrix
-
-
-def has_fast_sparse_adjacency(process: DynamicGraph) -> bool:
-    """Whether ``process`` overrides the generic (edge-scan) CSR adjacency."""
-    return type(process).sparse_adjacency is not DynamicGraph.sparse_adjacency
-
-
-def has_fast_reach_mask(process: DynamicGraph) -> bool:
-    """Whether ``process`` overrides the generic (adjacency-row) reach mask."""
-    return type(process).reach_mask is not DynamicGraph.reach_mask
-
-
-def has_fast_packed_adjacency(process: DynamicGraph) -> bool:
-    """Whether ``process`` overrides the generic (pack-per-call) bit adjacency."""
-    return type(process).packed_adjacency is not DynamicGraph.packed_adjacency
-
-
-def has_fast_reach_mask_batch(process: DynamicGraph) -> bool:
-    """Whether ``process`` overrides the generic (dense-matmul) batched reach."""
-    return type(process).reach_mask_batch is not DynamicGraph.reach_mask_batch
-
-
-def has_fast_trial_batch(process: DynamicGraph) -> bool:
-    """Whether ``process`` provides a fast batched-trial runner."""
-    return type(process).trial_batch is not DynamicGraph.trial_batch
 
 
 def _as_count_csr(matrix) -> scipy.sparse.csr_matrix:
@@ -170,34 +139,25 @@ def flood_sparse(
     informed = np.zeros(n, dtype=bool)
     informed[source] = True
     flooding_time_value: Optional[int] = None
-    # Scratch hoisted out of the round loop: the JIT path reuses one boolean
-    # reach vector, the fallback one intp count vector (the per-round
+    # One intp count vector hoisted out of the round loop (the per-round
     # ``informed.astype`` allocations used to dominate small-model rounds).
     # The CSR conversion is memoized by the identity of the returned matrix,
     # so models serving a cached snapshot convert once, not once per round.
-    reach_scratch = np.empty(n, dtype=bool)
-    count_scratch = None if NUMBA_AVAILABLE else np.empty(n, dtype=np.intp)
+    count_scratch = np.empty(n, dtype=np.intp)
     raw_cached = matrix = None
     for t in range(max_steps):
         raw = process.sparse_adjacency()
         if raw is not raw_cached:
             matrix = _as_count_csr(raw)
             raw_cached = raw
-        if NUMBA_AVAILABLE:
-            informed |= csr_reach(matrix, informed, reach_scratch)
-        else:
-            np.copyto(count_scratch, informed)
-            informed |= (matrix @ count_scratch) != 0
+        np.copyto(count_scratch, informed)
+        informed |= (matrix @ count_scratch) != 0
         count = int(informed.sum())
         history.append(count)
         process.step()
         if count == n:
             flooding_time_value = t + 1
             break
-    if NUMBA_AVAILABLE:
-        tel = telemetry.active()
-        if tel is not None:
-            tel.count("kernel.jit.csr")
     _record_flood("sparse", history)
     return FloodingResult(source, n, tuple(history), flooding_time_value)
 
@@ -292,7 +252,7 @@ def flood_sources_batch(
     # Models with a state-level batched reach skip the dense product
     # entirely; for the rest, every per-round buffer is hoisted here (the
     # astype allocations used to dominate small-model rounds).
-    state_batch = backend == "dense" and has_fast_reach_mask_batch(process)
+    state_batch = backend == "dense" and overrides(process, "reach_mask_batch")
     if backend == "sparse":
         count_buffer = np.empty((n, batch), dtype=np.intp)
         raw_cached = matrix = None

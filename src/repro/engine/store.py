@@ -221,7 +221,7 @@ class ResultStore:
     def _scan(self) -> tuple[dict[str, dict], int]:
         """Parse the file from disk: ``(key -> record, non-empty lines)``."""
         index: dict[str, dict] = {}
-        lines = 0
+        lines = corrupt = 0
         if not os.path.exists(self._path):
             return index, 0
         with open(self._path, "r", encoding="utf-8") as handle:
@@ -237,7 +237,9 @@ class ResultStore:
                     entry = json.loads(line)
                     index[entry["key"]] = entry["record"]
                 except (json.JSONDecodeError, KeyError, TypeError):
-                    continue
+                    corrupt += 1
+        if corrupt:
+            telemetry.count("store.scan.corrupt", corrupt)
         return index, lines
 
     def refresh(self) -> None:

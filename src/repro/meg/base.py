@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import hashlib
 import pickle
-from typing import Iterator, Optional, Set
+from typing import Iterator, Set
 
 import networkx as nx
 import numpy as np
@@ -110,33 +110,6 @@ class DynamicGraph(abc.ABC):
         """
         return self.adjacency_matrix()[np.asarray(informed, dtype=bool)].any(axis=0)
 
-    def packed_adjacency(self) -> np.ndarray:
-        """Bit-packed adjacency of the current snapshot (``uint64`` words).
-
-        Row ``i`` holds the ``n`` adjacency bits of node ``i`` packed
-        little-endian into ``ceil(n/64)`` words, the form consumed by the
-        bitset flooding kernel of :mod:`repro.engine.bitset`.  The generic
-        implementation packs :meth:`adjacency_matrix` on the fly, which costs
-        about one dense reach per call; models whose snapshot is fixed or
-        incrementally maintained should override it with a cached bit-matrix
-        (the engine only auto-selects the bitset kernel for models that do).
-        Callers must treat the returned array as read-only.
-        """
-        from repro.engine.bitset import pack_bool_matrix
-
-        return pack_bool_matrix(self.adjacency_matrix())
-
-    def packed_reach_mask(self, informed: np.ndarray) -> np.ndarray:
-        """Packed mask of nodes adjacent to an informed node (``uint64`` words).
-
-        The bit-packed form of :meth:`reach_mask`: a word-wise OR over the
-        packed adjacency rows of the informed nodes.  ``informed`` is the
-        *boolean* informed vector; the result is packed.  As with
-        :meth:`reach_mask`, the result may include informed nodes themselves.
-        """
-        packed = self.packed_adjacency()
-        return np.bitwise_or.reduce(packed[np.asarray(informed, dtype=bool)], axis=0)
-
     def reach_mask_batch(self, informed: np.ndarray) -> np.ndarray:
         """Column-wise :meth:`reach_mask` over an ``n x B`` informed matrix.
 
@@ -161,8 +134,7 @@ class DynamicGraph(abc.ABC):
         while consuming each trial's random stream exactly as ``count``
         sequential resets/steps would (so the batched results are
         bit-identical to per-trial runs).  The default returns ``None``:
-        families without a runner are batched generically (one model copy per
-        trial), which is correct but no faster than per-trial execution.
+        families without a runner are flooded one trial at a time.
         """
         del count
         return None
@@ -181,7 +153,7 @@ class DynamicGraph(abc.ABC):
         the returned matrix as read-only.
         """
         n = self.num_nodes
-        if type(self).adjacency_matrix is not DynamicGraph.adjacency_matrix:
+        if overrides(self, "adjacency_matrix"):
             return scipy.sparse.csr_matrix(self.adjacency_matrix(), dtype=np.intp)
         edges = [pair for pair in self.current_edges()]
         if not edges:
@@ -256,6 +228,18 @@ class DynamicGraph(abc.ABC):
         return f"{type(self).__name__}(num_nodes={self.num_nodes})"
 
 
+def overrides(model: DynamicGraph, hook: str) -> bool:
+    """Whether ``model``'s class replaces the :class:`DynamicGraph` default ``hook``.
+
+    The engine picks kernels by which snapshot hooks a model implements
+    natively (``adjacency_matrix``, ``reach_mask``, ``reach_mask_batch``,
+    ``sparse_adjacency``, ``trial_batch``).  Both attributes are looked up at
+    call time, so a wrapper installed on the base class still reads as "not
+    overridden".
+    """
+    return getattr(type(model), hook) is not getattr(DynamicGraph, hook)
+
+
 class StaticGraphProcess(DynamicGraph):
     """A dynamic graph whose snapshot never changes.
 
@@ -277,7 +261,6 @@ class StaticGraphProcess(DynamicGraph):
         for a, b in self._edges:
             self._adjacency[a].add(b)
             self._adjacency[b].add(a)
-        self._packed_cache: Optional[np.ndarray] = None
         self._time = 0
 
     def reset(self, rng: RNGLike = None) -> None:
@@ -295,12 +278,6 @@ class StaticGraphProcess(DynamicGraph):
         for node in nodes:
             reached |= self._adjacency[node]
         return reached
-
-    def packed_adjacency(self) -> np.ndarray:
-        """Bit-packed adjacency, packed once and cached (the snapshot is fixed)."""
-        if self._packed_cache is None:
-            self._packed_cache = super().packed_adjacency()
-        return self._packed_cache
 
 
 def edges_from_adjacency_matrix(matrix: np.ndarray) -> list[tuple[int, int]]:

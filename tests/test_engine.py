@@ -12,10 +12,9 @@ from repro.engine import (
     TrialSpec,
     flood_sources_batch,
     flood_vectorized,
-    has_fast_adjacency,
     resolve_backend,
 )
-from repro.meg.base import StaticGraphProcess
+from repro.meg.base import StaticGraphProcess, overrides
 from repro.meg.edge_meg import EdgeMEG, four_state_edge_meg
 
 
@@ -196,8 +195,8 @@ class TestVectorizedKernel:
             flood_vectorized(small_edge_meg, source=small_edge_meg.num_nodes)
 
     def test_has_fast_adjacency(self, small_edge_meg):
-        assert has_fast_adjacency(small_edge_meg)
-        assert not has_fast_adjacency(StaticGraphProcess(nx.path_graph(3)))
+        assert overrides(small_edge_meg, "adjacency_matrix")
+        assert not overrides(StaticGraphProcess(nx.path_graph(3)), "adjacency_matrix")
 
     def test_adjacency_matrix_override_matches_generic(self, small_edge_meg):
         small_edge_meg.reset(4)

@@ -1,60 +1,48 @@
-"""Bit-packed and realization-batched kernels: exactness on every family.
+"""Realization-batched kernel and backend roster: exactness on every family.
 
-PR 7's kernels only exist for speed, so the entire test surface is equality:
-the bitset kernel, the realization-batch kernel and the optional JIT CSR
-expansion must return bit-identical flooding outcomes to the set-based loop
-on shared seeds for every model family, and the cell-list neighbor search
-must return exactly the k-d tree's edge set.  The file also pins the two RNG
-stream identities the fast node-MEG runner is built on (block pre-drawing
-and the inverse-CDF mirror of ``Generator.choice``), and the new
-``backend="auto"`` resolution rules.
+The kernels only exist for speed, so most of the test surface is equality:
+the realization-batch kernel (and the ``backend="batch"`` fallback on models
+without a trial-batch runner) must return bit-identical flooding outcomes to
+the set-based loop on shared seeds for every model family, and the cell-list
+neighbor search must return exactly the k-d tree's edge set.  The file also
+pins the two RNG stream identities the node-MEG runner is built on (block
+pre-drawing and the inverse-CDF mirror of ``Generator.choice``), the
+``backend="auto"`` resolution rules, and that the retired ``bitset`` backend
+is rejected while stored records naming it still serve.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import json
 
 import networkx as nx
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-import repro
+from repro import cli
+from repro.api import compile_request, sweep_request
 from repro.core.flooding import flood, flood_sources_set
 from repro.engine import (
     BACKENDS,
     BATCH_AUTO_MAX_NODES,
     BATCH_AUTO_MIN_TRIALS,
-    BITSET_AUTO_MIN_NODES,
     Engine,
-    NUMBA_AVAILABLE,
+    ResultStore,
     TrialSpec,
-    flood_bitset,
     flood_sources_batch,
     flood_sparse,
     flood_trials_batch,
     flood_vectorized,
-    has_fast_packed_adjacency,
-    has_fast_reach_mask_batch,
-    has_fast_trial_batch,
-    pack_bool_matrix,
-    pack_bool_vector,
-    packed_width,
+    jsonify,
     resolve_backend,
-    unpack_bit_vector,
 )
-from repro.engine.batch import _GenericTrialBatch
-from repro.engine.bitset import popcount
-from repro.engine.jit import csr_reach, numba_requested
+from repro.fleet import JobSpool
 from repro.graphs.grid import augmented_grid_graph, grid_graph
 from repro.markov.builders import random_walk_on_graph
-from repro.meg.base import DynamicGraph, StaticGraphProcess
+from repro.meg.base import StaticGraphProcess, overrides
 from repro.meg.edge_meg import EdgeMEG
 from repro.meg.node_meg import NodeMEG
 from repro.mobility.connection import (
@@ -67,6 +55,7 @@ from repro.mobility.connection import (
 from repro.mobility.random_path import GraphRandomWalkMobility, random_walk_path_model
 from repro.mobility.random_walk import RandomWalkMobility
 from repro.mobility.random_waypoint import RandomWaypoint
+from repro.serve import SimulationService
 from repro.telemetry import core as telemetry
 
 
@@ -100,57 +89,6 @@ def _canonical(pairs: np.ndarray) -> np.ndarray:
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
-class TestBitPacking:
-    def test_packed_width(self):
-        assert packed_width(0) == 0
-        assert packed_width(1) == 1
-        assert packed_width(64) == 1
-        assert packed_width(65) == 2
-        with pytest.raises(ValueError):
-            packed_width(-1)
-
-    @pytest.mark.parametrize("columns", [1, 7, 63, 64, 65, 130])
-    def test_matrix_roundtrip(self, columns):
-        rng = np.random.default_rng(columns)
-        matrix = rng.random((5, columns)) < 0.4
-        packed = pack_bool_matrix(matrix)
-        assert packed.dtype == np.uint64
-        assert packed.shape == (5, packed_width(columns))
-        for row in range(5):
-            assert np.array_equal(unpack_bit_vector(packed[row], columns), matrix[row])
-
-    def test_padding_bits_are_zero(self):
-        matrix = np.ones((3, 70), dtype=bool)
-        packed = pack_bool_matrix(matrix)
-        # Word 1 holds bits 64..127; only the first 6 may be set.
-        assert np.all(packed[:, 1] == np.uint64((1 << 6) - 1))
-
-    def test_vector_roundtrip_and_validation(self):
-        vector = np.random.default_rng(0).random(100) < 0.5
-        assert np.array_equal(unpack_bit_vector(pack_bool_vector(vector), 100), vector)
-        with pytest.raises(ValueError):
-            pack_bool_vector(np.zeros((2, 2), dtype=bool))
-        with pytest.raises(ValueError):
-            pack_bool_matrix(np.zeros(4, dtype=bool))
-
-    def test_popcount_matches_unpacked_sum(self):
-        rng = np.random.default_rng(3)
-        words = rng.integers(0, 2**63, size=40, dtype=np.uint64)
-        expected = [bin(int(word)).count("1") for word in words]
-        assert popcount(words).tolist() == expected
-
-    @given(
-        bits=st.lists(st.booleans(), min_size=1, max_size=200),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_property(self, bits):
-        vector = np.array(bits, dtype=bool)
-        packed = pack_bool_vector(vector)
-        assert packed.size == packed_width(vector.size)
-        assert np.array_equal(unpack_bit_vector(packed, vector.size), vector)
-        assert int(popcount(packed).sum()) == int(vector.sum())
-
-
 class TestStreamIdentities:
     """The two RNG identities the fast trial-batch runner relies on."""
 
@@ -181,100 +119,68 @@ class TestStreamIdentities:
             assert np.array_equal(chosen, mirrored)
 
 
-class TestBitsetKernelIdentity:
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_bitset_matches_set_and_dense(self, family):
-        factory = _family_factories()[family]
-        for seed in range(4):
-            via_set = flood(factory(), rng=seed)
-            via_dense = flood_vectorized(factory(), rng=seed)
-            via_bitset = flood_bitset(factory(), rng=seed)
-            assert via_set == via_dense == via_bitset
-
-    def test_bitset_source_and_limits(self):
-        model = EdgeMEG(20, p=0.1, q=0.3)
-        assert flood_bitset(model, source=7, rng=3) == flood(model, source=7, rng=3)
-        with pytest.raises(ValueError):
-            flood_bitset(model, source=20)
-        with pytest.raises(ValueError):
-            flood_bitset(model, max_steps=-1)
-        truncated = flood_bitset(EdgeMEG(20, p=0.01, q=0.9), rng=0, max_steps=1)
-        assert truncated.flooding_time is None
-
-    def test_default_packed_reach_mask_matches_row_union(self):
-        model = EdgeMEG(25, p=0.15, q=0.3)
-        model.reset(4)
-        informed = np.zeros(25, dtype=bool)
-        informed[[0, 3, 11]] = True
-        packed = model.packed_reach_mask(informed)
-        assert np.array_equal(
-            unpack_bit_vector(packed, 25), model.reach_mask(informed)
-        )
-
-    def test_static_process_caches_packed_adjacency(self):
-        process = StaticGraphProcess(nx.path_graph(10))
-        process.reset()
-        assert has_fast_packed_adjacency(process)
-        first = process.packed_adjacency()
-        assert process.packed_adjacency() is first
-        assert np.array_equal(
-            first, pack_bool_matrix(DynamicGraph.adjacency_matrix(process))
-        )
-
-
 class TestTrialBatchIdentity:
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_batch_matches_per_trial(self, family):
-        factory = _family_factories()[family]
-        seeds = list(range(200, 206))
-        batched = flood_trials_batch(factory(), seeds)
-        singles = [
-            flood_vectorized(factory(), rng=np.random.default_rng(seed))
-            for seed in seeds
-        ]
-        assert batched == singles
+    def test_batch_matches_per_trial(self, family, tmp_path):
+        # Models with a runner flood the batch in lock-step, the rest resolve
+        # to the vectorized kernel; either way the samples are the set loop's
+        # and the stored record keeps the requested backend name.
+        def spec():
+            return TrialSpec.from_model(
+                _family_factories()[family](), num_trials=6, seed=200
+            )
+
+        store = ResultStore(str(tmp_path))
+        batched = Engine(backend="batch", store=store).run(spec())
+        reference = Engine(backend="set").run(spec()).flooding_times
+        assert batched.flooding_times == reference
+        (record,) = [store.get(key) for key in store.keys()]
+        assert record["backend"] == "batch"
+        assert record["flooding_times"] == list(reference)
 
     def test_fast_runner_matches_generic_runner(self):
-        # The node-MEG fast runner and the pickled-copies fallback must agree
-        # draw for draw; running both pins the mirrored reset/step math.
+        # The node-MEG runner must agree draw for draw with per-trial model
+        # copies reset from the same seeds; this pins the mirrored
+        # reset/step math.
         seeds = list(range(40, 56))
         model = _node_meg(26)
-        assert has_fast_trial_batch(model)
-        fast = flood_trials_batch(model, seeds, source=3)
-        generic_model = _node_meg(26)
-        generic_runner = _GenericTrialBatch(generic_model, len(seeds))
-        assert generic_model.trial_batch(len(seeds)) is not None
-        # Force the generic path by floods on a model stripped of the hook.
+        assert overrides(model, "trial_batch")
+        batched = flood_trials_batch(model, seeds, source=3)
         per_trial = [
             flood_vectorized(_node_meg(26), source=3, rng=np.random.default_rng(seed))
             for seed in seeds
         ]
-        assert fast == per_trial
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        generic_runner.reset(rngs)
+        assert batched == per_trial
+        copies = [_node_meg(26) for _ in seeds]
+        for copy, seed in zip(copies, seeds):
+            copy.reset(np.random.default_rng(seed))
         informed = np.zeros((len(seeds), 26), dtype=bool)
         informed[:, 3] = True
-        fast_runner = model.trial_batch(len(seeds))
-        fast_runner.reset([np.random.default_rng(seed) for seed in seeds])
+        runner = model.trial_batch(len(seeds))
+        runner.reset([np.random.default_rng(seed) for seed in seeds])
         sub = np.arange(len(seeds))
-        assert np.array_equal(
-            fast_runner.reach(informed, sub), generic_runner.reach(informed, sub)
-        )
+        expected = np.array([copy.reach_mask(row) for copy, row in zip(copies, informed)])
+        assert np.array_equal(runner.reach(informed, sub), expected)
 
     def test_validation_and_edge_cases(self):
-        model = EdgeMEG(10, p=0.1, q=0.3)
+        model = _node_meg(10)
         assert flood_trials_batch(model, []) == []
         with pytest.raises(ValueError):
             flood_trials_batch(model, [0], source=10)
         with pytest.raises(ValueError):
             flood_trials_batch(model, [0], max_steps=-1)
-        incomplete = flood_trials_batch(
-            EdgeMEG(20, p=0.01, q=0.9), [0, 1], max_steps=1
-        )
+        incomplete = flood_trials_batch(_node_meg(20), [0, 1], max_steps=1)
         assert all(result.flooding_time is None for result in incomplete)
 
+    @pytest.mark.parametrize("family", ["edge-meg", "mobility", "static"])
+    def test_requires_a_runner(self, family):
+        model = _family_factories()[family]()
+        assert not overrides(model, "trial_batch")
+        with pytest.raises(ValueError, match="no trial_batch runner"):
+            flood_trials_batch(model, [0, 1])
+
     def test_single_node_batch(self):
-        results = flood_trials_batch(EdgeMEG(1, p=0.5, q=0.5), [0, 1, 2])
+        results = flood_trials_batch(_node_meg(1), [0, 1, 2])
         assert all(result.flooding_time == 0 for result in results)
         assert all(result.informed_history == (1,) for result in results)
 
@@ -283,7 +189,7 @@ class TestStateLevelSourceBatch:
     @pytest.mark.parametrize("family", ["node-meg", "grid"])
     def test_reach_mask_batch_matches_columnwise(self, family):
         model = _family_factories()[family]()
-        assert has_fast_reach_mask_batch(model)
+        assert overrides(model, "reach_mask_batch")
         model.reset(6)
         rng = np.random.default_rng(0)
         informed = rng.random((model.num_nodes, 5)) < 0.2
@@ -296,7 +202,7 @@ class TestStateLevelSourceBatch:
 
     def test_random_path_reach_mask_batch(self):
         model = random_walk_path_model(20, grid_graph(4), radius_hops=1)
-        assert has_fast_reach_mask_batch(model)
+        assert overrides(model, "reach_mask_batch")
         model.reset(2)
         informed = np.eye(20, 4, dtype=bool)
         assert np.array_equal(
@@ -411,11 +317,11 @@ class TestCellListParity:
 
 class TestBackendResolutionNew:
     def test_backends_tuple(self):
-        assert BACKENDS == ("auto", "set", "vectorized", "sparse", "bitset", "batch")
+        assert BACKENDS == ("auto", "set", "vectorized", "sparse", "batch")
 
     def test_auto_picks_batch_for_wide_small_batches(self):
         model = _node_meg(30)
-        assert has_fast_trial_batch(model)
+        assert overrides(model, "trial_batch")
         assert resolve_backend("auto", model, num_trials=BATCH_AUTO_MIN_TRIALS) == "batch"
         assert (
             resolve_backend("auto", model, num_trials=BATCH_AUTO_MIN_TRIALS - 1)
@@ -430,39 +336,52 @@ class TestBackendResolutionNew:
 
     def test_auto_batch_requires_fast_runner_and_small_model(self):
         no_runner = EdgeMEG(30, p=0.1, q=0.3)
-        assert not has_fast_trial_batch(no_runner)
+        assert not overrides(no_runner, "trial_batch")
         assert resolve_backend("auto", no_runner, num_trials=500) == "vectorized"
         big = _node_meg(BATCH_AUTO_MAX_NODES + 1)
         assert resolve_backend("auto", big, num_trials=500) == "vectorized"
 
-    def test_auto_upgrades_static_processes_to_bitset(self):
-        small = StaticGraphProcess(nx.path_graph(16))
-        assert resolve_backend("auto", small) == "set"
-        large = StaticGraphProcess(nx.path_graph(BITSET_AUTO_MIN_NODES))
-        assert resolve_backend("auto", large) == "bitset"
-
-    def test_auto_never_picks_bitset_without_cached_packing(self):
-        # Dynamic families pack per round (cost ~ one dense reach), so auto
-        # must keep them on their previous kernels at every size.
+    def test_auto_keeps_static_processes_on_set(self):
+        # Without a fast adjacency the set loop is auto's choice at any size.
+        for nodes in (16, 2048):
+            assert resolve_backend("auto", StaticGraphProcess(nx.path_graph(nodes))) == "set"
         assert resolve_backend("auto", EdgeMEG(2048, p=0.4, q=0.4)) == "vectorized"
         assert resolve_backend("auto", _node_meg(300)) == "vectorized"
 
     def test_explicit_backends_pass_through(self):
         model = EdgeMEG(10, p=0.1, q=0.3)
-        assert resolve_backend("bitset", model) == "bitset"
-        assert resolve_backend("batch", model) == "batch"
-        assert resolve_backend("batch", model, batched_sources=True) == "vectorized"
-        with pytest.raises(ValueError):
-            resolve_backend("packed", model)
+        for backend in ("set", "vectorized", "sparse"):
+            assert resolve_backend(backend, model) == backend
+        # Explicit batch needs a runner and single-source trials.
+        assert resolve_backend("batch", model) == "vectorized"
+        assert resolve_backend("batch", _node_meg(10)) == "batch"
+        assert resolve_backend("batch", _node_meg(10), batched_sources=True) == "vectorized"
+        for retired in ("packed", "bitset"):
+            with pytest.raises(ValueError):
+                resolve_backend(retired, model)
+
+    def test_bitset_backend_is_rejected(self):
+        with pytest.raises(ValueError, match="'bitset'") as raised:
+            Engine(backend="bitset")
+        assert str(BACKENDS) in str(raised.value)
+
+    def test_cli_rejects_bitset_backend(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            cli.main(["sweep", "edge-meg", "--nodes", "12", "--backend", "bitset"])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bitset'" in err
+        for backend in BACKENDS:
+            assert repr(backend) in err
 
     def test_engine_accepts_new_backends(self):
         times = {}
-        for backend in ("set", "bitset", "batch"):
+        for backend in ("set", "vectorized", "batch"):
             spec = TrialSpec.from_model(_node_meg(20), num_trials=5, seed=11)
             result = Engine(backend=backend).run(spec)
             assert result.backend == backend
             times[backend] = result.flooding_times
-        assert times["set"] == times["bitset"] == times["batch"]
+        assert times["set"] == times["vectorized"] == times["batch"]
 
     def test_auto_batch_worker_invariant(self):
         spec = TrialSpec.from_model(
@@ -478,57 +397,53 @@ class TestBackendResolutionNew:
         assert serial == threaded == explicit
 
 
-class TestJitFallback:
-    def test_csr_reach_matches_row_union(self):
-        rng = np.random.default_rng(8)
-        dense = rng.random((40, 40)) < 0.1
-        dense |= dense.T
-        np.fill_diagonal(dense, False)
-        matrix = scipy.sparse.csr_matrix(dense.astype(np.int8))
-        for _ in range(5):
-            informed = rng.random(40) < 0.3
-            out = np.empty(40, dtype=bool)
-            expected = np.logical_or.reduce(dense[informed], axis=0) if informed.any() else np.zeros(40, bool)
-            assert np.array_equal(csr_reach(matrix, informed, out), expected)
-            assert csr_reach(matrix, informed, out) is out
-
-    def test_sparse_kernel_exact_without_numba(self):
-        # The local environment has no numba; the fallback path must keep the
-        # sparse kernel bit-identical to the set loop.
+class TestSparseKernel:
+    def test_sparse_kernel_matches_set(self):
         for seed in range(3):
             assert flood_sparse(EdgeMEG(30, p=0.1, q=0.3), rng=seed) == flood(
                 EdgeMEG(30, p=0.1, q=0.3), rng=seed
             )
 
-    def test_numba_requested_reads_escape_hatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_NUMBA", raising=False)
-        assert numba_requested()
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
-        assert not numba_requested()
 
-    def test_escape_hatch_disables_numba_at_import(self):
-        # A fresh interpreter with the escape hatch set must come up with the
-        # fallback even when numba is installed.
-        env = dict(os.environ)
-        env["REPRO_DISABLE_NUMBA"] = "1"
-        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
-        script = (
-            "import repro.engine.jit as jit\n"
-            "assert not jit.NUMBA_AVAILABLE\n"
-            "assert not jit.numba_requested()\n"
+class TestLegacyBitsetRecords:
+    def test_warm_hit_serves_a_bitset_record_byte_identically(self, tmp_path):
+        # A store written by an older release with --backend bitset holds the
+        # same samples under the same keys (keys never include the backend);
+        # the service must keep answering it as a warm hit.
+        request = sweep_request("edge-meg", [12, 16], 4, seed=7)
+        plan = compile_request(request)
+        reference_store = ResultStore(str(tmp_path / "reference"))
+        engine = Engine(backend="set", store=reference_store)
+        records = {}
+        for job in plan.jobs:
+            batch = engine.run(job.spec)
+            records[job.tag] = {
+                "flooding_times": list(batch.flooding_times),
+                "num_nodes": batch.num_nodes,
+            }
+        expected = json.dumps(jsonify(plan.assemble(records)), indent=2, sort_keys=True)
+
+        legacy = ResultStore(str(tmp_path / "legacy"))
+        for key in reference_store.keys():
+            legacy.put(key, {**reference_store.get(key), "backend": "bitset"})
+        service = SimulationService(
+            ResultStore(str(tmp_path / "legacy")), JobSpool(tmp_path / "spool")
         )
-        subprocess.run(
-            [sys.executable, "-c", script], env=env, check=True, timeout=120
+        result = service.submit(
+            {"kind": "sweep", "family": "edge-meg", "nodes": [12, 16], "trials": 4, "seed": 7}
         )
+        assert result.status == 200
+        assert result.headers["X-Cache"] == "hit"
+        assert json.dumps(jsonify(result.payload), indent=2, sort_keys=True) == expected
+        assert service.spool.counts()["jobs"] == 0
 
 
 class TestKernelTelemetry:
     def test_dispatch_counters_recorded(self):
         instance = telemetry.activate(telemetry.Telemetry(process="kernel-test"))
         try:
-            flood_bitset(EdgeMEG(15, p=0.2, q=0.3), rng=0)
+            flood_sparse(EdgeMEG(15, p=0.2, q=0.3), rng=0)
             flood_trials_batch(_node_meg(20), [0, 1, 2])
-            flood_trials_batch(EdgeMEG(15, p=0.2, q=0.3), [0, 1])
             spec = TrialSpec.from_model(
                 _node_meg(20), num_trials=BATCH_AUTO_MIN_TRIALS, seed=0
             )
@@ -536,10 +451,7 @@ class TestKernelTelemetry:
             counters = instance.metrics_snapshot()["counters"]
         finally:
             telemetry.deactivate(instance)
-        assert counters["kernel.flood.bitset"] == 1
+        assert counters["kernel.flood.sparse"] == 1
         # 3 direct trials plus the engine's auto-batched run of 32.
-        assert counters["kernel.flood.batch_trials_fast"] == 3 + BATCH_AUTO_MIN_TRIALS
-        assert counters["kernel.flood.batch_trials_generic"] == 2
+        assert counters["kernel.flood.batch_trials"] == 3 + BATCH_AUTO_MIN_TRIALS
         assert counters["engine.backend.batch"] == BATCH_AUTO_MIN_TRIALS
-        if NUMBA_AVAILABLE:  # pragma: no cover - numba absent locally
-            assert "kernel.jit.csr" not in counters

@@ -31,13 +31,11 @@ from repro.engine import (
     flood_sources_batch,
     flood_sparse,
     flood_vectorized,
-    has_fast_adjacency,
-    has_fast_sparse_adjacency,
     resolve_backend,
 )
 from repro.graphs.grid import augmented_grid_graph, grid_graph, hop_ball_matrix
 from repro.markov.builders import random_walk_on_graph
-from repro.meg.base import DynamicGraph, StaticGraphProcess
+from repro.meg.base import DynamicGraph, StaticGraphProcess, overrides
 from repro.meg.edge_meg import EdgeMEG
 from repro.meg.node_meg import NodeMEG
 from repro.mobility.random_path import GraphRandomWalkMobility, random_walk_path_model
@@ -100,7 +98,7 @@ class TestFastSnapshotInterfaces:
     @pytest.mark.parametrize("family", ["edge-meg", "node-meg", "grid", "mobility"])
     def test_adjacency_override_matches_generic(self, family):
         model = _family_models()[family]
-        assert has_fast_adjacency(model)
+        assert overrides(model, "adjacency_matrix")
         model.reset(3)
         fast = model.adjacency_matrix()
         generic = DynamicGraph.adjacency_matrix(model)
@@ -119,8 +117,9 @@ class TestFastSnapshotInterfaces:
         )
 
     def test_fast_sparse_predicate(self):
-        assert has_fast_sparse_adjacency(RandomWaypoint(5, side=3.0, radius=1.0, v_min=1.0))
-        assert not has_fast_sparse_adjacency(StaticGraphProcess(nx.path_graph(4)))
+        waypoint = RandomWaypoint(5, side=3.0, radius=1.0, v_min=1.0)
+        assert overrides(waypoint, "sparse_adjacency")
+        assert not overrides(StaticGraphProcess(nx.path_graph(4)), "sparse_adjacency")
 
     def test_generic_sparse_adjacency_from_edges(self):
         process = StaticGraphProcess(nx.path_graph(6))

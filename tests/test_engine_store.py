@@ -9,6 +9,7 @@ import numpy as np
 from repro.engine import Engine, ResultStore, TrialSpec, jsonify
 from repro.experiments.runner import measure_flooding_sweep
 from repro.meg.edge_meg import EdgeMEG
+from repro.telemetry import core as telemetry
 
 
 def make_sweep_model(num_nodes: int) -> EdgeMEG:
@@ -66,6 +67,40 @@ class TestResultStore:
         reloaded = ResultStore(tmp_path)
         assert reloaded.get(key) == {"value": 1}
         assert len(reloaded) == 1
+
+    def test_corrupt_lines_are_counted_in_telemetry(self, tmp_path):
+        # A truncated tail line is dropped from the index either way; with
+        # telemetry on the drop is counted, and the store's bytes (after a
+        # merge, which rewrites the file) match the untraced run's exactly.
+        def damaged_store(directory):
+            store = ResultStore(directory)
+            store.put(ResultStore.compute_key({"model": "a"}), {"value": 1})
+            store.put(ResultStore.compute_key({"model": "b"}), {"value": 2})
+            with open(store.path, "a", encoding="utf-8") as handle:
+                handle.write('{"key": "c", "record": {"val')
+            return ResultStore(directory)
+
+        untraced = damaged_store(tmp_path / "off")
+        assert len(untraced) == 2
+        untraced.merge()
+        instance = telemetry.activate(telemetry.Telemetry(process="store-test"))
+        try:
+            traced = damaged_store(tmp_path / "on")
+            assert len(traced) == 2
+            counters = instance.metrics_snapshot()["counters"]
+            assert counters["store.scan.corrupt"] == 1
+            traced.merge()
+        finally:
+            telemetry.deactivate(instance)
+        with open(untraced.path, "rb") as off, open(traced.path, "rb") as on:
+            assert off.read() == on.read()
+        # A clean store never touches the counter.
+        instance = telemetry.activate(telemetry.Telemetry(process="store-test"))
+        try:
+            assert len(ResultStore(tmp_path / "on")) == 2
+            assert "store.scan.corrupt" not in instance.metrics_snapshot()["counters"]
+        finally:
+            telemetry.deactivate(instance)
 
     def test_last_write_wins(self, tmp_path):
         store = ResultStore(tmp_path)
