@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.engine import TrialSpec, batch_store_key
@@ -464,9 +465,13 @@ class CompiledPlan:
     shard_mode: str
     assemble: Callable[[Mapping[str, dict]], dict]
 
-    @property
+    @cached_property
     def store_keys(self) -> list[str]:
-        """Every job's expected parent-batch store key, in job order."""
+        """Every job's expected parent-batch store key, in job order.
+
+        Derived once per plan: the ETag, the warm-store lookup and a poll's
+        re-assembly all read this one list.
+        """
         return [job.store_key() for job in self.jobs]
 
 

@@ -45,14 +45,20 @@ import numpy as np
 from repro.core.flooding import flood, flood_sources_set
 from repro.engine.batch import flood_trials_batch
 from repro.engine.kernel import flood_sources_batch, flood_sparse, flood_vectorized
-from repro.engine.shard import ShardSpec, seed_token, shard_store_key
+from repro.engine.shard import (
+    ShardSpec,
+    batch_salt,
+    batch_store_key,
+    key_seeds,
+    shard_store_key,
+    trial_seeds,
+)
 from repro.engine.spec import BatchResult, TrialSpec
 from repro.engine.store import ResultStore
 from repro.meg.base import DynamicGraph, overrides
-from repro.stats.sequential import MomentSketch, sketch_from_samples, sketch_salt
+from repro.stats.sequential import MomentSketch, sketch_from_samples
 from repro.telemetry import core as telemetry
 from repro.telemetry import trace as tracectx
-from repro.util.rng import spawn_seed_sequences
 
 BACKENDS = ("auto", "set", "vectorized", "sparse", "batch")
 EXECUTORS = ("process", "thread")
@@ -652,13 +658,11 @@ class Engine:
             executor=self.executor,
         ) as run_span:
             started = time.perf_counter()
-            seeds = spawn_seed_sequences(spec.seed, spec.num_trials)
+            key_material = key_seeds(spec)
 
             key = None
             if self.store is not None:
-                key = ResultStore.compute_key(
-                    {**spec.cache_token(), "seeds": seed_token(seeds)}
-                )
+                key = batch_store_key(spec, key_material)
                 record = self.store.get(key)
                 if record is not None:
                     telemetry.count("engine.store.hit")
@@ -666,6 +670,7 @@ class Engine:
                     return self._cached_result(record, spec, started)
                 telemetry.count("engine.store.miss")
 
+            seeds = trial_seeds(spec, key_material)
             # Built exactly once per run, whatever the worker count: a
             # stochastic factory then contributes one realization shared by
             # every trial, so serial and parallel runs sample the same
@@ -692,7 +697,7 @@ class Engine:
             if self.store is not None and key is not None:
                 salt = None
                 if self.sketch or spec.stopping is not None:
-                    salt = sketch_salt(seed_token(seeds))
+                    salt = batch_salt(key_material)
                 self.store.put(key, _store_payload(result, spec, salt=salt))
                 telemetry.count("engine.store.put")
             run_span.add(cached=False, realized_trials=result.num_trials)
@@ -739,13 +744,11 @@ class Engine:
         ) as run_span:
             started = time.perf_counter()
             spec = shard.spec
-            all_seeds, shard_seeds = shard.spawn_seeds()
+            key_material = key_seeds(spec)
 
             key = parent_key = None
             if self.store is not None:
-                parent_key = ResultStore.compute_key(
-                    {**spec.cache_token(), "seeds": seed_token(all_seeds)}
-                )
+                parent_key = batch_store_key(spec, key_material)
                 key = shard_store_key(parent_key, shard.index, shard.count)
                 record = self.store.get(key)
                 if record is not None:
@@ -765,6 +768,8 @@ class Engine:
                     return self._cached_result(sliced, spec, started)
                 telemetry.count("engine.store.miss")
 
+            all_seeds = trial_seeds(spec, key_material)
+            shard_seeds = [all_seeds[i] for i in shard.trial_indices]
             model = spec.build_model()
             outcomes = self._execute_trials(spec, model, shard_seeds) if shard_seeds else []
             result = BatchResult(
@@ -781,7 +786,7 @@ class Engine:
                 # (start, stride) are its interleave coordinates, so the
                 # shard's sketch entries are exactly the ones the unsharded
                 # run would assign those trials — merge is byte-identical.
-                salt = sketch_salt(seed_token(all_seeds)) if self.sketch else None
+                salt = batch_salt(key_material) if self.sketch else None
                 payload = _store_payload(
                     result, spec, salt=salt, start=shard.index, stride=shard.count
                 )

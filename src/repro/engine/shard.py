@@ -14,7 +14,7 @@ the partition is deterministic*.  This module provides that partition:
   unsharded run at any worker count.
 * :func:`shard_specs` fans a spec out into all ``K`` shards;
   :func:`parse_shard` reads the CLI's ``i/K`` notation.
-* :func:`seed_token` and :func:`shard_store_key` define how sharded results
+* :func:`batch_store_key` and :func:`shard_store_key` define how results
   are addressed in the :class:`~repro.engine.store.ResultStore`: a shard
   record lives under a key derived from the *parent* batch key plus the
   shard coordinates, and carries both in its payload — which is what lets
@@ -31,13 +31,18 @@ summary statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
 from repro.engine.spec import TrialSpec
-from repro.engine.store import ResultStore
+from repro.engine.store import ResultStore, SeedRange
+from repro.stats.sequential import sketch_salt, text_salt
 from repro.util.rng import spawn_seed_sequences
+
+#: What a batch key hashes as its ``"seeds"``: a closed-form range, or the
+#: spawned children when the seed material has no closed form.
+KeySeeds = Union[SeedRange, list]
 
 
 def seed_token(seeds: Sequence[np.random.SeedSequence]) -> list[dict]:
@@ -53,14 +58,46 @@ def seed_token(seeds: Sequence[np.random.SeedSequence]) -> list[dict]:
     return token
 
 
-def batch_store_key(spec: TrialSpec) -> str:
+def key_seeds(spec: TrialSpec) -> KeySeeds:
+    """The per-trial seeds of ``spec`` in the form its batch key hashes.
+
+    Int and ``SeedSequence`` material gives a :class:`SeedRange` and spawns
+    nothing.  ``Generator`` and ``None`` material is spawned here, once, so a
+    generator's ``seed_seq`` advances exactly as one spawn advances it.
+    """
+    seeds = SeedRange.of(spec.seed, spec.num_trials)
+    if seeds is None:
+        seeds = spawn_seed_sequences(spec.seed, spec.num_trials)
+    return seeds
+
+
+def trial_seeds(spec: TrialSpec, seeds: KeySeeds) -> list:
+    """The ``SeedSequence`` children behind ``key_seeds(spec)``."""
+    if isinstance(seeds, SeedRange):
+        return spawn_seed_sequences(spec.seed, spec.num_trials)
+    return seeds
+
+
+def batch_store_key(spec: TrialSpec, seeds: KeySeeds | None = None) -> str:
     """Content key of the *full* (unsharded) batch a spec describes.
 
     The same key :class:`~repro.engine.engine.Engine` uses when it runs the
-    spec directly; shards reference it as their ``parent_key``.
+    spec directly; shards reference it as their ``parent_key``.  ``seeds``
+    is ``key_seeds(spec)`` when the caller already holds it (it must, for
+    ``Generator`` material, or the key would spawn a second batch).
     """
-    seeds = spawn_seed_sequences(spec.seed, spec.num_trials)
-    return ResultStore.compute_key({**spec.cache_token(), "seeds": seed_token(seeds)})
+    if seeds is None:
+        seeds = key_seeds(spec)
+    if not isinstance(seeds, SeedRange):
+        seeds = seed_token(seeds)
+    return ResultStore.compute_key({**spec.cache_token(), "seeds": seeds})
+
+
+def batch_salt(seeds: KeySeeds) -> int:
+    """Sketch salt of a batch: SHA-256 over the seeds text its key hashes."""
+    if isinstance(seeds, SeedRange):
+        return text_salt(seeds.text)
+    return sketch_salt(seed_token(seeds))
 
 
 def shard_store_key(parent_key: str, index: int, count: int) -> str:

@@ -10,8 +10,11 @@ file alone.
 Keys are computed with :meth:`ResultStore.compute_key` — a SHA-256 over the
 canonical (sorted-keys) JSON encoding of the token — so any change to the
 model parameters, trial count, source, step cap or seed invalidates the
-entry naturally by changing its address.  Duplicate keys are legal in the
-file; the *last* record wins, which doubles as a crude update mechanism.
+entry naturally by changing its address.  A batch key's per-trial seeds are
+written in closed form from a :class:`SeedRange` (O(1) Python objects, not
+one spawned ``SeedSequence`` per trial), byte-identical to encoding the
+spawned seeds.  Duplicate keys are legal in the file; the *last* record
+wins, which doubles as a crude update mechanism.
 
 The file is scanned exactly once, lazily, on the first lookup — every later
 ``get``/``put`` is an in-memory dictionary operation — and
@@ -46,6 +49,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -74,6 +78,61 @@ def jsonify(value):
     if isinstance(value, (np.bool_,)):
         return bool(value)
     return value
+
+
+def _canonical(value) -> str:
+    """Canonical JSON text of an already-jsonified value (sorted keys, no spaces)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@dataclass(frozen=True)
+class SeedRange:
+    """The per-trial seeds of a batch as seed material plus a count.
+
+    Spawning ``count`` children from a ``SeedSequence`` gives child ``i`` the
+    parent's entropy and the spawn key ``spawn_key + (first + i,)``, where
+    ``first`` is the parent's ``n_children_spawned``.  So the seeds' JSON
+    identity (what :func:`repro.engine.shard.seed_token` encodes) is a pure
+    function of these four values, and :attr:`text` writes it directly.
+    """
+
+    entropy: object
+    spawn_key: tuple
+    first: int
+    count: int
+
+    @classmethod
+    def of(cls, material, count: int) -> Optional["SeedRange"]:
+        """The range ``spawn_seed_sequences(material, count)`` would spawn.
+
+        ``None`` for ``Generator`` and ``None`` material: those have no
+        closed form (spawning advances the generator, or draws fresh OS
+        entropy), so their children must really be spawned.
+        """
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        if isinstance(material, np.random.SeedSequence):
+            seq = material
+        elif isinstance(material, (int, np.integer)):
+            # Constructed for its validation (negative seeds raise as before).
+            seq = np.random.SeedSequence(int(material))
+        else:
+            return None
+        spawn_key = tuple(int(k) for k in seq.spawn_key)
+        return cls(seq.entropy, spawn_key, int(seq.n_children_spawned), int(count))
+
+    @cached_property
+    def text(self) -> str:
+        """Canonical JSON text of the seeds' ``seed_token`` list."""
+        entropy = self.entropy
+        if isinstance(entropy, (list, tuple)):
+            entropy_text = "[" + ",".join(str(int(word)) for word in entropy) + "]"
+        else:
+            entropy_text = str(int(entropy))
+        head = '{"entropy":' + entropy_text + ',"spawn_key":['
+        head += "".join(f"{key}," for key in self.spawn_key)
+        indices = range(self.first, self.first + self.count)
+        return "[" + ",".join(f"{head}{index}]}}" for index in indices) + "]"
 
 
 class MergeConflictError(RuntimeError):
@@ -177,9 +236,28 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     @staticmethod
     def compute_key(token: dict) -> str:
-        """SHA-256 content hash of a token dict (canonical JSON encoding)."""
-        canonical = json.dumps(jsonify(token), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        """SHA-256 content hash of a token dict (canonical JSON encoding).
+
+        A :class:`SeedRange` under ``"seeds"`` contributes its closed-form
+        :attr:`~SeedRange.text` at its sorted-key position in the encoding
+        of the rest of the token, so the key is byte-identical to hashing
+        the token with the spawned seeds' ``seed_token`` list there.
+        """
+        tel = telemetry.active()
+        started = time.perf_counter() if tel is not None else 0.0
+        seeds = token.get("seeds")
+        if isinstance(seeds, SeedRange):
+            rest = jsonify({k: v for k, v in token.items() if k != "seeds"})
+            fields = {name: _canonical(value) for name, value in rest.items()}
+            fields["seeds"] = seeds.text
+            items = sorted(fields.items())
+            canonical = "{" + ",".join(f"{_canonical(name)}:{text}" for name, text in items) + "}"
+        else:
+            canonical = _canonical(jsonify(token))
+        key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        if tel is not None:
+            tel.timing("store.key_seconds", time.perf_counter() - started)
+        return key
 
     # ------------------------------------------------------------------ #
     # locking

@@ -46,7 +46,6 @@ from repro.engine import (
     Engine,
     ResultStore,
     ShardSpec,
-    batch_store_key,
     shard_store_key,
 )
 from repro.engine.store import jsonify
@@ -232,12 +231,9 @@ def job_expected_keys(payload: dict) -> list[str]:
         # and the engine's run_shard delegation stores it under the parent
         # batch key directly (no shard wrapper to reassemble).
         if plan.request.stopping is not None:
-            return [job.store_key() for job in plan.jobs]
-        return [
-            shard_store_key(batch_store_key(job.spec), index, count)
-            for job in plan.jobs
-        ]
-    return [job.store_key() for job in plan.jobs[index::count]]
+            return plan.store_keys
+        return [shard_store_key(key, index, count) for key in plan.store_keys]
+    return plan.store_keys[index::count]
 
 
 def execute_job(payload: dict, spool: JobSpool) -> dict:

@@ -355,8 +355,8 @@ class SimulationService:
     def _assemble_if_warm(self, plan) -> Optional[dict]:
         """The assembled result payload, or None if any record is missing."""
         records = {}
-        for job in plan.jobs:
-            record = self.store.get(job.store_key())
+        for job, key in zip(plan.jobs, plan.store_keys):
+            record = self.store.get(key)
             if record is None:
                 return None
             records[job.tag] = record

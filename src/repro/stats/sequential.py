@@ -82,7 +82,11 @@ def sketch_salt(token: object) -> int:
     priority stream, so every shard of one batch derives the same stream
     and sharded/unsharded runs embed bit-identical sketches.
     """
-    canonical = json.dumps(token, sort_keys=True, separators=(",", ":"))
+    return text_salt(json.dumps(token, sort_keys=True, separators=(",", ":")))
+
+
+def text_salt(canonical: str) -> int:
+    """:func:`sketch_salt` of a token given as its canonical JSON text."""
     digest = hashlib.sha256(canonical.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -144,6 +144,7 @@ def summarize_events(events: list[dict], top: int = 5, skipped_lines: int = 0) -
         "puts": counters.get("engine.store.put", 0),
         "hit_rate": hits / (hits + misses) if hits + misses else None,
         "lock_wait": timings.get("store.lock_wait_seconds"),
+        "key": timings.get("store.key_seconds"),
     }
 
     workers = {}
@@ -234,6 +235,12 @@ def format_report(summary: dict) -> str:
                 f"store lock wait: x{wait['count']} total {wait['total']:.4f}s "
                 f"max {wait['max']:.4f}s"
             )
+    if store["key"]:
+        key = store["key"]
+        lines.append(
+            f"store key derivation: x{key['count']} total {key['total']:.4f}s "
+            f"max {key['max']:.4f}s"
+        )
 
     if summary["workers"]:
         lines.append("worker utilization:")
