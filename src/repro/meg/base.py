@@ -10,6 +10,9 @@ stationarity estimators in :mod:`repro.core` work uniformly:
   setting) and fix the randomness of the run;
 * ``step()`` — advance the process by one time step;
 * ``current_edges()`` — the edge set of the current snapshot;
+* ``edge_pairs()`` — the same edges as an ``(m, 2)`` index array, the one
+  form the dense and sparse adjacency views derive from (models holding
+  their snapshot as arrays override it);
 * ``neighbors_of_set(nodes)`` — all nodes adjacent to a given set in the
   current snapshot (the only query flooding needs; models may override it
   with something faster than scanning every edge).
@@ -20,7 +23,7 @@ from __future__ import annotations
 import abc
 import hashlib
 import pickle
-from typing import Iterator, Set
+from typing import Iterator, Optional, Set
 
 import networkx as nx
 import numpy as np
@@ -81,21 +84,28 @@ class DynamicGraph(abc.ABC):
                 reached.add(i)
         return reached
 
+    def edge_pairs(self) -> np.ndarray:
+        """Edges ``(i, j)`` (i < j) of the current snapshot as an ``(m, 2)`` array.
+
+        The snapshot form the default :meth:`adjacency_matrix` and
+        :meth:`sparse_adjacency` build from, so both cost ``O(m)`` rather
+        than ``O(n^2)``.  The generic implementation collects
+        :meth:`current_edges`; models that hold their snapshot as arrays
+        should override it (callers must treat the result as read-only).
+        """
+        edges = list(self.current_edges())
+        return np.asarray(edges, dtype=np.intp).reshape(len(edges), 2)
+
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix of the current snapshot.
 
         The vectorized flooding kernel of :mod:`repro.engine` uses this to
         advance whole informed-vectors with NumPy instead of per-edge Python
-        loops.  The generic implementation scatters :meth:`current_edges`;
-        models that already hold their snapshot as arrays should override it
-        (the engine only auto-selects the vectorized kernel for models that
-        do).
+        loops.  The generic implementation scatters :meth:`edge_pairs`;
+        models with a fast array snapshot should override it (the engine
+        only auto-selects the vectorized kernel for models that do).
         """
-        matrix = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
-        for i, j in self.current_edges():
-            matrix[i, j] = True
-            matrix[j, i] = True
-        return matrix
+        return dense_adjacency_from_pairs(self.num_nodes, self.edge_pairs())
 
     def reach_mask(self, informed: np.ndarray) -> np.ndarray:
         """Mask of nodes adjacent, in the current snapshot, to an informed node.
@@ -145,21 +155,14 @@ class DynamicGraph(abc.ABC):
         The sparse flooding kernel of :mod:`repro.engine` advances informed
         vectors with a sparse matvec, which beats the dense kernel on large,
         sparse snapshots (cost ``O(m)`` per step instead of ``O(n^2)``).  The
-        generic implementation compresses the model's fast dense adjacency
-        when one is available, falling back to scattering
-        :meth:`current_edges`; models that can enumerate their edges as
-        arrays (for example the geometric models through their k-d tree)
-        should override it to skip the dense detour too.  Callers must treat
-        the returned matrix as read-only.
+        generic implementation builds the CSR from :meth:`edge_pairs`; only
+        models that override :meth:`adjacency_matrix` but not
+        :meth:`edge_pairs` compress their dense adjacency instead.  Callers
+        must treat the returned matrix as read-only.
         """
-        n = self.num_nodes
-        if overrides(self, "adjacency_matrix"):
+        if overrides(self, "adjacency_matrix") and not overrides(self, "edge_pairs"):
             return scipy.sparse.csr_matrix(self.adjacency_matrix(), dtype=np.intp)
-        edges = [pair for pair in self.current_edges()]
-        if not edges:
-            return scipy.sparse.csr_matrix((n, n), dtype=np.intp)
-        pairs = np.asarray(edges, dtype=np.intp)
-        return sparse_adjacency_from_pairs(n, pairs)
+        return sparse_adjacency_from_pairs(self.num_nodes, self.edge_pairs())
 
     def cache_token(self) -> dict:
         """Stable description of the model used to key cached results.
@@ -232,10 +235,10 @@ def overrides(model: DynamicGraph, hook: str) -> bool:
     """Whether ``model``'s class replaces the :class:`DynamicGraph` default ``hook``.
 
     The engine picks kernels by which snapshot hooks a model implements
-    natively (``adjacency_matrix``, ``reach_mask``, ``reach_mask_batch``,
-    ``sparse_adjacency``, ``trial_batch``).  Both attributes are looked up at
-    call time, so a wrapper installed on the base class still reads as "not
-    overridden".
+    natively (``edge_pairs``, ``adjacency_matrix``, ``reach_mask``,
+    ``reach_mask_batch``, ``sparse_adjacency``, ``trial_batch``).  Both
+    attributes are looked up at call time, so a wrapper installed on the base
+    class still reads as "not overridden".
     """
     return getattr(type(model), hook) is not getattr(DynamicGraph, hook)
 
@@ -278,6 +281,56 @@ class StaticGraphProcess(DynamicGraph):
         for node in nodes:
             reached |= self._adjacency[node]
         return reached
+
+
+class PairIndexedGraph(DynamicGraph):
+    """A dynamic graph with one state per unordered node pair (the edge-MEGs).
+
+    Pairs are numbered in ``np.triu_indices(n, 1)`` order, the ``i < j``
+    row-major order of :func:`all_pairs`, so one ``rng.random(num_pairs)``
+    draw consumes the stream exactly as a per-pair loop would.  Subclasses
+    call :meth:`_set_active` with the sorted indices of the present pairs
+    whenever the snapshot changes; every snapshot query derives from the
+    cached :meth:`edge_pairs`, so it costs ``O(m)`` in the present edges
+    rather than ``O(n^2)`` in the pairs.
+    """
+
+    def _index_pairs(self, num_nodes: int) -> None:
+        self._pairs = np.stack(np.triu_indices(num_nodes, 1), axis=1)
+        self._active: Optional[np.ndarray] = None
+        self._pairs_cache: Optional[np.ndarray] = None
+
+    @property
+    def num_pairs(self) -> int:
+        """Number of node pairs ``n (n - 1) / 2``."""
+        return self._pairs.shape[0]
+
+    def _set_active(self, active: np.ndarray) -> None:
+        self._active = active
+        self._pairs_cache = None
+
+    def edge_pairs(self) -> np.ndarray:
+        if self._active is None:
+            raise RuntimeError("call reset() before querying the snapshot")
+        if self._pairs_cache is None:
+            self._pairs_cache = self._pairs.take(self._active, axis=0)
+        return self._pairs_cache
+
+    def current_edges(self) -> Iterator[tuple[int, int]]:
+        pairs = self.edge_pairs()
+        return zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())
+
+    def neighbors_of_set(self, nodes: Set[int]) -> set[int]:
+        pairs = self.edge_pairs()
+        if not nodes or pairs.size == 0:
+            return set()
+        node_array = np.fromiter(nodes, dtype=int)
+        from_i = np.isin(pairs[:, 0], node_array)
+        from_j = np.isin(pairs[:, 1], node_array)
+        return set(pairs[from_i, 1].tolist()) | set(pairs[from_j, 0].tolist())
+
+    def edge_count(self) -> int:
+        return int(self.edge_pairs().shape[0])
 
 
 def edges_from_adjacency_matrix(matrix: np.ndarray) -> list[tuple[int, int]]:

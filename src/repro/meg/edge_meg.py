@@ -19,17 +19,17 @@ Two models are provided:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.markov.chain import MarkovChain
-from repro.meg.base import DynamicGraph, all_pairs
+from repro.meg.base import PairIndexedGraph, dense_adjacency_from_pairs
 from repro.util.rng import RNGLike, ensure_rng
 from repro.util.validation import require_node_count, require_probability
 
 
-class EdgeMEG(DynamicGraph):
+class EdgeMEG(PairIndexedGraph):
     """The classic edge-MEG: independent birth/death dynamics on every edge.
 
     Parameters
@@ -63,8 +63,7 @@ class EdgeMEG(DynamicGraph):
         if initial_edge_probability is not None:
             require_probability(initial_edge_probability, "initial_edge_probability")
         self._initial_edge_probability = initial_edge_probability
-        self._pairs = np.array(all_pairs(num_nodes), dtype=int).reshape(-1, 2)
-        self._states: Optional[np.ndarray] = None
+        self._index_pairs(num_nodes)
         self._rng: Optional[np.random.Generator] = None
         self._time = 0
 
@@ -101,53 +100,23 @@ class EdgeMEG(DynamicGraph):
             probability = self.stationary_edge_probability()
         else:
             probability = self._initial_edge_probability
-        count = self._pairs.shape[0]
-        self._states = self._rng.random(count) < probability
+        self._set_active((self._rng.random(self.num_pairs) < probability).nonzero()[0])
 
     def step(self) -> None:
-        if self._states is None or self._rng is None:
+        if self._active is None or self._rng is None:
             raise RuntimeError("call reset() before step()")
-        u = self._rng.random(self._states.shape[0])
-        on = self._states
-        # on edges die with probability q, off edges are born with probability p
-        next_states = np.where(on, u >= self._q, u < self._p)
-        self._states = next_states
+        u = self._rng.random(self.num_pairs)
+        # off edges are born with probability p, on edges die with probability q
+        present = u < self._p
+        active = self._active
+        present[active] = u[active] >= self._q
+        self._set_active(present.nonzero()[0])
         self._time += 1
 
-    def current_edges(self) -> Iterator[tuple[int, int]]:
-        if self._states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        for index in np.nonzero(self._states)[0]:
-            i, j = self._pairs[index]
-            yield int(i), int(j)
-
-    def neighbors_of_set(self, nodes) -> set[int]:
-        if self._states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        if not nodes:
-            return set()
-        active = self._pairs[self._states]
-        if active.size == 0:
-            return set()
-        node_array = np.fromiter(nodes, dtype=int)
-        mask_i = np.isin(active[:, 0], node_array)
-        mask_j = np.isin(active[:, 1], node_array)
-        reached = set(active[mask_i, 1].tolist()) | set(active[mask_j, 0].tolist())
-        return reached
-
-    def edge_count(self) -> int:
-        if self._states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        return int(self._states.sum())
-
     def adjacency_matrix(self) -> np.ndarray:
-        if self._states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        matrix = np.zeros((self._num_nodes, self._num_nodes), dtype=bool)
-        active = self._pairs[self._states]
-        matrix[active[:, 0], active[:, 1]] = True
-        matrix[active[:, 1], active[:, 0]] = True
-        return matrix
+        # The inherited default does the same; overriding it is what marks the
+        # model as array-backed, so ``backend="auto"`` picks a fast kernel.
+        return dense_adjacency_from_pairs(self._num_nodes, self.edge_pairs())
 
     def _cache_params(self) -> dict:
         return {
@@ -180,7 +149,7 @@ def four_state_edge_meg(
     return GeneralEdgeMEG(num_nodes, chain, chi=chi)
 
 
-class GeneralEdgeMEG(DynamicGraph):
+class GeneralEdgeMEG(PairIndexedGraph):
     """Generalised edge-MEG ``EM(n, M, chi)`` (paper, Appendix A).
 
     Every unordered pair of nodes carries an independent copy of the hidden
@@ -233,7 +202,7 @@ class GeneralEdgeMEG(DynamicGraph):
             if np.any(dist < 0) or not np.isclose(dist.sum(), 1.0, atol=1e-8):
                 raise ValueError("initial distribution must be a probability vector")
             self._initial_distribution = dist
-        self._pairs = np.array(all_pairs(num_nodes), dtype=int).reshape(-1, 2)
+        self._index_pairs(num_nodes)
         self._cumulative = np.cumsum(chain.transition_matrix, axis=1)
         self._states: Optional[np.ndarray] = None
         self._rng: Optional[np.random.Generator] = None
@@ -256,51 +225,25 @@ class GeneralEdgeMEG(DynamicGraph):
     def reset(self, rng: RNGLike = None) -> None:
         self._rng = ensure_rng(rng)
         self._time = 0
-        count = self._pairs.shape[0]
         self._states = self._rng.choice(
-            self._chain.num_states, size=count, p=self._initial_distribution
+            self._chain.num_states, size=self.num_pairs, p=self._initial_distribution
         )
+        self._set_active(self._chi_flags[self._states].nonzero()[0])
 
     def step(self) -> None:
         if self._states is None or self._rng is None:
             raise RuntimeError("call reset() before step()")
-        u = self._rng.random(self._states.shape[0])
+        u = self._rng.random(self.num_pairs)
         rows = self._cumulative[self._states]
         nxt = (rows < u[:, None]).sum(axis=1)
         self._states = np.minimum(nxt, self._chain.num_states - 1)
+        self._set_active(self._chi_flags[self._states].nonzero()[0])
         self._time += 1
 
-    def _active_mask(self) -> np.ndarray:
-        if self._states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        return self._chi_flags[self._states]
-
-    def current_edges(self) -> Iterator[tuple[int, int]]:
-        mask = self._active_mask()
-        for index in np.nonzero(mask)[0]:
-            i, j = self._pairs[index]
-            yield int(i), int(j)
-
-    def neighbors_of_set(self, nodes) -> set[int]:
-        mask = self._active_mask()
-        if not nodes or not mask.any():
-            return set()
-        active = self._pairs[mask]
-        node_array = np.fromiter(nodes, dtype=int)
-        mask_i = np.isin(active[:, 0], node_array)
-        mask_j = np.isin(active[:, 1], node_array)
-        return set(active[mask_i, 1].tolist()) | set(active[mask_j, 0].tolist())
-
-    def edge_count(self) -> int:
-        return int(self._active_mask().sum())
-
     def adjacency_matrix(self) -> np.ndarray:
-        mask = self._active_mask()
-        matrix = np.zeros((self._num_nodes, self._num_nodes), dtype=bool)
-        active = self._pairs[mask]
-        matrix[active[:, 0], active[:, 1]] = True
-        matrix[active[:, 1], active[:, 0]] = True
-        return matrix
+        # The inherited default does the same; overriding it is what marks the
+        # model as array-backed, so ``backend="auto"`` picks a fast kernel.
+        return dense_adjacency_from_pairs(self._num_nodes, self.edge_pairs())
 
     def _cache_params(self) -> dict:
         return {

@@ -9,23 +9,22 @@ experiments.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.meg.base import DynamicGraph, all_pairs
+from repro.meg.base import PairIndexedGraph
 from repro.util.rng import RNGLike, ensure_rng
 from repro.util.validation import require_node_count, require_probability
 
 
-class ErdosRenyiSequence(DynamicGraph):
+class ErdosRenyiSequence(PairIndexedGraph):
     """Independent ``G(n, p)`` snapshots at every time step."""
 
     def __init__(self, num_nodes: int, p: float) -> None:
         self._num_nodes = require_node_count(num_nodes)
         self._p = require_probability(p, "p")
-        self._pairs = np.array(all_pairs(num_nodes), dtype=int).reshape(-1, 2)
-        self._states: Optional[np.ndarray] = None
+        self._index_pairs(num_nodes)
         self._rng: Optional[np.random.Generator] = None
         self._time = 0
 
@@ -40,7 +39,7 @@ class ErdosRenyiSequence(DynamicGraph):
 
     def _draw(self) -> None:
         assert self._rng is not None
-        self._states = self._rng.random(self._pairs.shape[0]) < self._p
+        self._set_active((self._rng.random(self.num_pairs) < self._p).nonzero()[0])
 
     def reset(self, rng: RNGLike = None) -> None:
         self._rng = ensure_rng(rng)
@@ -52,28 +51,3 @@ class ErdosRenyiSequence(DynamicGraph):
             raise RuntimeError("call reset() before step()")
         self._draw()
         self._time += 1
-
-    def current_edges(self) -> Iterator[tuple[int, int]]:
-        if self._states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        for index in np.nonzero(self._states)[0]:
-            i, j = self._pairs[index]
-            yield int(i), int(j)
-
-    def neighbors_of_set(self, nodes) -> set[int]:
-        if self._states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        if not nodes:
-            return set()
-        active = self._pairs[self._states]
-        if active.size == 0:
-            return set()
-        node_array = np.fromiter(nodes, dtype=int)
-        mask_i = np.isin(active[:, 0], node_array)
-        mask_j = np.isin(active[:, 1], node_array)
-        return set(active[mask_i, 1].tolist()) | set(active[mask_j, 0].tolist())
-
-    def edge_count(self) -> int:
-        if self._states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        return int(self._states.sum())

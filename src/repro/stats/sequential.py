@@ -124,11 +124,16 @@ class MomentSketch:
     division at the very end — making them independent of update order,
     chunking and merge shape (the property the result store's byte-identity
     contract relies on).  A single non-integer observation permanently
-    drops the stream to the float (Welford/Chan) track, which is mergeable
-    but only reproducible for one fixed merge shape.
+    drops the stream to the float track, which is mergeable but only
+    reproducible for one fixed merge shape: its mean comes from a
+    Neumaier-compensated running sum (Welford's running mean drifts when
+    large values cancel) and its variance from Welford/Chan.
     """
 
-    __slots__ = ("count", "minimum", "maximum", "_mean", "_m2", "_total", "_total_sq")
+    __slots__ = (
+        "count", "minimum", "maximum", "_mean", "_m2", "_sum", "_sum_err",
+        "_total", "_total_sq",
+    )
 
     def __init__(self) -> None:
         self.count = 0
@@ -136,6 +141,9 @@ class MomentSketch:
         self.maximum: Optional[float] = None
         self._mean = 0.0
         self._m2 = 0.0
+        # Neumaier-compensated float sum: the float track's mean.
+        self._sum = 0.0
+        self._sum_err = 0.0
         # Exact integer sums; None once a non-integer value arrives.
         self._total: Optional[int] = 0
         self._total_sq: Optional[int] = 0
@@ -164,12 +172,22 @@ class MomentSketch:
         delta = numeric - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (numeric - self._mean)
+        self._add_to_sum(numeric)
         if self._total is not None:
             if _is_exact(value):
                 self._total += int(value)
                 self._total_sq += int(value) ** 2
             else:
                 self._total = self._total_sq = None
+
+    def _add_to_sum(self, value: float) -> None:
+        """Neumaier's compensated summation step."""
+        total = self._sum + value
+        if abs(self._sum) >= abs(value):
+            self._sum_err += (self._sum - total) + value
+        else:
+            self._sum_err += (value - total) + self._sum
+        self._sum = total
 
     def update_many(self, values: Iterable[float]) -> None:
         """Fold a batch of observations into the sketch, in order."""
@@ -184,12 +202,15 @@ class MomentSketch:
             self.count = other.count
             self.minimum, self.maximum = other.minimum, other.maximum
             self._mean, self._m2 = other._mean, other._m2
+            self._sum, self._sum_err = other._sum, other._sum_err
             self._total, self._total_sq = other._total, other._total_sq
             return
         total_count = self.count + other.count
         delta = other._mean - self._mean
         self._mean += delta * other.count / total_count
         self._m2 += other._m2 + delta * delta * self.count * other.count / total_count
+        self._add_to_sum(other._sum)
+        self._add_to_sum(other._sum_err)
         self.count = total_count
         self.minimum = min(self.minimum, other.minimum)
         self.maximum = max(self.maximum, other.maximum)
@@ -206,7 +227,7 @@ class MomentSketch:
             raise ValueError("cannot take the mean of an empty sketch")
         if self._total is not None:
             return self._total / self.count
-        return self._mean
+        return (self._sum + self._sum_err) / self.count
 
     @property
     def variance(self) -> float:
@@ -251,7 +272,8 @@ class MomentSketch:
             payload["total"] = self._total
             payload["total_sq"] = self._total_sq
         else:
-            payload["mean"] = self._mean
+            payload["sum"] = self._sum
+            payload["sum_err"] = self._sum_err
             payload["m2"] = self._m2
         return payload
 
@@ -265,12 +287,20 @@ class MomentSketch:
         if "total" in payload:
             sketch._total = int(payload["total"])
             sketch._total_sq = int(payload["total_sq"])
+            sketch._sum = float(sketch._total)
+            sketch._sum_err = float(sketch._total - int(sketch._sum))
             if sketch.count:
                 sketch._mean = sketch._total / sketch.count
                 sketch._m2 = sketch.variance * max(sketch.count - 1, 0)
         else:
             sketch._total = sketch._total_sq = None
-            sketch._mean = float(payload["mean"])
+            if "sum" in payload:
+                sketch._sum = float(payload["sum"])
+                sketch._sum_err = float(payload["sum_err"])
+            else:  # float payloads written before the compensated sum
+                sketch._sum = float(payload["mean"]) * sketch.count
+            if sketch.count:
+                sketch._mean = sketch.mean
             sketch._m2 = float(payload["m2"])
         return sketch
 

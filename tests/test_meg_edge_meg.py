@@ -2,11 +2,47 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.flooding import flooding_time_samples
+from repro.engine import resolve_backend
 from repro.markov.builders import birth_death_chain, two_state_chain, uniform_chain
+from repro.meg.base import StaticGraphProcess, all_pairs
 from repro.meg.edge_meg import EdgeMEG, GeneralEdgeMEG
+from repro.meg.erdos_renyi import ErdosRenyiSequence
+
+
+class ReferenceEdgeMEG:
+    """Per-pair boolean edge-MEG stepping, the form the active-edge index replaced.
+
+    One state per ``all_pairs`` pair, advanced by ``np.where`` over every
+    pair: the oracle for both the edge sets and the random stream of
+    :class:`EdgeMEG`.
+    """
+
+    def __init__(self, num_nodes, p, q, initial_edge_probability=None):
+        self.pairs = np.array(all_pairs(num_nodes), dtype=int).reshape(-1, 2)
+        self.p, self.q = p, q
+        self.initial = initial_edge_probability
+
+    def reset(self, rng):
+        self.rng = rng
+        probability = self.p / (self.p + self.q) if self.initial is None else self.initial
+        self.states = rng.random(self.pairs.shape[0]) < probability
+
+    def step(self):
+        u = self.rng.random(self.states.shape[0])
+        self.states = np.where(self.states, u >= self.q, u < self.p)
+
+    def edges(self):
+        return [(int(i), int(j)) for i, j in self.pairs[self.states]]
+
+
+rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.01, max_value=0.99))
 
 
 class TestEdgeMEGConstruction:
@@ -200,3 +236,79 @@ class TestGeneralEdgeMEG:
         flags = model.chi_flags()
         flags[0] = True
         assert not model.chi_flags()[0]
+
+
+class TestActiveEdgeIndex:
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        p=rates,
+        q=rates,
+        initial=st.sampled_from([None, 0.0, 1.0]),
+        steps=st.integers(min_value=0, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_pair_reference(self, n, p, q, initial, steps, seed):
+        if p == 0.0 and q == 0.0:
+            p = 0.5
+        model = EdgeMEG(n, p=p, q=q, initial_edge_probability=initial)
+        reference = ReferenceEdgeMEG(n, p, q, initial)
+        model_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        model.reset(model_rng)
+        reference.reset(reference_rng)
+        for _ in range(steps + 1):
+            assert list(model.current_edges()) == reference.edges()
+            assert model.edge_count() == len(reference.edges())
+            model.step()
+            reference.step()
+        assert model_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
+    def test_triu_order_is_all_pairs_order(self, n):
+        assert np.stack(np.triu_indices(n, 1), axis=1).tolist() == [
+            list(pair) for pair in all_pairs(n)
+        ]
+        model = EdgeMEG(n, p=0.5, q=0.5, initial_edge_probability=1.0)
+        model.reset(0)
+        assert list(model.current_edges()) == all_pairs(n)
+
+    def test_snapshot_views_agree(self):
+        model = EdgeMEG(30, p=0.1, q=0.3)
+        model.reset(4)
+        for _ in range(5):
+            pairs = model.edge_pairs()
+            assert [tuple(pair) for pair in pairs.tolist()] == list(model.current_edges())
+            dense = model.adjacency_matrix()
+            assert (dense == dense.T).all() and int(dense.sum()) == 2 * len(pairs)
+            assert (model.sparse_adjacency().toarray() != 0).tolist() == dense.tolist()
+            model.step()
+
+    def test_sparse_regime_backends_agree(self):
+        model = EdgeMEG(1024, p=1 / 1023, q=0.5)
+        assert resolve_backend("auto", model) == "sparse"
+        samples = {
+            backend: flooding_time_samples(model, 2, rng=3, backend=backend)
+            for backend in ("set", "vectorized", "sparse")
+        }
+        assert samples["set"] == samples["vectorized"] == samples["sparse"]
+
+    def test_erdos_renyi_draws_one_mask_per_snapshot(self):
+        model = ErdosRenyiSequence(12, p=0.3)
+        pairs = all_pairs(12)
+        model_rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
+        model.reset(model_rng)
+        for _ in range(4):
+            mask = reference_rng.random(len(pairs)) < 0.3
+            assert list(model.current_edges()) == [
+                pair for pair, on in zip(pairs, mask) if on
+            ]
+            model.step()
+
+    def test_default_edge_pairs_collects_current_edges(self):
+        process = StaticGraphProcess(nx.cycle_graph(6))
+        pairs = process.edge_pairs()
+        assert pairs.shape == (6, 2)
+        assert [tuple(pair) for pair in pairs.tolist()] == list(process.current_edges())
+        empty = StaticGraphProcess(nx.empty_graph(3))
+        assert empty.edge_pairs().shape == (0, 2)
+        assert empty.sparse_adjacency().nnz == 0

@@ -53,6 +53,7 @@ def _exact_mean_std(samples) -> tuple[float, float]:
 class TestMomentSketch:
     @given(samples=float_samples)
     @example(samples=[870144847.5755365] * 3)
+    @example(samples=[999996151.9999999, -999996073.0])
     @settings(max_examples=60, deadline=None)
     def test_matches_exact_summary(self, samples):
         sketch = MomentSketch()
@@ -87,6 +88,30 @@ class TestMomentSketch:
         assert clone.as_dict() == sketch.as_dict()
         assert clone.mean == sketch.mean
         assert clone.variance == sketch.variance
+
+    @given(samples=float_samples, cut=st.integers(min_value=0, max_value=200))
+    @settings(max_examples=40, deadline=None)
+    def test_float_track_roundtrip_and_merge(self, samples, cut):
+        samples = [*samples, 0.5]  # one non-integer value forces the float track
+        cut = cut % (len(samples) + 1)
+        left, right = MomentSketch(), MomentSketch()
+        left.update_many(samples[:cut])
+        right.update_many(samples[cut:])
+        left.merge(right)
+        clone = MomentSketch.from_dict(json.loads(json.dumps(left.as_dict())))
+        assert not clone.exact
+        assert clone.as_dict() == left.as_dict()
+        assert clone.mean == left.mean
+        mean, _ = _exact_mean_std(samples)
+        assert left.mean == pytest.approx(mean, rel=1e-9, abs=1e-9)
+
+    def test_float_payload_with_mean_still_loads(self):
+        # Float-track payloads persisted "mean" before the compensated sum.
+        payload = {"count": 2, "min": 1.0, "max": 2.0, "mean": 1.5, "m2": 0.5}
+        sketch = MomentSketch.from_dict(payload)
+        assert not sketch.exact
+        assert sketch.mean == 1.5
+        assert sketch.variance == 0.5
 
     def test_ci_halfwidth_matches_util_stats(self):
         rng = np.random.default_rng(7)
