@@ -201,7 +201,6 @@ class ResultStore:
         self._lock_path = self._path + ".lock"
         # Built lazily on the first lookup; None means "not scanned yet".
         self._index: Optional[dict[str, dict]] = None
-        self._line_count = 0
 
     @classmethod
     def at(cls, path: Union[str, os.PathLike]) -> "ResultStore":
@@ -293,7 +292,7 @@ class ResultStore:
     def _ensure_index(self) -> dict[str, dict]:
         """Scan the file into the in-memory key index (once, on first use)."""
         if self._index is None:
-            self._index, self._line_count = self._scan()
+            self._index, _ = self._scan()
         return self._index
 
     def _scan(self) -> tuple[dict[str, dict], int]:
@@ -323,7 +322,6 @@ class ResultStore:
     def refresh(self) -> None:
         """Drop the in-memory index; the next lookup re-scans the file."""
         self._index = None
-        self._line_count = 0
 
     @property
     def path(self) -> str:
@@ -353,15 +351,17 @@ class ResultStore:
         after the lock is taken, so concurrent writers never interleave
         partial lines and never append to a just-compacted stale inode.
         """
-        index = self._ensure_index()
         record = jsonify(record)
         line = json.dumps({"key": key, "record": record}, sort_keys=True) + "\n"
+        # The index is read and updated under the lock that ``merge`` and
+        # ``compact`` swap it under, so the record never lands in a replaced
+        # dict.
         with self._locked():
+            index = self._ensure_index()
             with open(self._path, "a", encoding="utf-8") as handle:
                 handle.write(line)
                 handle.flush()
-        index[key] = record
-        self._line_count += 1
+            index[key] = record
 
     def _rewrite(self, index: dict[str, dict]) -> None:
         """Atomically replace the file with one line per ``index`` entry.
@@ -393,8 +393,7 @@ class ResultStore:
         with self._locked():
             index, lines = self._scan()
             self._rewrite(index)
-        self._index = index
-        self._line_count = len(index)
+            self._index = index
         return lines - len(index)
 
     # ------------------------------------------------------------------ #
@@ -446,8 +445,7 @@ class ResultStore:
             adopted = len(merged) - before
             assembled, pending = _assemble_shard_groups(merged)
             self._rewrite(merged)
-        self._index = merged
-        self._line_count = len(merged)
+            self._index = merged
         telemetry.count("store.merges")
         telemetry.event(
             "store.merge",

@@ -3,25 +3,15 @@
 At every time step of a geometric mobility model, two agents are connected
 exactly when their Euclidean distance is at most the transmission radius
 ``r``.  These helpers turn an array of agent positions into the corresponding
-snapshot edge set efficiently, through one of two interchangeable searches:
+snapshot edge set with :class:`scipy.spatial.cKDTree`: ``query_pairs`` for
+the edge set and ``query_ball_point`` for the neighbourhood of a set of
+agents.  The tree is the one neighbour search; a vectorized cell list with
+identical pair sets was measured 4-8x slower at 128-1,024 agents.
 
-* ``"kdtree"`` — :class:`scipy.spatial.cKDTree` ``query_pairs``.  Every query
-  accepts an optional prebuilt tree so a model that caches the tree of its
-  current snapshot can serve every neighborhood query, edge enumeration and
-  adjacency build of a flooding round from one tree instead of rebuilding it
-  per call.
-* ``"grid"`` — a vectorized cell list (:func:`radius_pairs_grid`): positions
-  are bucketed into cells of side ``r`` and only the 3x3 cell neighbourhood
-  of each bucket is searched.  Exact (inclusive ``<= r``, matching the tree
-  down to points lying precisely on the radius) and free of the SciPy
-  dependency, but measured *slower* than the C-implemented tree at every
-  population size we bench (~2.5-3x), so it is not the default — it is the
-  escape hatch when SciPy is unavailable and the seed for a future JIT
-  implementation.
-
-``method="auto"`` therefore resolves to the tree whenever SciPy is importable
-and to the grid otherwise.  Both searches return identical edge sets, so the
-choice never changes simulation results.
+Every query accepts an optional prebuilt tree.  :class:`SnapshotCache` is
+where a mobility model keeps the tree of its current snapshot, so every
+neighbourhood query, edge enumeration and adjacency build of one time step
+shares one tree, one pair array and one edge list.
 """
 
 from __future__ import annotations
@@ -30,124 +20,18 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Set
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro.util.validation import require_positive
 
-try:
-    from scipy.spatial import cKDTree
-except ImportError:  # pragma: no cover - exercised only without scipy
-    cKDTree = None
-
-CONNECTION_METHODS = ("auto", "kdtree", "grid")
-
-
-def resolve_connection_method(method: str) -> str:
-    """Concrete search choice (``"kdtree"`` or ``"grid"``) for ``method``."""
-    if method == "auto":
-        return "kdtree" if cKDTree is not None else "grid"
-    if method == "kdtree":
-        if cKDTree is None:  # pragma: no cover - exercised only without scipy
-            raise ImportError(
-                "method='kdtree' requires scipy; install it or use method='grid'"
-            )
-        return "kdtree"
-    if method == "grid":
-        return "grid"
-    raise ValueError(f"method must be one of {CONNECTION_METHODS}, got {method!r}")
-
-
-def radius_pairs_grid(positions: np.ndarray, radius: float) -> np.ndarray:
-    """Cell-list equivalent of :func:`radius_pairs` (pure NumPy, no tree).
-
-    Buckets the points into square cells of side ``radius``, then enumerates
-    candidate pairs only inside each cell and across the four half-stencil
-    neighbour offsets (every unordered cell pair at Chebyshev distance <= 1
-    is visited exactly once), and keeps the candidates with ``d^2 <= r^2``.
-    The result holds exactly the k-d tree query's pairs — same inclusive
-    boundary, same ``i < j`` orientation — in lexicographic order (the
-    tree's output order is arbitrary; downstream consumers build sets or
-    scatter into adjacency, so ordering never affects results).
-    """
-    require_positive(radius, "radius", strict=False)
-    pts = np.asarray(positions, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"positions must be a 2-D array, got shape {pts.shape}")
-    n = pts.shape[0]
-    if n < 2:
-        return np.empty((0, 2), dtype=np.intp)
-    # Cells a hair wider than the radius: the distance filter below uses the
-    # same rounded ``d^2 <= r^2`` test as the tree, which can admit pairs an
-    # ulp beyond the exact radius — the margin keeps every such pair within
-    # one cell per axis even when a coordinate sits on a cell boundary (a
-    # point at -1e-300 floors into cell -1 while its partner at +r tops cell
-    # +1; without the margin those cells are two apart and never compared).
-    width = radius * (1.0 + 1e-9) if radius > 0 else 1.0
-    cells = np.floor(pts / width).astype(np.int64)
-    cells -= cells.min(axis=0)
-    # Row-major cell keys; stride M leaves headroom so the +1/-1 column
-    # offsets of the stencil never collide across rows.
-    stride = int(cells[:, 1].max()) + 2
-    keys = cells[:, 0] * stride + cells[:, 1]
-    order = np.argsort(keys, kind="stable")
-    unique_keys, starts, counts = np.unique(
-        keys[order], return_index=True, return_counts=True
-    )
-
-    # Occupied-cell pairs to scan: every cell against itself, plus the four
-    # "forward" neighbour offsets (E, NW, N, NE) — the half stencil that
-    # covers each neighbouring cell pair exactly once.
-    cell_left = [np.arange(unique_keys.size)]
-    cell_right = [np.arange(unique_keys.size)]
-    for delta in (1, stride - 1, stride, stride + 1):
-        position = np.searchsorted(unique_keys, unique_keys + delta)
-        position = np.clip(position, 0, unique_keys.size - 1)
-        hit = unique_keys[position] == unique_keys + delta
-        cell_left.append(np.nonzero(hit)[0])
-        cell_right.append(position[hit])
-    left_cells = np.concatenate(cell_left)
-    right_cells = np.concatenate(cell_right)
-    num_same = unique_keys.size
-
-    # One concatenated cross product over all cell pairs: pair p contributes
-    # the ``counts[left] * counts[right]`` combinations of its two buckets,
-    # decoded from a flat index without any Python-level loop.
-    left_counts = counts[left_cells]
-    right_counts = counts[right_cells]
-    sizes = left_counts * right_counts
-    total = int(sizes.sum())
-    if total == 0:
-        return np.empty((0, 2), dtype=np.intp)
-    pair_of = np.repeat(np.arange(left_cells.size), sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    local = np.arange(total) - offsets[pair_of]
-    in_left = local // right_counts[pair_of]
-    in_right = local - in_left * right_counts[pair_of]
-    candidate_i = order[starts[left_cells][pair_of] + in_left]
-    candidate_j = order[starts[right_cells][pair_of] + in_right]
-    # Same-cell blocks enumerate ordered pairs incl. (i, i); keep i < j there.
-    keep = (pair_of >= num_same) | (candidate_i < candidate_j)
-    candidate_i, candidate_j = candidate_i[keep], candidate_j[keep]
-
-    difference = pts[candidate_i] - pts[candidate_j]
-    within = (difference * difference).sum(axis=1) <= radius * radius
-    candidate_i, candidate_j = candidate_i[within], candidate_j[within]
-    low = np.minimum(candidate_i, candidate_j)
-    high = np.maximum(candidate_i, candidate_j)
-    ranking = np.lexsort((high, low))
-    return np.column_stack([low[ranking], high[ranking]]).astype(np.intp)
-
 
 def radius_pairs(
-    positions: np.ndarray,
-    radius: float,
-    tree: Optional["cKDTree"] = None,
-    method: str = "auto",
+    positions: np.ndarray, radius: float, tree: Optional[cKDTree] = None
 ) -> np.ndarray:
     """``(m, 2)`` array of pairs ``i < j`` with ``||pos_i - pos_j|| <= radius``.
 
     ``radius == 0`` still connects exactly coincident points.  Pass ``tree``
-    (a ``cKDTree`` built over ``positions``) to reuse a cached tree; a given
-    tree always wins over ``method``.
+    (a ``cKDTree`` built over ``positions``) to reuse a cached tree.
     """
     require_positive(radius, "radius", strict=False)
     pts = np.asarray(positions, dtype=float)
@@ -155,8 +39,6 @@ def radius_pairs(
         raise ValueError(f"positions must be a 2-D array, got shape {pts.shape}")
     if pts.shape[0] < 2:
         return np.empty((0, 2), dtype=np.intp)
-    if tree is None and resolve_connection_method(method) == "grid":
-        return radius_pairs_grid(pts, radius)
     if tree is None:
         tree = cKDTree(pts)
     pairs = tree.query_pairs(r=radius, output_type="ndarray")
@@ -164,13 +46,10 @@ def radius_pairs(
 
 
 def radius_edges(
-    positions: np.ndarray,
-    radius: float,
-    tree: Optional["cKDTree"] = None,
-    method: str = "auto",
+    positions: np.ndarray, radius: float, tree: Optional[cKDTree] = None
 ) -> list[tuple[int, int]]:
     """All pairs ``(i, j)``, ``i < j``, with ``||pos_i - pos_j|| <= radius``."""
-    pairs = radius_pairs(positions, radius, tree=tree, method=method)
+    pairs = radius_pairs(positions, radius, tree=tree)
     return [(int(i), int(j)) for i, j in pairs]
 
 
@@ -178,8 +57,7 @@ def neighbors_within_radius(
     positions: np.ndarray,
     sources: Iterable[int],
     radius: float,
-    tree: Optional["cKDTree"] = None,
-    method: str = "auto",
+    tree: Optional[cKDTree] = None,
 ) -> Set[int]:
     """Indices of all agents within ``radius`` of at least one source agent.
 
@@ -195,13 +73,6 @@ def neighbors_within_radius(
     if source_array.min() < 0 or source_array.max() >= pts.shape[0]:
         bad = source_array[(source_array < 0) | (source_array >= pts.shape[0])][0]
         raise ValueError(f"source index {bad} out of range")
-    if tree is None and resolve_connection_method(method) == "grid":
-        pairs = radius_pairs_grid(pts, radius)
-        is_source = np.zeros(pts.shape[0], dtype=bool)
-        is_source[source_array] = True
-        touches = is_source[pairs[:, 0]] | is_source[pairs[:, 1]]
-        reached = set(np.unique(pairs[touches]).tolist())
-        return reached - set(source_list)
     if tree is None:
         tree = cKDTree(pts)
     reached = set()
@@ -213,37 +84,24 @@ def neighbors_within_radius(
 
 @dataclass(frozen=True)
 class UnitDiskConnection:
-    """The standard geometric connection rule: connected iff distance <= radius.
-
-    ``method`` selects the neighbor search (``"auto"``, ``"kdtree"`` or
-    ``"grid"``); both searches return identical edge sets.
-    """
+    """The standard geometric connection rule: connected iff distance <= radius."""
 
     radius: float
-    method: str = "auto"
 
     def __post_init__(self) -> None:
         require_positive(self.radius, "radius", strict=False)
-        if self.method not in CONNECTION_METHODS:
-            raise ValueError(
-                f"method must be one of {CONNECTION_METHODS}, got {self.method!r}"
-            )
-
-    def resolved_method(self) -> str:
-        """The concrete search (``"kdtree"`` or ``"grid"``) this rule uses."""
-        return resolve_connection_method(self.method)
 
     def edges(
-        self, positions: np.ndarray, tree: Optional["cKDTree"] = None
+        self, positions: np.ndarray, tree: Optional[cKDTree] = None
     ) -> list[tuple[int, int]]:
         """Snapshot edge set induced by agent positions."""
-        return radius_edges(positions, self.radius, tree=tree, method=self.method)
+        return radius_edges(positions, self.radius, tree=tree)
 
     def edge_pairs(
-        self, positions: np.ndarray, tree: Optional["cKDTree"] = None
+        self, positions: np.ndarray, tree: Optional[cKDTree] = None
     ) -> np.ndarray:
         """Snapshot edge set as an ``(m, 2)`` index array."""
-        return radius_pairs(positions, self.radius, tree=tree, method=self.method)
+        return radius_pairs(positions, self.radius, tree=tree)
 
     def are_connected(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Whether two individual positions are within the radius."""
@@ -253,9 +111,60 @@ class UnitDiskConnection:
         self,
         positions: np.ndarray,
         sources: Iterable[int],
-        tree: Optional["cKDTree"] = None,
+        tree: Optional[cKDTree] = None,
     ) -> Set[int]:
         """Agents within the radius of at least one source agent."""
-        return neighbors_within_radius(
-            positions, sources, self.radius, tree=tree, method=self.method
-        )
+        return neighbors_within_radius(positions, sources, self.radius, tree=tree)
+
+
+class SnapshotCache:
+    """One unit-disk snapshot: its tree, pair array and edge list, built lazily.
+
+    A mobility model owns one cache and hands it the agents' new positions
+    after every move (:meth:`update`); each derived view is then built at
+    most once per time step, however many queries the step serves.
+    """
+
+    def __init__(self, radius: float) -> None:
+        self.rule = UnitDiskConnection(radius)
+        self.positions: Optional[np.ndarray] = None
+        self._tree: Optional[cKDTree] = None
+        self._pairs: Optional[np.ndarray] = None
+        self._edges: Optional[list[tuple[int, int]]] = None
+
+    def update(self, positions: np.ndarray) -> None:
+        """Start a new snapshot at ``positions``, dropping every cached view."""
+        self.positions = positions
+        self._tree = None
+        self._pairs = None
+        self._edges = None
+
+    def _current(self) -> np.ndarray:
+        if self.positions is None:
+            raise RuntimeError("call reset() before querying the snapshot")
+        return self.positions
+
+    def tree(self) -> cKDTree:
+        """k-d tree over the current positions."""
+        if self._tree is None:
+            self._tree = cKDTree(self._current())
+        return self._tree
+
+    def pairs(self) -> np.ndarray:
+        """Current edges as an ``(m, 2)`` index array (read-only)."""
+        if self._pairs is None:
+            self._pairs = self.rule.edge_pairs(self._current(), tree=self.tree())
+        return self._pairs
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Current edges as a list of ``(i, j)`` tuples, ``i < j``."""
+        if self._edges is None:
+            self._edges = [(int(i), int(j)) for i, j in self.pairs()]
+        return self._edges
+
+    def neighbors_of_set(self, nodes) -> set[int]:
+        """Agents within the radius of at least one agent in ``nodes``."""
+        positions = self._current()
+        if not nodes:
+            return set()
+        return self.rule.neighbors_of_set(positions, nodes, tree=self.tree())

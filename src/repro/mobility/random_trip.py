@@ -19,17 +19,13 @@ import abc
 from typing import Iterator, Optional
 
 import numpy as np
-try:
-    from scipy.spatial import cKDTree
-except ImportError:  # pragma: no cover - exercised only without scipy
-    cKDTree = None
 
 from repro.meg.base import (
     DynamicGraph,
     dense_adjacency_from_pairs,
     sparse_adjacency_from_pairs,
 )
-from repro.mobility.connection import UnitDiskConnection
+from repro.mobility.connection import SnapshotCache
 from repro.mobility.geometry import SquareRegion
 from repro.util.rng import RNGLike, ensure_rng
 from repro.util.validation import require_node_count, require_positive
@@ -75,10 +71,6 @@ class RandomTrip(DynamicGraph):
         paper states the resolution does not affect the flooding bound as long
         as it is fine enough; the resolution-ablation benchmark verifies this
         by sweeping ``snap_resolution``.
-    neighbor_search:
-        Neighbor-search method for snapshot edges: ``"auto"`` (default,
-        k-d tree when SciPy is available), ``"kdtree"`` or ``"grid"`` (the
-        cell-list search; identical edge sets, no SciPy dependency).
     """
 
     def __init__(
@@ -89,7 +81,6 @@ class RandomTrip(DynamicGraph):
         sampler: TrajectorySampler,
         warmup_steps: int = 0,
         snap_resolution: Optional[int] = None,
-        neighbor_search: str = "auto",
     ) -> None:
         self._num_nodes = require_node_count(num_nodes)
         self._region = SquareRegion(side)
@@ -100,7 +91,7 @@ class RandomTrip(DynamicGraph):
             raise ValueError(
                 f"snap_resolution must be >= 1 when given, got {snap_resolution}"
             )
-        self._connection = UnitDiskConnection(radius, method=neighbor_search)
+        self._snapshot = SnapshotCache(radius)
         self._sampler = sampler
         self._warmup_steps = warmup_steps
         self._snap_resolution = snap_resolution
@@ -113,9 +104,6 @@ class RandomTrip(DynamicGraph):
         self._leg_lengths: Optional[np.ndarray] = None
         self._leg_cursor: Optional[np.ndarray] = None
         self._rng: Optional[np.random.Generator] = None
-        self._edges_cache: Optional[list[tuple[int, int]]] = None
-        self._pairs_cache: Optional[np.ndarray] = None
-        self._tree_cache: Optional[cKDTree] = None
         self._time = 0
 
     # ------------------------------------------------------------------ #
@@ -129,7 +117,7 @@ class RandomTrip(DynamicGraph):
     @property
     def radius(self) -> float:
         """The transmission radius ``r``."""
-        return self._connection.radius
+        return self._snapshot.rule.radius
 
     @property
     def sampler(self) -> TrajectorySampler:
@@ -151,7 +139,7 @@ class RandomTrip(DynamicGraph):
         self._leg_buffer = np.zeros((self._num_nodes, 1, 2))
         self._leg_lengths = np.zeros(self._num_nodes, dtype=np.intp)
         self._leg_cursor = np.zeros(self._num_nodes, dtype=np.intp)
-        self._invalidate_snapshot()
+        self._snapshot.update(self._positions)
         for _ in range(self._warmup_steps):
             self._advance()
         self._time = 0
@@ -192,12 +180,7 @@ class RandomTrip(DynamicGraph):
         cursor += 1
         if self._snap_resolution is not None:
             self._positions = self._snap(self._positions)
-        self._invalidate_snapshot()
-
-    def _invalidate_snapshot(self) -> None:
-        self._edges_cache = None
-        self._pairs_cache = None
-        self._tree_cache = None
+        self._snapshot.update(self._positions)
 
     def _snap(self, positions: np.ndarray) -> np.ndarray:
         """Snap positions to the centres of the ``m x m`` discretisation cells."""
@@ -213,62 +196,32 @@ class RandomTrip(DynamicGraph):
             raise RuntimeError("call reset() before querying positions")
         return self._positions.copy()
 
-    def snapshot_tree(self) -> cKDTree:
+    def snapshot_tree(self):
         """k-d tree over the current positions, built once per time step.
 
         Every neighborhood query, edge enumeration and adjacency build of a
         flooding round reuses this tree instead of rebuilding it per call.
         """
-        if self._positions is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        if self._tree_cache is None:
-            self._tree_cache = cKDTree(self._positions)
-        return self._tree_cache
-
-    def _cached_tree(self) -> Optional[cKDTree]:
-        """The cached snapshot tree, or ``None`` under the grid search."""
-        if self._connection.resolved_method() != "kdtree":
-            return None
-        return self.snapshot_tree()
+        return self._snapshot.tree()
 
     def edge_pairs(self) -> np.ndarray:
         """Current snapshot edges as an ``(m, 2)`` index array (cached)."""
-        if self._pairs_cache is None:
-            self._pairs_cache = self._connection.edge_pairs(
-                self._positions, tree=self._cached_tree()
-            )
-        return self._pairs_cache
+        return self._snapshot.pairs()
 
     def current_edges(self) -> Iterator[tuple[int, int]]:
-        if self._positions is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        if self._edges_cache is None:
-            self._edges_cache = [(int(i), int(j)) for i, j in self.edge_pairs()]
-        return iter(self._edges_cache)
+        return iter(self._snapshot.edges())
 
     def neighbors_of_set(self, nodes) -> set[int]:
-        if self._positions is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        if not nodes:
-            return set()
-        return self._connection.neighbors_of_set(
-            self._positions, nodes, tree=self._cached_tree()
-        )
+        return self._snapshot.neighbors_of_set(nodes)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency scattered from the k-d tree's edge pairs."""
-        if self._positions is None:
-            raise RuntimeError("call reset() before querying the snapshot")
         return dense_adjacency_from_pairs(self._num_nodes, self.edge_pairs())
 
     def sparse_adjacency(self):
-        if self._positions is None:
-            raise RuntimeError("call reset() before querying the snapshot")
         return sparse_adjacency_from_pairs(self._num_nodes, self.edge_pairs())
 
     def edge_count(self) -> int:
-        if self._positions is None:
-            raise RuntimeError("call reset() before querying the snapshot")
         return int(self.edge_pairs().shape[0])
 
     def expected_degree_estimate(self) -> float:

@@ -19,17 +19,9 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 import numpy as np
-try:
-    from scipy.spatial import cKDTree
-except ImportError:  # pragma: no cover - exercised only without scipy
-    cKDTree = None
 
-from repro.meg.base import (
-    DynamicGraph,
-    dense_adjacency_from_pairs,
-    sparse_adjacency_from_pairs,
-)
-from repro.mobility.connection import UnitDiskConnection
+from repro.meg.base import DynamicGraph, dense_adjacency_from_pairs
+from repro.mobility.connection import SnapshotCache
 from repro.util.rng import RNGLike, ensure_rng
 from repro.util.validation import require_node_count, require_positive, require_probability
 
@@ -62,10 +54,6 @@ class RandomWalkMobility(DynamicGraph):
         stationary distribution of the lazy walk, which is proportional to
         the degree of the grid point (4 in the interior, 3 on edges, 2 at
         corners); when false they are uniform over grid points.
-    neighbor_search:
-        Neighbor-search method for snapshot edges: ``"auto"`` (default,
-        k-d tree when SciPy is available), ``"kdtree"`` or ``"grid"`` (the
-        cell-list search; identical edge sets, no SciPy dependency).
     """
 
     def __init__(
@@ -76,7 +64,6 @@ class RandomWalkMobility(DynamicGraph):
         spacing: float = 1.0,
         holding_probability: float = 0.0,
         stationary_start: bool = True,
-        neighbor_search: str = "auto",
     ) -> None:
         self._num_nodes = require_node_count(num_nodes)
         if grid_side < 2:
@@ -90,13 +77,9 @@ class RandomWalkMobility(DynamicGraph):
         self._spacing = spacing
         self._holding_probability = holding_probability
         self._stationary_start = stationary_start
-        self._connection = UnitDiskConnection(radius, method=neighbor_search)
+        self._snapshot = SnapshotCache(radius)
         self._coords: Optional[np.ndarray] = None  # shape (n, 2), integer grid coords
         self._rng: Optional[np.random.Generator] = None
-        self._edges_cache: Optional[list[tuple[int, int]]] = None
-        self._pairs_cache: Optional[np.ndarray] = None
-        self._tree_cache: Optional[cKDTree] = None
-        self._positions_cache: Optional[np.ndarray] = None
         self._time = 0
 
     # ------------------------------------------------------------------ #
@@ -110,7 +93,7 @@ class RandomWalkMobility(DynamicGraph):
     @property
     def radius(self) -> float:
         """Transmission radius ``r``."""
-        return self._connection.radius
+        return self._snapshot.rule.radius
 
     @property
     def spacing(self) -> float:
@@ -147,7 +130,7 @@ class RandomWalkMobility(DynamicGraph):
             self._coords = coords[chosen].copy()
         else:
             self._coords = self._rng.integers(0, m, size=(self._num_nodes, 2))
-        self._invalidate_snapshot()
+        self._move_snapshot()
 
     def step(self) -> None:
         if self._coords is None or self._rng is None:
@@ -156,7 +139,7 @@ class RandomWalkMobility(DynamicGraph):
             self._step_with_holding()
         else:
             self._step_vectorized()
-        self._invalidate_snapshot()
+        self._move_snapshot()
         self._time += 1
 
     def _step_vectorized(self) -> None:
@@ -197,22 +180,14 @@ class RandomWalkMobility(DynamicGraph):
             ]
             coords[node] = valid[self._rng.integers(valid.shape[0])]
 
-    def _invalidate_snapshot(self) -> None:
-        self._edges_cache = None
-        self._pairs_cache = None
-        self._tree_cache = None
-        self._positions_cache = None
+    def _move_snapshot(self) -> None:
+        self._snapshot.update(self._coords.astype(float) * self._spacing)
 
     def positions(self) -> np.ndarray:
         """Current physical positions (grid coordinates times spacing)."""
-        return self._physical_positions().copy()
-
-    def _physical_positions(self) -> np.ndarray:
         if self._coords is None:
             raise RuntimeError("call reset() before querying positions")
-        if self._positions_cache is None:
-            self._positions_cache = self._coords.astype(float) * self._spacing
-        return self._positions_cache
+        return self._snapshot.positions.copy()
 
     def grid_coordinates(self) -> np.ndarray:
         """Current integer grid coordinates of every agent."""
@@ -220,44 +195,23 @@ class RandomWalkMobility(DynamicGraph):
             raise RuntimeError("call reset() before querying positions")
         return self._coords.copy()
 
-    def snapshot_tree(self) -> cKDTree:
+    def snapshot_tree(self):
         """k-d tree over the current positions, built once per time step."""
-        if self._tree_cache is None:
-            self._tree_cache = cKDTree(self._physical_positions())
-        return self._tree_cache
-
-    def _cached_tree(self) -> Optional[cKDTree]:
-        """The cached snapshot tree, or ``None`` under the grid search."""
-        if self._connection.resolved_method() != "kdtree":
-            return None
-        return self.snapshot_tree()
+        return self._snapshot.tree()
 
     def edge_pairs(self) -> np.ndarray:
         """Current snapshot edges as an ``(m, 2)`` index array (cached)."""
-        if self._pairs_cache is None:
-            self._pairs_cache = self._connection.edge_pairs(
-                self._physical_positions(), tree=self._cached_tree()
-            )
-        return self._pairs_cache
+        return self._snapshot.pairs()
 
     def current_edges(self) -> Iterator[tuple[int, int]]:
-        if self._edges_cache is None:
-            self._edges_cache = [(int(i), int(j)) for i, j in self.edge_pairs()]
-        return iter(self._edges_cache)
+        return iter(self._snapshot.edges())
 
     def neighbors_of_set(self, nodes) -> set[int]:
-        if not nodes:
-            return set()
-        return self._connection.neighbors_of_set(
-            self._physical_positions(), nodes, tree=self._cached_tree()
-        )
+        return self._snapshot.neighbors_of_set(nodes)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency scattered from the k-d tree's edge pairs."""
         return dense_adjacency_from_pairs(self._num_nodes, self.edge_pairs())
-
-    def sparse_adjacency(self):
-        return sparse_adjacency_from_pairs(self._num_nodes, self.edge_pairs())
 
     def edge_count(self) -> int:
         return int(self.edge_pairs().shape[0])

@@ -53,6 +53,11 @@ class WaypointSampler(TrajectorySampler):
         """Maximum speed."""
         return self._v_max
 
+    @property
+    def pause_steps(self) -> int:
+        """Steps spent paused at each waypoint."""
+        return self._pause_steps
+
     def sample_leg(
         self, position: np.ndarray, region: SquareRegion, rng: np.random.Generator
     ) -> np.ndarray:
@@ -91,9 +96,6 @@ class RandomWaypoint(RandomTrip):
     snap_resolution:
         Optional grid resolution of the Section-4.1 discretisation (``None``
         keeps positions continuous).
-    neighbor_search:
-        Neighbor-search method for snapshot edges: ``"auto"`` (default,
-        k-d tree when SciPy is available), ``"kdtree"`` or ``"grid"``.
     """
 
     def __init__(
@@ -106,7 +108,6 @@ class RandomWaypoint(RandomTrip):
         pause_steps: int = 0,
         warmup_steps: int | None = None,
         snap_resolution: int | None = None,
-        neighbor_search: str = "auto",
     ) -> None:
         if v_max is None:
             v_max = v_min
@@ -120,7 +121,6 @@ class RandomWaypoint(RandomTrip):
             sampler,
             warmup_steps=warmup_steps,
             snap_resolution=snap_resolution,
-            neighbor_search=neighbor_search,
         )
 
     @property
@@ -132,6 +132,19 @@ class RandomWaypoint(RandomTrip):
     def v_max(self) -> float:
         """Maximum agent speed."""
         return self.sampler.v_max  # type: ignore[attr-defined]
+
+    def _cache_params(self) -> dict:
+        # Constructor parameters, not pickled state: the key of a wrapped
+        # instance survives reset/step and any change to the leg bookkeeping.
+        return {
+            "side": float(self.region.side),
+            "radius": float(self.radius),
+            "v_min": float(self.v_min),
+            "v_max": float(self.v_max),
+            "pause_steps": int(self.sampler.pause_steps),  # type: ignore[attr-defined]
+            "warmup_steps": int(self._warmup_steps),
+            "snap_resolution": self.snap_resolution,
+        }
 
     def mixing_time_estimate(self) -> float:
         """The paper's ``Theta(L / v_max)`` mixing-time estimate for the model."""

@@ -65,7 +65,13 @@ def load_events(directory: str, with_skipped: bool = False):
     return events
 
 
-def _merge_timing(into: dict, name: str, serialized: dict) -> None:
+def merge_timing(into: dict, name: str, serialized: dict) -> None:
+    """Fold one serialized timing aggregate into ``into[name]``.
+
+    The one count/total/min/max fold of the package: the post-hoc report,
+    the tailer's cumulative metrics and its live-registry overlay all merge
+    timings through it.
+    """
     aggregate = into.get(name)
     if aggregate is None:
         into[name] = dict(serialized)
@@ -123,7 +129,7 @@ def summarize_events(events: list[dict], top: int = 5, skipped_lines: int = 0) -
             for name, value in record.get("gauges", {}).items():
                 gauges[name] = value
             for name, serialized in record.get("timings", {}).items():
-                _merge_timing(timings, name, serialized)
+                merge_timing(timings, name, serialized)
         elif kind == "event":
             name = str(record.get("name", "?"))
             if name.startswith("queue."):

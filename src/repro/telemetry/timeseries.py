@@ -37,6 +37,8 @@ import time
 from collections import deque
 from typing import Optional
 
+from repro.telemetry.report import merge_timing
+
 __all__ = [
     "DEFAULT_WINDOW_SECONDS",
     "TelemetryTailer",
@@ -326,17 +328,7 @@ class TelemetryTailer:
         for name, value in record.get("gauges", {}).items():
             self.gauges[name] = float(value)
         for name, serialized in record.get("timings", {}).items():
-            aggregate = self.timings.get(name)
-            if aggregate is None:
-                self.timings[name] = dict(serialized)
-                continue
-            aggregate["count"] += int(serialized["count"])
-            aggregate["total"] += float(serialized["total"])
-            aggregate["min"] = min(aggregate["min"], float(serialized["min"]))
-            aggregate["max"] = max(aggregate["max"], float(serialized["max"]))
-            aggregate["mean"] = (
-                aggregate["total"] / aggregate["count"] if aggregate["count"] else 0.0
-            )
+            merge_timing(self.timings, name, serialized)
 
     # ------------------------------------------------------------------ #
     # checkpoints
@@ -440,7 +432,7 @@ class TelemetryTailer:
                 counters[name] = counters.get(name, 0) + value
             gauges.update(extra.get("gauges") or {})
             for name, serialized in (extra.get("timings") or {}).items():
-                self._merge_extra_timing(timings, name, serialized)
+                merge_timing(timings, name, serialized)
 
         families = []
         if version is not None:
@@ -528,17 +520,6 @@ class TelemetryTailer:
             ]
         )
         return families
-
-    @staticmethod
-    def _merge_extra_timing(timings: dict, name: str, serialized: dict) -> None:
-        aggregate = timings.get(name)
-        if aggregate is None:
-            timings[name] = dict(serialized)
-            return
-        aggregate["count"] += int(serialized["count"])
-        aggregate["total"] += float(serialized["total"])
-        aggregate["min"] = min(aggregate["min"], float(serialized["min"]))
-        aggregate["max"] = max(aggregate["max"], float(serialized["max"]))
 
     @staticmethod
     def _window_families(stats: dict) -> list[dict]:

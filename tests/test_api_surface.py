@@ -3,12 +3,15 @@
 These guard the packaging-level promises a downstream user relies on:
 everything listed in ``__all__`` really is importable, every dynamic-graph
 model honours the common interface (including ``rng=None`` and re-use across
-runs), and the package version is consistent with the project metadata.
+runs), the package version is consistent with the project metadata, and
+the neighbour search stays behind one module.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,3 +136,49 @@ class TestDynamicGraphInterfaceCompliance:
         snapshot = model.snapshot()
         assert snapshot.number_of_nodes() == model.num_nodes
         assert snapshot.number_of_edges() == model.edge_count()
+
+
+def _imported_modules(node: ast.AST) -> set[str]:
+    """Dotted module names an ``import``/``from`` statement under ``node`` binds."""
+    names = set()
+    for statement in ast.walk(node):
+        if isinstance(statement, ast.Import):
+            names.update(alias.name for alias in statement.names)
+        elif isinstance(statement, ast.ImportFrom) and statement.level == 0:
+            names.add(statement.module)
+            names.update(f"{statement.module}.{alias.name}" for alias in statement.names)
+    return names
+
+
+class TestImportBoundaries:
+    ROOT = Path(repro.__file__).parent
+
+    def _sources(self):
+        for path in sorted(self.ROOT.rglob("*.py")):
+            yield path.relative_to(self.ROOT.parent).as_posix(), ast.parse(
+                path.read_text(encoding="utf-8")
+            )
+
+    def test_scipy_spatial_lives_in_connection_only(self):
+        importers = {
+            name
+            for name, tree in self._sources()
+            if any(
+                module == "scipy.spatial" or module.startswith("scipy.spatial.")
+                for module in _imported_modules(tree)
+            )
+        }
+        assert importers == {"repro/mobility/connection.py"}
+
+    def test_scipy_imports_are_unguarded(self):
+        # SciPy is a hard dependency: no module carries an ImportError
+        # fallback for it.
+        guarded = []
+        for name, tree in self._sources():
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Try):
+                    continue
+                body = ast.Module(body=node.body, type_ignores=[])
+                if any(module.split(".")[0] == "scipy" for module in _imported_modules(body)):
+                    guarded.append(name)
+        assert guarded == []

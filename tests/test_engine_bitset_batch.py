@@ -3,9 +3,9 @@
 The kernels only exist for speed, so most of the test surface is equality:
 the realization-batch kernel (and the ``backend="batch"`` fallback on models
 without a trial-batch runner) must return bit-identical flooding outcomes to
-the set-based loop on shared seeds for every model family, and the cell-list
-neighbor search must return exactly the k-d tree's edge set.  The file also
-pins the two RNG stream identities the node-MEG runner is built on (block
+the set-based loop on shared seeds for every model family, and the radius
+neighbor search must return exactly the brute-force edge set on its boundary
+and degenerate inputs.  The file also pins the two RNG stream identities the node-MEG runner is built on (block
 pre-drawing and the inverse-CDF mirror of ``Generator.choice``), the
 ``backend="auto"`` resolution rules, and that the retired ``bitset`` backend
 is rejected while stored records naming it still serve.
@@ -18,9 +18,6 @@ import json
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from repro import cli
 from repro.api import compile_request, sweep_request
@@ -45,15 +42,8 @@ from repro.markov.builders import random_walk_on_graph
 from repro.meg.base import StaticGraphProcess, overrides
 from repro.meg.edge_meg import EdgeMEG
 from repro.meg.node_meg import NodeMEG
-from repro.mobility.connection import (
-    CONNECTION_METHODS,
-    UnitDiskConnection,
-    radius_pairs,
-    radius_pairs_grid,
-    resolve_connection_method,
-)
+from repro.mobility.connection import radius_pairs
 from repro.mobility.random_path import GraphRandomWalkMobility, random_walk_path_model
-from repro.mobility.random_walk import RandomWalkMobility
 from repro.mobility.random_waypoint import RandomWaypoint
 from repro.serve import SimulationService
 from repro.telemetry import core as telemetry
@@ -81,12 +71,6 @@ def _family_factories():
 
 
 FAMILIES = sorted(_family_factories())
-
-
-def _canonical(pairs: np.ndarray) -> np.ndarray:
-    """Pairs in lexicographic order (the k-d tree's output order is arbitrary)."""
-    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 class TestStreamIdentities:
@@ -225,94 +209,43 @@ class TestStateLevelSourceBatch:
 
 
 class TestCellListParity:
-    def _assert_matches_tree(self, points, radius):
-        points = np.asarray(points, dtype=float)
-        via_grid = radius_pairs_grid(points, radius)
-        via_tree = cKDTree(points).query_pairs(r=radius, output_type="ndarray")
-        assert np.array_equal(via_grid, _canonical(via_tree).reshape(-1, 2))
+    """The k-d tree radius search against brute force on its hard inputs."""
 
-    def test_uniform_points(self):
-        for seed, radius in [(0, 0.8), (1, 1.5), (2, 0.1), (3, 4.0)]:
-            points = np.random.default_rng(seed).random((80, 2)) * 10.0
-            self._assert_matches_tree(points, radius)
+    def _assert_matches_brute_force(self, points, radius):
+        points = np.asarray(points, dtype=float)
+        count = points.shape[0]
+        brute = {
+            (i, j)
+            for i in range(count)
+            for j in range(i + 1, count)
+            if np.linalg.norm(points[i] - points[j]) <= radius
+        }
+        pairs = radius_pairs(points, radius)
+        assert pairs.shape == (len(brute), 2)
+        assert all(i < j for i, j in pairs)
+        assert {(int(i), int(j)) for i, j in pairs} == brute
 
     @pytest.mark.parametrize("radius", [1.0, 1.5])
     def test_integer_grid_boundary_inclusive(self, radius):
-        # Integer coordinates put many pairs exactly on the radius; both
-        # searches must include them (distance <= r, not <).
+        # Integer coordinates put many pairs exactly on the radius; the
+        # search must include them (distance <= r, not <).
         side = np.arange(6)
         points = np.array([[x, y] for x in side for y in side], dtype=float)
-        self._assert_matches_tree(points, radius)
+        self._assert_matches_brute_force(points, radius)
 
     def test_negative_and_coincident_points(self):
         points = np.array(
             [[-3.0, -4.0], [-3.0, -4.0], [-2.5, -4.0], [0.0, 0.0], [-3.0, -3.2]]
         )
-        self._assert_matches_tree(points, 0.9)
-        self._assert_matches_tree(points, 0.0)
+        self._assert_matches_brute_force(points, 0.9)
+        # Radius 0 still connects exactly coincident points.
+        self._assert_matches_brute_force(points, 0.0)
 
     def test_degenerate_inputs(self):
-        assert radius_pairs_grid(np.empty((0, 2)), 1.0).shape == (0, 2)
-        assert radius_pairs_grid(np.array([[1.0, 2.0]]), 1.0).shape == (0, 2)
+        assert radius_pairs(np.empty((0, 2)), 1.0).shape == (0, 2)
+        assert radius_pairs(np.array([[1.0, 2.0]]), 1.0).shape == (0, 2)
         with pytest.raises(ValueError):
-            radius_pairs_grid(np.zeros(3), 1.0)
-
-    @given(
-        coords=st.lists(
-            st.tuples(
-                st.floats(min_value=-50, max_value=50),
-                st.floats(min_value=-50, max_value=50),
-            ),
-            min_size=2,
-            max_size=40,
-        ),
-        radius=st.floats(min_value=0.01, max_value=30),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_parity_property(self, coords, radius):
-        self._assert_matches_tree(np.array(coords), radius)
-
-    def test_method_resolution(self):
-        assert resolve_connection_method("auto") == "kdtree"
-        assert resolve_connection_method("grid") == "grid"
-        with pytest.raises(ValueError):
-            resolve_connection_method("quadtree")
-        with pytest.raises(ValueError):
-            UnitDiskConnection(1.0, method="quadtree")
-        assert UnitDiskConnection(1.0).resolved_method() == "kdtree"
-        assert UnitDiskConnection(1.0, method="grid").resolved_method() == "grid"
-        assert CONNECTION_METHODS == ("auto", "kdtree", "grid")
-
-    def test_radius_pairs_dispatches_methods(self):
-        points = np.random.default_rng(5).random((30, 2)) * 4.0
-        via_grid = radius_pairs(points, 1.0, method="grid")
-        via_tree = radius_pairs(points, 1.0, method="kdtree")
-        assert np.array_equal(via_grid, _canonical(via_tree))
-
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda method: RandomWalkMobility(25, 6, 1.5, neighbor_search=method),
-            lambda method: RandomWaypoint(
-                20, side=4.0, radius=1.2, v_min=1.0, neighbor_search=method
-            ),
-        ],
-    )
-    def test_models_identical_under_both_searches(self, factory):
-        via_tree = factory("kdtree")
-        via_grid = factory("grid")
-        via_tree.reset(9)
-        via_grid.reset(9)
-        for _ in range(5):
-            assert np.array_equal(
-                _canonical(via_tree.edge_pairs()), _canonical(via_grid.edge_pairs())
-            )
-            assert via_tree.neighbors_of_set([0, 3]) == via_grid.neighbors_of_set(
-                [0, 3]
-            )
-            via_tree.step()
-            via_grid.step()
-        assert flood(factory("kdtree"), rng=2) == flood(factory("grid"), rng=2)
+            radius_pairs(np.zeros(3), 1.0)
 
 
 class TestBackendResolutionNew:

@@ -3,11 +3,14 @@
 The store's contract under concurrency: appends from any number of processes
 never interleave partial lines, and ``compact()`` never drops a record
 another process appended — even when this instance's lazy in-memory index
-was built before that append happened.
+was built before that append happened.  In one process, a ``put`` that
+lands right before or right after a ``merge``/``compact`` swaps the
+in-memory index stays indexed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 
@@ -115,3 +118,56 @@ class TestLazyIndexRace:
         leftovers = [p.name for p in tmp_path.iterdir()]
         assert "results.jsonl.compact" not in leftovers
         assert len(ResultStore(tmp_path)) == 10
+
+
+def _interpose(store: ResultStore, before=None, after=None) -> None:
+    """Run ``before``/``after`` around the first lock span ``store`` takes.
+
+    Simulates a second thread of the same process reaching the store at
+    the worst moment, deterministically.
+    """
+    original = store._locked
+    pending = [True]
+
+    @contextlib.contextmanager
+    def locked():
+        first = pending and pending.pop()
+        if first and before is not None:
+            before()
+        with original():
+            yield
+        if first and after is not None:
+            after()
+
+    store._locked = locked
+
+
+class TestIndexSwapUnderLock:
+    @pytest.fixture
+    def stores(self, tmp_path):
+        store = ResultStore(tmp_path / "main")
+        store.put("old", {"value": 0})
+        source = ResultStore(tmp_path / "source")
+        source.put("incoming", {"value": 1})
+        return store, source
+
+    @pytest.mark.parametrize("operation", ["merge", "compact"])
+    def test_put_right_after_index_swap_unlocks(self, stores, operation):
+        store, source = stores
+        _interpose(store, after=lambda: store.put("late", {"value": 2}))
+        if operation == "merge":
+            store.merge(source)
+        else:
+            store.compact()
+        assert store.get("late") == {"value": 2}
+        assert store.get("old") == {"value": 0}
+        assert ResultStore.at(store.path).get("late") == {"value": 2}
+
+    @pytest.mark.parametrize("operation", ["merge", "compact"])
+    def test_index_swap_right_before_put_locks(self, stores, operation):
+        store, source = stores
+        swap = (lambda: store.merge(source)) if operation == "merge" else store.compact
+        _interpose(store, before=swap)
+        store.put("late", {"value": 2})
+        assert store.get("late") == {"value": 2}
+        assert store.get("old") == {"value": 0}

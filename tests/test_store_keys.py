@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import repro.engine.shard as shard_module
 import repro.util.rng as rng_module
-from repro.api import compile_request, experiment_request, sweep_request
+from repro.api import compile_request, experiment_request, flood_request, sweep_request
 from repro.engine import (
     Engine,
     ResultStore,
@@ -33,6 +33,7 @@ from repro.engine import (
 from repro.engine.store import SeedRange
 from repro.fleet import JobSpool
 from repro.meg.edge_meg import EdgeMEG
+from repro.mobility.random_waypoint import RandomWaypoint
 from repro.serve import SimulationService, plan_etag
 from repro.stats import sketch_salt
 from repro.stats.sequential import StoppingRule
@@ -133,9 +134,66 @@ class TestGoldenKeys:
         experiment = compile_request(experiment_request("E7", seed=3))
         assert plan_etag(experiment) == '"6ddce95332c834bfa93205ea69b27e3e"'
 
+    def test_mobility_factory_keys(self):
+        # Factory-keyed mobility jobs hash the factory and its arguments, never
+        # the model's private state, so snapshot internals cannot move them.
+        sweep = compile_request(sweep_request("waypoint", [24], 4, seed=7))
+        assert sweep.store_keys == [
+            "1884a5ec6aafece5e660e180b5954a8d9b7429dd39abbbc2e78ea72b06d5c0f0"
+        ]
+        e3 = compile_request(experiment_request("E3", seed=3))
+        assert e3.store_keys == [
+            "4ac8f6278c38bb6990991a5767e4b5812b633472ecea5005e8b83507faa27137",
+            "bc4849e4acab9e95dc46edc589bf53cd3ababd197c93487aa4563cfb39ef3189",
+            "b307d58c22627b4f5a723a2aa1aefd164df5bd7a300ddc9ef5b8b334cd6d8193",
+        ]
+        e4 = compile_request(experiment_request("E4", seed=3))
+        assert e4.store_keys == [
+            "8863bbbc60470a5af11e69d5adc93ce49b2443992bdd09726e946d3e3c48460d",
+            "81653cb82d1e7f2e91d15ddc1007393bbf97e9ba49550be8cdfa4efc7ef40bea",
+            "f0c5e1b8438384eb7fc97e9b8e18da78de713d22cffde703de1819d17ed25e81",
+        ]
+
     def test_sketch_salt(self):
         assert sketch_salt(seed_token(spawn_seed_sequences(7, 5))) == 3848894767485456737
         assert shard_module.batch_salt(SeedRange.of(7, 5)) == 3848894767485456737
+
+
+class TestRandomWaypointKey:
+    """A wrapped waypoint model is keyed by its constructor parameters."""
+
+    @staticmethod
+    def _key(model) -> str:
+        return batch_store_key(TrialSpec.from_model(model, num_trials=4, seed=1))
+
+    def test_flood_request_key(self):
+        plan = compile_request(flood_request("waypoint", 4, seed=1, params={"nodes": 20}))
+        assert plan.store_keys == [
+            "6c8ff30d3093a5394c06e47130fb0068c157fcc4e991a0c6fecf78b5a8be4689"
+        ]
+
+    def test_equal_parameters_equal_keys(self):
+        first = RandomWaypoint(20, side=10.0, radius=1.0, v_min=1.0)
+        second = RandomWaypoint(20, side=10, radius=1, v_min=1.0, v_max=1.0)
+        assert first.cache_token() == second.cache_token()
+        assert self._key(first) == self._key(second)
+        for changed in (
+            RandomWaypoint(20, side=10.0, radius=1.0, v_min=1.0, pause_steps=1),
+            RandomWaypoint(20, side=10.0, radius=1.0, v_min=1.0, warmup_steps=0),
+            RandomWaypoint(20, side=10.0, radius=1.0, v_min=1.0, snap_resolution=8),
+            RandomWaypoint(20, side=10.0, radius=1.0, v_min=0.5, v_max=1.0),
+        ):
+            assert self._key(changed) != self._key(first)
+
+    def test_reset_and_step_keep_the_key(self):
+        model = RandomWaypoint(20, side=10.0, radius=1.0, v_min=1.0)
+        before = self._key(model)
+        model.reset(3)
+        model.edge_pairs()
+        assert self._key(model) == before
+        model.step()
+        model.snapshot_tree()
+        assert self._key(model) == before
 
 
 _ENTROPY = st.one_of(
