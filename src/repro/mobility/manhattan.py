@@ -43,10 +43,10 @@ class ManhattanSampler(TrajectorySampler):
             corner = np.array([position[0], destination[1]])
         first = straight_leg(position, corner, self._speed)
         second = straight_leg(corner, destination, self._speed)
-        # Avoid duplicating the corner when the first sub-leg already ends there.
-        if np.allclose(first[-1], second[0]) and second.shape[0] > 1:
-            second = second[1:]
-        elif np.allclose(first[-1], second[0]) and second.shape[0] == 1:
+        # ``straight_leg`` never repeats its start, so the corner appears once
+        # already; only a zero-length second sub-leg (a lone copy of the
+        # destination) is dropped.
+        if np.array_equal(corner, destination):
             return first
         return np.vstack([first, second])
 

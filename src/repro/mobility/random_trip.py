@@ -10,7 +10,9 @@ feasible trips.
 The implementation discretises time (one position per time step — the same
 discretisation Section 4.1 of the paper uses to turn these continuous models
 into node-MEGs): a concrete model supplies :meth:`TrajectorySampler.sample_leg`,
-which returns the sequence of positions occupied on one trip.
+which returns the sequence of positions occupied on one trip, and may supply
+:meth:`TrajectorySampler.sample_legs`, which samples the trips of many agents
+at once.
 """
 
 from __future__ import annotations
@@ -32,7 +34,16 @@ from repro.util.validation import require_node_count, require_positive
 
 
 class TrajectorySampler(abc.ABC):
-    """Strategy object that samples one trip (leg) of a random trip model."""
+    """Strategy object that samples the trips (legs) of a random trip model.
+
+    :meth:`sample_leg` samples one agent's next leg.  :meth:`RandomTrip.step`
+    refills every agent whose leg ran out with a single :meth:`sample_legs`
+    call.  Its default loops :meth:`sample_leg` over the agents in order; an
+    override may draw the legs in one batch, but it must consume the random
+    stream exactly as ``k`` sequential :meth:`sample_leg` calls would and
+    return the same legs, so a model's trajectories do not depend on which
+    of the two produced them.
+    """
 
     @abc.abstractmethod
     def sample_leg(
@@ -44,6 +55,29 @@ class TrajectorySampler(abc.ABC):
         first row is the position after the first step of the trip (not the
         current position).
         """
+
+    def sample_legs(
+        self, starts: np.ndarray, region: SquareRegion, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Return the next legs of ``k`` agents, starting at the rows of ``starts``.
+
+        The result is ``(legs, steps)``: ``legs`` has shape ``(k, w, 2)`` and
+        row ``i`` holds agent ``i``'s leg in its first ``steps[i]`` positions
+        (``1 <= steps[i] <= w``); the positions after those are padding.
+        """
+        legs = []
+        for start in starts:
+            leg = np.asarray(self.sample_leg(start, region, rng), dtype=float)
+            if leg.ndim != 2 or leg.shape[1] != 2 or leg.shape[0] < 1:
+                raise ValueError(
+                    "sample_leg must return an array of shape (k, 2) with k >= 1"
+                )
+            legs.append(leg)
+        steps = np.array([leg.shape[0] for leg in legs], dtype=np.intp)
+        padded = np.zeros((len(legs), int(steps.max()), 2))
+        for row, leg in enumerate(legs):
+            padded[row, : leg.shape[0]] = leg
+        return padded, steps
 
 
 class RandomTrip(DynamicGraph):
@@ -66,11 +100,11 @@ class RandomTrip(DynamicGraph):
         models).  A value around the mixing time ``L / v`` is appropriate.
     snap_resolution:
         Optional grid resolution ``m``.  When set, agent positions are snapped
-        to the nearest point of the ``m x m`` discretisation grid after every
-        move — the node-MEG discretisation of Section 4.1.  Footnote 3 of the
-        paper states the resolution does not affect the flooding bound as long
-        as it is fine enough; the resolution-ablation benchmark verifies this
-        by sweeping ``snap_resolution``.
+        to the nearest point of the ``m x m`` discretisation grid at time 0
+        and after every move — the node-MEG discretisation of Section 4.1.
+        Footnote 3 of the paper states the resolution does not affect the
+        flooding bound as long as it is fine enough; the resolution-ablation
+        benchmark verifies this by sweeping ``snap_resolution``.
     """
 
     def __init__(
@@ -136,6 +170,8 @@ class RandomTrip(DynamicGraph):
         self._rng = ensure_rng(rng)
         self._time = 0
         self._positions = self._region.sample_uniform(self._rng, self._num_nodes)
+        if self._snap_resolution is not None:
+            self._positions = self._snap(self._positions)
         self._leg_buffer = np.zeros((self._num_nodes, 1, 2))
         self._leg_lengths = np.zeros(self._num_nodes, dtype=np.intp)
         self._leg_cursor = np.zeros(self._num_nodes, dtype=np.intp)
@@ -156,25 +192,26 @@ class RandomTrip(DynamicGraph):
         lengths = self._leg_lengths
         cursor = self._leg_cursor
         assert buffer is not None and lengths is not None and cursor is not None
-        # Refill exhausted legs in node order, so the random stream is
-        # consumed exactly as the per-node loop used to consume it.
-        for node in np.nonzero(cursor >= lengths)[0]:
-            leg = self._sampler.sample_leg(
-                self._positions[node], self._region, self._rng
+        # Refill every exhausted leg with one sampler call; the sampler
+        # consumes the random stream in node order.
+        exhausted = np.nonzero(cursor >= lengths)[0]
+        if exhausted.size:
+            legs, steps = self._sampler.sample_legs(
+                self._positions[exhausted], self._region, self._rng
             )
-            leg = np.asarray(leg, dtype=float)
-            if leg.ndim != 2 or leg.shape[1] != 2 or leg.shape[0] < 1:
-                raise ValueError(
-                    "sample_leg must return an array of shape (k, 2) with k >= 1"
-                )
-            steps = leg.shape[0]
-            if steps > buffer.shape[1]:
-                grown = np.zeros((self._num_nodes, steps, 2))
+            width = int(steps.max())
+            if width > buffer.shape[1]:
+                grown = np.zeros((self._num_nodes, width, 2))
                 grown[:, : buffer.shape[1]] = buffer
                 buffer = self._leg_buffer = grown
-            buffer[node, :steps] = np.clip(leg, 0.0, self._region.side)
-            lengths[node] = steps
-            cursor[node] = 0
+            # Write each leg's own steps only: the rest of its row keeps what
+            # it held, so the buffer never depends on the sampler's padding.
+            rows, columns = np.nonzero(np.arange(width) < steps[:, None])
+            buffer[exhausted[rows], columns] = np.clip(
+                legs[rows, columns], 0.0, self._region.side
+            )
+            lengths[exhausted] = steps
+            cursor[exhausted] = 0
         # The whole population advances in one gather.
         self._positions = buffer[np.arange(self._num_nodes), cursor]
         cursor += 1
@@ -242,15 +279,57 @@ def straight_leg(
     """Positions along the straight segment ``start -> destination``.
 
     The agent covers ``speed`` distance units per time step and the final
-    position is exactly the destination (the last step may be shorter).
+    position is the destination (the last step may be shorter).  This is the
+    one-segment case of :func:`straight_legs`.
     """
     require_positive(speed, "speed")
-    start = np.asarray(start, dtype=float)
-    destination = np.asarray(destination, dtype=float)
-    displacement = destination - start
-    distance = float(np.linalg.norm(displacement))
-    if distance == 0.0:
-        return destination[None, :].copy()
-    steps = int(np.ceil(distance / speed))
-    fractions = np.minimum(np.arange(1, steps + 1) * speed / distance, 1.0)
-    return start[None, :] + fractions[:, None] * displacement[None, :]
+    legs, _ = straight_legs(
+        np.asarray(start, dtype=float)[None, :],
+        np.asarray(destination, dtype=float)[None, :],
+        np.array([speed], dtype=float),
+    )
+    return legs[0]
+
+
+def straight_legs(
+    starts: np.ndarray,
+    destinations: np.ndarray,
+    speeds: np.ndarray,
+    hold_steps: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions along ``k`` straight segments at once, padded to one width.
+
+    Row ``i`` travels ``starts[i] -> destinations[i]`` at ``speeds[i]`` per
+    step: position ``j`` (0-based) is ``start + min((j + 1) * speed /
+    distance, 1) * displacement``, for ``ceil(distance / speed)`` steps (one
+    step, at the destination, when the two points coincide).  It then stays
+    exactly at the destination for ``hold_steps`` more steps.  Returns
+    ``(legs, steps)`` as :meth:`TrajectorySampler.sample_legs` does, with the
+    padding also at the destination.
+    """
+    displacement = destinations - starts
+    distance = row_norms(displacement)
+    moving = distance > 0.0
+    travel = np.zeros(distance.shape[0], dtype=np.intp)
+    travel[moving] = np.ceil(distance[moving] / speeds[moving])
+    steps = np.maximum(travel, 1) + hold_steps
+    width = int(steps.max())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fractions = np.minimum(
+            np.arange(1, width + 1) * speeds[:, None] / distance[:, None], 1.0
+        )
+    legs = starts[:, None, :] + fractions[:, :, None] * displacement[:, None, :]
+    arrived = np.arange(width) >= travel[:, None]
+    legs[arrived] = np.broadcast_to(destinations[:, None, :], legs.shape)[arrived]
+    return legs, steps
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a ``(k, d)`` array.
+
+    Each value equals ``np.linalg.norm`` of that row bit for bit: both take
+    the square root of the row's BLAS dot product, which may round like a
+    fused multiply-add.  ``np.sqrt((vectors ** 2).sum(1))`` and ``np.hypot``
+    round differently on a sizeable share of rows.
+    """
+    return np.sqrt((vectors[:, None, :] @ vectors[:, :, None]).ravel())

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from repro.mobility.geometry import SquareRegion
-from repro.mobility.random_trip import RandomTrip, TrajectorySampler, straight_leg
+from repro.mobility.random_trip import RandomTrip, TrajectorySampler, straight_legs
 from repro.util.validation import require_positive
 
 
@@ -61,16 +61,26 @@ class WaypointSampler(TrajectorySampler):
     def sample_leg(
         self, position: np.ndarray, region: SquareRegion, rng: np.random.Generator
     ) -> np.ndarray:
-        destination = region.sample_uniform(rng, 1)[0]
+        legs, steps = self.sample_legs(
+            np.asarray(position, dtype=float)[None, :], region, rng
+        )
+        return legs[0, : steps[0]]
+
+    def sample_legs(
+        self, starts: np.ndarray, region: SquareRegion, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        count = starts.shape[0]
         if self._v_min == self._v_max:
-            speed = self._v_min
+            destinations = region.sample_uniform(rng, count)
+            speeds = np.full(count, float(self._v_min))
         else:
-            speed = rng.uniform(self._v_min, self._v_max)
-        leg = straight_leg(position, destination, speed)
-        if self._pause_steps:
-            pause = np.repeat(destination[None, :], self._pause_steps, axis=0)
-            leg = np.vstack([leg, pause])
-        return leg
+            # Per agent: x, y, then the speed ``Generator.uniform`` would
+            # draw, ``low + (high - low) * u`` from one double.
+            draws = rng.random((count, 3))
+            destinations = draws[:, :2] * region.side
+            low, high = float(self._v_min), float(self._v_max)
+            speeds = low + (high - low) * draws[:, 2]
+        return straight_legs(starts, destinations, speeds, self._pause_steps)
 
 
 class RandomWaypoint(RandomTrip):
