@@ -34,34 +34,7 @@ sub-packages hold the full API:
     snapshot replay and the persistent (mergeable) result store.
 """
 
-from repro.core.bounds import (
-    corollary4_bound,
-    corollary5_bound,
-    corollary6_bound,
-    edge_meg_general_bound,
-    theorem1_bound,
-    theorem3_bound,
-    waypoint_flooding_bound,
-)
-from repro.core.flooding import FloodingResult, flood, flooding_time
-from repro.engine import Engine, ResultStore, ShardSpec, SnapshotReplay, TrialSpec
-from repro.markov.chain import MarkovChain
-from repro.meg.base import DynamicGraph
-from repro.meg.edge_meg import EdgeMEG, GeneralEdgeMEG
-from repro.meg.node_meg import NodeMEG
-from repro.mobility.random_path import RandomPathModel
-from repro.mobility.random_walk import RandomWalkMobility
-from repro.mobility.random_waypoint import RandomWaypoint
-
-# Single source of truth is the installed package metadata (pyproject.toml);
-# the literal fallback covers source checkouts driven via PYTHONPATH=src,
-# where no distribution is installed.
-try:
-    from importlib.metadata import PackageNotFoundError, version as _distribution_version
-
-    __version__ = _distribution_version("repro-dynamic-graphs")
-except PackageNotFoundError:  # pragma: no cover - depends on install mode
-    __version__ = "2.0.0"
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DynamicGraph",
@@ -89,3 +62,44 @@ __all__ = [
     "theorem3_bound",
     "waypoint_flooding_bound",
 ]
+
+_getattr, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.bounds": (
+            "corollary4_bound",
+            "corollary5_bound",
+            "corollary6_bound",
+            "edge_meg_general_bound",
+            "theorem1_bound",
+            "theorem3_bound",
+            "waypoint_flooding_bound",
+        ),
+        "repro.core.flooding": ("FloodingResult", "flood", "flooding_time"),
+        "repro.engine": ("Engine", "ResultStore", "ShardSpec", "SnapshotReplay", "TrialSpec"),
+        "repro.markov.chain": ("MarkovChain",),
+        "repro.meg.base": ("DynamicGraph",),
+        "repro.meg.edge_meg": ("EdgeMEG", "GeneralEdgeMEG"),
+        "repro.meg.node_meg": ("NodeMEG",),
+        "repro.mobility.random_path": ("RandomPathModel",),
+        "repro.mobility.random_walk": ("RandomWalkMobility",),
+        "repro.mobility.random_waypoint": ("RandomWaypoint",),
+    },
+)
+
+
+def __getattr__(name: str):
+    if name == "__version__":
+        # Single source of truth is the installed package metadata
+        # (pyproject.toml); the literal fallback covers source checkouts
+        # driven via PYTHONPATH=src, where no distribution is installed.
+        # Resolved on first access, so ``repro --version`` loads no NumPy.
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            value = version("repro-dynamic-graphs")
+        except PackageNotFoundError:  # pragma: no cover - depends on install mode
+            value = "2.0.0"
+        globals()["__version__"] = value
+        return value
+    return _getattr(name)

@@ -13,17 +13,7 @@ models, ``Omega(L / v)`` for geometric ones).  All of these are implemented
 here so the experiments can reproduce both sides of every comparison.
 """
 
-from repro.baselines.edge_meg_bound import classic_edge_meg_prior_bound
-from repro.baselines.lower_bounds import (
-    diameter_lower_bound,
-    geometric_lower_bound,
-    sparse_waypoint_lower_bound,
-)
-from repro.baselines.meeting_time import (
-    expected_meeting_time,
-    hitting_time_matrix,
-    meeting_time_bound,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "classic_edge_meg_prior_bound",
@@ -34,3 +24,20 @@ __all__ = [
     "meeting_time_bound",
     "sparse_waypoint_lower_bound",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.edge_meg_bound": ("classic_edge_meg_prior_bound",),
+        "repro.baselines.lower_bounds": (
+            "diameter_lower_bound",
+            "geometric_lower_bound",
+            "sparse_waypoint_lower_bound",
+        ),
+        "repro.baselines.meeting_time": (
+            "expected_meeting_time",
+            "hitting_time_matrix",
+            "meeting_time_bound",
+        ),
+    },
+)

@@ -38,7 +38,9 @@ code.  All trial execution goes through :class:`repro.engine.Engine`:
 at any worker count), ``--backend`` selects the flooding kernel, and
 ``--results-dir`` attaches a persistent result store so re-runs with the
 same model, parameters and seed are served from cache.  ``--json`` writes
-the run's machine-readable results to a file for cross-run tracking.
+the run's machine-readable results to a file for cross-run tracking.  Both
+output paths are checked before any trial runs: an unusable one exits 2
+with a one-line error.
 
 The ``sweep`` subcommand runs a node-count sweep of a model family through
 the sweep runner, and ``--shard i/K`` restricts the run to every ``K``-th
@@ -76,69 +78,29 @@ fleet jobs on ``--spool`` for external workers to drain, pollable by
 ticket.  Every entry point above compiles requests through one seam,
 :mod:`repro.api`, so a request means the same store keys whichever door it
 comes through.
+
+How a call is parsed and dispatched: :data:`COMMANDS` lists the top-level
+subcommands as ``(name, help, builder)`` rows.  The top-level parser always
+registers every name with its help (so ``repro --help``, usage lines and
+"invalid choice" errors never change), but :func:`main` runs only the
+builder of the invoked subcommand — the first argv token that is not an
+option — which adds that subcommand's whole parser subtree.  Every leaf
+parser registers its handler with ``set_defaults(handler=...)``, and
+:func:`main` calls ``args.handler(args)``.  Handlers import the modules
+they need in their own body, so ``import repro.cli`` and ``repro
+--version`` load no NumPy, and each command loads only what it reaches.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import signal
 import sys
 from typing import Optional, Sequence
 
-from repro import __version__
-from repro.api import (
-    RequestError,
-    compile_request,
-    estimator_description,
-    experiment_plan,
-    experiment_request,
-    flood_request,
-    sweep_request,
-)
-from repro.core.bounds import (
-    classic_edge_meg_bound,
-    corollary6_bound,
-    waypoint_flooding_bound,
-)
-from repro.engine import (
-    BACKENDS,
-    EXECUTORS,
-    Engine,
-    MergeConflictError,
-    ResultStore,
-    jsonify,
-    parse_shard,
-)
-from repro.experiments.pipeline import (
-    MissingRecordError,
-    assemble_from_store,
-    execute_plan,
-)
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.experiments.report import format_markdown, format_table
-from repro.experiments.runner import run_sweep_specs, sweep_as_dicts
-from repro.fleet import (
-    FleetError,
-    JobSpool,
-    assemble_experiment_report,
-    format_status,
-    gather_frame,
-    merge_fleet_stores,
-    plan_variance_budgets,
-    request_job_payloads,
-    run_fleet,
-    run_top,
-    run_worker,
-    spool_metrics,
-    spool_status,
-    status_as_dict,
-    sweep_results_from_store,
-)
-from repro.fleet.top import DEFAULT_INTERVAL as TOP_DEFAULT_INTERVAL
-from repro.serve import DEFAULT_MAX_QUEUE, SimulationService, create_server
-from repro.stats.sequential import StoppingRule
 # The family factories moved to repro.sweeps (shared with the fleet worker);
 # the redundant ``as`` aliases are explicit re-exports keeping the historical
 # ``repro.cli`` names importable.
@@ -149,16 +111,6 @@ from repro.sweeps import (
     sweep_grid_walk_model as sweep_grid_walk_model,
     sweep_waypoint_model as sweep_waypoint_model,
 )
-from repro.telemetry import core as telemetry_core
-from repro.telemetry.log import configure as configure_logging
-from repro.telemetry.report import format_report, load_events, summarize_events
-from repro.telemetry.timeseries import (
-    DEFAULT_WINDOW_SECONDS,
-    TelemetryTailer,
-    validate_exposition,
-)
-from repro.telemetry.trace import format_trace, list_traces, summarize_trace
-from repro.util.stats import halfwidth, summarize
 
 #: Environment fallback for ``--telemetry`` (any command that supports it).
 TELEMETRY_ENV = "REPRO_TELEMETRY"
@@ -187,24 +139,28 @@ def _int_list(text: str) -> list[int]:
 
 
 def _shard_argument(text: str) -> tuple[int, int]:
+    from repro.engine.shard import parse_shard
+
     try:
         return parse_shard(text)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduction of 'Information Spreading in Dynamic Graphs' (PODC 2012)",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}",
-        help="print the package version and exit",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+def _experiment_ids() -> list[str]:
+    from repro.experiments.registry import EXPERIMENTS
 
-    # Engine options shared by every trial-running subcommand.
+    return sorted(EXPERIMENTS, key=lambda e: int(e[1:]))
+
+
+# ---------------------------------------------------------------------- #
+# option groups shared by several subcommands (built by the branches that
+# use them, never for a call that does not)
+# ---------------------------------------------------------------------- #
+def _engine_options() -> argparse.ArgumentParser:
+    """Engine options shared by every trial-running subcommand."""
+    from repro.engine.engine import BACKENDS, EXECUTORS
+
     engine_options = argparse.ArgumentParser(add_help=False)
     engine_options.add_argument(
         "--workers", type=_positive_int, default=1,
@@ -235,10 +191,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", dest="json_path", default=None, metavar="PATH",
         help="write machine-readable results to PATH",
     )
+    return engine_options
 
-    # Observability flags shared by every execution subcommand.  Telemetry is
-    # strictly opt-in: without --telemetry (or REPRO_TELEMETRY) the tracer is
-    # a no-op, and enabling it never changes any computed result.
+
+def _observability_options() -> argparse.ArgumentParser:
+    """Observability flags shared by every execution subcommand.
+
+    Telemetry is strictly opt-in: without --telemetry (or REPRO_TELEMETRY)
+    the tracer is a no-op, and enabling it never changes any computed result.
+    """
     observability_options = argparse.ArgumentParser(add_help=False)
     observability_options.add_argument(
         "--telemetry", dest="telemetry_dir", default=None, metavar="DIR",
@@ -251,9 +212,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stdlib logging level for the repro loggers (debug, info, "
              "warning, ...; default: info, or the REPRO_LOG_LEVEL variable)",
     )
+    return observability_options
 
-    # Batched-source estimators apply to flood/sweep, not to the registered
-    # experiments (whose estimators are part of the experiment definition).
+
+def _source_parent() -> argparse.ArgumentParser:
+    """Batched-source estimators: flood/sweep only, not the registered
+    experiments (whose estimators are part of the experiment definition)."""
     source_parent = argparse.ArgumentParser(add_help=False)
     source_options = source_parent.add_mutually_exclusive_group()
     source_options.add_argument(
@@ -266,14 +230,63 @@ def _build_parser() -> argparse.ArgumentParser:
         help="flood from K sampled sources of each realization in one batch "
              "and report the worst flooding time per trial",
     )
+    return source_parent
 
-    experiments = subparsers.add_parser(
-        "experiments", help="run the registered experiments E1-E10"
+
+def _sweep_points() -> argparse.ArgumentParser:
+    sweep_points = argparse.ArgumentParser(add_help=False)
+    sweep_points.add_argument(
+        "--nodes", type=_int_list, default=[64, 128, 256], metavar="N1,N2,...",
+        help="comma-separated node counts (the sweep points)",
     )
+    sweep_points.add_argument("--trials", type=_positive_int, default=10)
+    sweep_points.add_argument("--seed", type=int, default=0)
+    return sweep_points
+
+
+#: help of each sweep family's subcommand (``sweep`` and ``fleet run sweep``)
+FAMILY_HELP = {
+    "edge-meg": "edge-MEG at constant expected degree",
+    "waypoint": "random waypoint over a fixed square",
+    "grid-walk": "random walks over a fixed augmented grid",
+}
+
+
+def _family_parameters() -> dict[str, argparse.ArgumentParser]:
+    """Per-family model parameters, shared by `sweep` and `fleet run sweep`.
+
+    Flags, types and defaults are generated from SWEEP_FAMILY_DEFAULTS — the
+    same table the request facade canonicalizes against — so the CLI can
+    never drift from what `repro serve` and the fleet accept.
+    """
+    param_help = {
+        "q": "edge death rate",
+        "avg_degree": "expected stationary degree",
+    }
+    family_params = {}
+    for family, defaults in SWEEP_FAMILY_DEFAULTS.items():
+        family_parser = argparse.ArgumentParser(add_help=False)
+        for name, default in defaults.items():
+            family_parser.add_argument(
+                "--" + name.replace("_", "-"), type=type(default), default=default,
+                help=param_help.get(name),
+            )
+        family_params[family] = family_parser
+    return family_params
+
+
+# ---------------------------------------------------------------------- #
+# one builder per top-level subcommand: ``builder(subparsers, name, help)``
+# ---------------------------------------------------------------------- #
+def _add_experiments(subparsers, name: str, help_text: str) -> None:
+    experiment_ids = _experiment_ids()
+    experiments = subparsers.add_parser(name, help=help_text)
     experiments_sub = experiments.add_subparsers(dest="experiments_command", required=True)
-    experiments_sub.add_parser("list", help="list the registered experiments")
+    experiments_sub.add_parser(
+        "list", help="list the registered experiments"
+    ).set_defaults(handler=_run_experiments_list)
     run_one = experiments_sub.add_parser("run", help="run a single experiment")
-    run_one.add_argument("experiment_id", choices=sorted(EXPERIMENTS, key=lambda e: int(e[1:])))
+    run_one.add_argument("experiment_id", choices=experiment_ids)
     run_one.add_argument("--scale", choices=("small", "full"), default="small")
     run_one.add_argument("--seed", type=int, default=0)
     run_one.add_argument("--markdown", action="store_true", help="render as markdown")
@@ -281,6 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", dest="json_path", default=None, metavar="PATH",
         help="write the report rows as JSON to PATH",
     )
+    run_one.set_defaults(handler=_run_experiments_run)
     run_all = experiments_sub.add_parser("run-all", help="run every experiment")
     run_all.add_argument("--scale", choices=("small", "full"), default="small")
     run_all.add_argument("--seed", type=int, default=0)
@@ -290,15 +304,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", dest="json_path", default=None, metavar="PATH",
         help="write every report's rows as JSON to PATH",
     )
+    run_all.set_defaults(handler=_run_experiments_run_all)
 
+
+def _add_experiment(subparsers, name: str, help_text: str) -> None:
     experiment = subparsers.add_parser(
-        "experiment", parents=[engine_options, observability_options],
-        help="run one registered experiment (E1-E10) through the engine "
-             "pipeline (shardable across machines)",
+        name, parents=[_engine_options(), _observability_options()], help=help_text,
     )
-    experiment.add_argument(
-        "experiment_id", choices=sorted(EXPERIMENTS, key=lambda e: int(e[1:]))
-    )
+    experiment.add_argument("experiment_id", choices=_experiment_ids())
     experiment.add_argument("--scale", choices=("small", "full"), default="small")
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument(
@@ -314,13 +327,16 @@ def _build_parser() -> argparse.ArgumentParser:
              "nothing; with no STOREs, assemble from --results-dir as-is",
     )
     experiment.add_argument("--markdown", action="store_true", help="render as markdown")
+    experiment.set_defaults(handler=_run_experiment_pipeline)
 
-    flood = subparsers.add_parser("flood", help="measure flooding on a chosen model")
+
+def _add_flood(subparsers, name: str, help_text: str) -> None:
+    flood = subparsers.add_parser(name, help=help_text)
     flood_sub = flood.add_subparsers(dest="model", required=True)
+    parents = [_engine_options(), _source_parent(), _observability_options()]
 
     edge_meg = flood_sub.add_parser(
-        "edge-meg", parents=[engine_options, source_parent, observability_options],
-        help="classic edge-MEG with birth/death rates",
+        "edge-meg", parents=parents, help="classic edge-MEG with birth/death rates",
     )
     edge_meg.add_argument("--nodes", type=int, default=100)
     edge_meg.add_argument("--p", type=float, default=0.01, help="edge birth rate")
@@ -329,8 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     edge_meg.add_argument("--seed", type=int, default=0)
 
     waypoint = flood_sub.add_parser(
-        "waypoint", parents=[engine_options, source_parent, observability_options],
-        help="random waypoint over a square",
+        "waypoint", parents=parents, help="random waypoint over a square",
     )
     waypoint.add_argument("--nodes", type=int, default=100)
     waypoint.add_argument("--side", type=float, default=10.0)
@@ -340,8 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     waypoint.add_argument("--seed", type=int, default=0)
 
     grid_walk = flood_sub.add_parser(
-        "grid-walk", parents=[engine_options, source_parent, observability_options],
-        help="random walks over a grid mobility graph",
+        "grid-walk", parents=parents, help="random walks over a grid mobility graph",
     )
     grid_walk.add_argument("--nodes", type=int, default=64)
     grid_walk.add_argument("--grid-side", type=int, default=8)
@@ -349,41 +363,12 @@ def _build_parser() -> argparse.ArgumentParser:
     grid_walk.add_argument("--trials", type=int, default=5)
     grid_walk.add_argument("--seed", type=int, default=0)
 
-    # Per-family model parameters, shared between `sweep` and `fleet run sweep`.
-    # Flags, types and defaults are generated from SWEEP_FAMILY_DEFAULTS — the
-    # same table the request facade canonicalizes against — so the CLI can
-    # never drift from what `repro serve` and the fleet accept.
-    param_help = {
-        "q": "edge death rate",
-        "avg_degree": "expected stationary degree",
-    }
-    family_params = {}
-    for family, defaults in SWEEP_FAMILY_DEFAULTS.items():
-        family_parser = argparse.ArgumentParser(add_help=False)
-        for name, default in defaults.items():
-            family_parser.add_argument(
-                "--" + name.replace("_", "-"), type=type(default), default=default,
-                help=param_help.get(name),
-            )
-        family_params[family] = family_parser
-    family_help = {
-        "edge-meg": "edge-MEG at constant expected degree",
-        "waypoint": "random waypoint over a fixed square",
-        "grid-walk": "random walks over a fixed augmented grid",
-    }
+    for model in (edge_meg, waypoint, grid_walk):
+        model.set_defaults(handler=_run_flood)
 
-    sweep_points = argparse.ArgumentParser(add_help=False)
-    sweep_points.add_argument(
-        "--nodes", type=_int_list, default=[64, 128, 256], metavar="N1,N2,...",
-        help="comma-separated node counts (the sweep points)",
-    )
-    sweep_points.add_argument("--trials", type=_positive_int, default=10)
-    sweep_points.add_argument("--seed", type=int, default=0)
 
-    sweep = subparsers.add_parser(
-        "sweep",
-        help="run a node-count sweep of a model family (shardable across machines)",
-    )
+def _add_sweep(subparsers, name: str, help_text: str) -> None:
+    sweep = subparsers.add_parser(name, help=help_text)
     sweep_sub = sweep.add_subparsers(dest="family", required=True)
     sweep_common = argparse.ArgumentParser(add_help=False)
     sweep_common.add_argument(
@@ -411,18 +396,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check-every", type=_positive_int, default=16, metavar="N",
         help="evaluate the stopping rule every N trials (default 16)",
     )
+    parents = [_engine_options(), _source_parent(), _sweep_points(), sweep_common,
+               adaptive_sweep, _observability_options()]
+    family_params = _family_parameters()
     for family in SWEEP_FAMILIES:
         sweep_sub.add_parser(
-            family,
-            parents=[engine_options, source_parent, sweep_points, sweep_common,
-                     adaptive_sweep, observability_options, family_params[family]],
-            help=family_help[family],
-        )
+            family, parents=[*parents, family_params[family]], help=FAMILY_HELP[family],
+        ).set_defaults(handler=_run_sweep)
 
-    merge = subparsers.add_parser(
-        "merge-results",
-        help="union result stores (reassembling sharded batches) into one store",
-    )
+
+def _add_merge(subparsers, name: str, help_text: str) -> None:
+    merge = subparsers.add_parser(name, help=help_text)
     merge.add_argument(
         "output",
         help="destination store: a .jsonl file or a directory (results.jsonl inside)",
@@ -431,12 +415,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "sources", nargs="+",
         help="source stores: .jsonl files or directories holding results.jsonl",
     )
+    merge.set_defaults(handler=_run_merge)
 
-    worker = subparsers.add_parser(
-        "worker", parents=[observability_options],
-        help="run a fleet worker daemon: lease jobs from a spool, execute, "
-             "heartbeat, mark done/failed",
-    )
+
+def _add_worker(subparsers, name: str, help_text: str) -> None:
+    worker = subparsers.add_parser(name, parents=[_observability_options()], help=help_text)
     worker.add_argument("--spool", required=True, help="shared spool directory")
     worker.add_argument(
         "--worker-id", default=None,
@@ -469,10 +452,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run each job under cProfile and write its top hotspots into "
              "the telemetry directory (needs --telemetry)",
     )
+    worker.set_defaults(handler=_run_worker)
 
-    fleet = subparsers.add_parser(
-        "fleet", help="drive a whole sharded workload through a worker fleet"
-    )
+
+def _add_fleet(subparsers, name: str, help_text: str) -> None:
+    from repro.fleet.top import DEFAULT_INTERVAL as TOP_DEFAULT_INTERVAL
+
+    fleet = subparsers.add_parser(name, help=help_text)
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
 
     fleet_options = argparse.ArgumentParser(add_help=False)
@@ -534,6 +520,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default 16; also the per-point budget floor)",
     )
 
+    engine_options = _engine_options()
+    observability_options = _observability_options()
     fleet_run = fleet_sub.add_parser(
         "run", help="compile, execute and fan in one workload"
     )
@@ -542,25 +530,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="fleet-execute a node-count sweep of a model family"
     )
     fleet_sweep_sub = fleet_sweep.add_subparsers(dest="family", required=True)
+    parents = [engine_options, _source_parent(), _sweep_points(), fleet_options,
+               fleet_adaptive, observability_options]
+    family_params = _family_parameters()
     for family in SWEEP_FAMILIES:
         fleet_sweep_sub.add_parser(
-            family,
-            parents=[engine_options, source_parent, sweep_points, fleet_options,
-                     fleet_adaptive, observability_options, family_params[family]],
-            help=family_help[family],
-        )
+            family, parents=[*parents, family_params[family]], help=FAMILY_HELP[family],
+        ).set_defaults(handler=_run_fleet_run)
     fleet_experiment = fleet_run_sub.add_parser(
         "experiment", parents=[engine_options, fleet_options, observability_options],
         help="fleet-execute one registered experiment (E1-E10)",
     )
-    fleet_experiment.add_argument(
-        "experiment_id", choices=sorted(EXPERIMENTS, key=lambda e: int(e[1:]))
-    )
+    fleet_experiment.add_argument("experiment_id", choices=_experiment_ids())
     fleet_experiment.add_argument("--scale", choices=("small", "full"), default="small")
     fleet_experiment.add_argument("--seed", type=int, default=0)
     fleet_experiment.add_argument(
         "--markdown", action="store_true", help="render the report as markdown"
     )
+    fleet_experiment.set_defaults(handler=_run_fleet_run)
 
     fleet_status = fleet_sub.add_parser(
         "status",
@@ -573,6 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit the status snapshot (including jobs/s, requeue rate and "
              "the heartbeat-age distribution) as JSON on stdout",
     )
+    fleet_status.set_defaults(handler=_run_fleet_status)
 
     fleet_top = fleet_sub.add_parser(
         "top",
@@ -607,13 +595,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--width", type=_positive_int, default=80, metavar="COLS",
         help="frame width in columns (default 80)",
     )
+    fleet_top.set_defaults(handler=_run_fleet_top)
 
-    serve = subparsers.add_parser(
-        "serve", parents=[observability_options],
-        help="serve simulation results over HTTP: warm requests answered "
-             "straight from the result store, cold ones enqueued as fleet "
-             "jobs and pollable by ticket",
-    )
+
+def _add_serve(subparsers, name: str, help_text: str) -> None:
+    from repro.engine.engine import BACKENDS
+    from repro.serve.service import DEFAULT_MAX_QUEUE
+
+    serve = subparsers.add_parser(name, parents=[_observability_options()], help=help_text)
     serve.add_argument(
         "--spool", required=True,
         help="job spool cold requests are enqueued into (drain it with "
@@ -647,10 +636,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--job-backend", choices=BACKENDS, default="auto",
         help="flooding kernel each fleet job runs with",
     )
+    serve.set_defaults(handler=_run_serve)
 
-    telemetry_cmd = subparsers.add_parser(
-        "telemetry", help="inspect telemetry directories written with --telemetry"
-    )
+
+def _add_telemetry(subparsers, name: str, help_text: str) -> None:
+    from repro.telemetry.timeseries import DEFAULT_WINDOW_SECONDS
+
+    telemetry_cmd = subparsers.add_parser(name, help=help_text)
     telemetry_sub = telemetry_cmd.add_subparsers(dest="telemetry_command", required=True)
     telemetry_report_cmd = telemetry_sub.add_parser(
         "report",
@@ -667,6 +659,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", dest="json_path", default=None, metavar="PATH",
         help="write the merged summary as JSON to PATH",
     )
+    telemetry_report_cmd.set_defaults(handler=_run_telemetry_report)
     telemetry_trace_cmd = telemetry_sub.add_parser(
         "trace",
         help="reconstruct one propagated trace across processes: the span "
@@ -688,6 +681,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", dest="json_path", default=None, metavar="PATH",
         help="write the reconstructed trace (or the trace list) as JSON",
     )
+    telemetry_trace_cmd.set_defaults(handler=_run_telemetry_trace)
     telemetry_export_cmd = telemetry_sub.add_parser(
         "export",
         help="render a telemetry directory as Prometheus text exposition "
@@ -719,12 +713,132 @@ def _build_parser() -> argparse.ArgumentParser:
         help="strictly validate the exposition before emitting it "
              "(exit 1 on malformed output; what CI's metrics smoke runs)",
     )
+    telemetry_export_cmd.set_defaults(handler=_run_telemetry_export)
 
+
+#: The top-level subcommands, in ``repro --help`` order: (name, help, builder).
+COMMANDS = (
+    ("experiments", "run the registered experiments E1-E10", _add_experiments),
+    (
+        "experiment",
+        "run one registered experiment (E1-E10) through the engine "
+        "pipeline (shardable across machines)",
+        _add_experiment,
+    ),
+    ("flood", "measure flooding on a chosen model", _add_flood),
+    (
+        "sweep",
+        "run a node-count sweep of a model family (shardable across machines)",
+        _add_sweep,
+    ),
+    (
+        "merge-results",
+        "union result stores (reassembling sharded batches) into one store",
+        _add_merge,
+    ),
+    (
+        "worker",
+        "run a fleet worker daemon: lease jobs from a spool, execute, "
+        "heartbeat, mark done/failed",
+        _add_worker,
+    ),
+    ("fleet", "drive a whole sharded workload through a worker fleet", _add_fleet),
+    (
+        "serve",
+        "serve simulation results over HTTP: warm requests answered "
+        "straight from the result store, cold ones enqueued as fleet "
+        "jobs and pollable by ticket",
+        _add_serve,
+    ),
+    ("telemetry", "inspect telemetry directories written with --telemetry", _add_telemetry),
+)
+
+
+class _VersionAction(argparse.Action):
+    """``--version``: look the version up only when it is asked for.
+
+    Reading the installed package metadata costs tens of milliseconds, which
+    every other command would pay if the parser formatted it up front.
+    """
+
+    def __init__(self, option_strings, dest, help=None):
+        super().__init__(
+            option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS, nargs=0,
+            help=help,
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from repro import __version__
+
+        print(f"{parser.prog} {__version__}")
+        parser.exit()
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser with only ``command``'s subtree built.
+
+    Every other subcommand is registered by name and help alone, which is
+    all the top-level help, usage and "invalid choice" errors show.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduction of 'Information Spreading in Dynamic Graphs' (PODC 2012)",
+    )
+    parser.add_argument(
+        "--version", action=_VersionAction, help="print the package version and exit",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, builder in COMMANDS:
+        if name == command:
+            builder(subparsers, name, help_text)
+        else:
+            subparsers.add_parser(name, help=help_text)
     return parser
 
 
-def _build_engine(args: argparse.Namespace) -> Engine:
+# ---------------------------------------------------------------------- #
+# handlers (each imports what it uses, so a command loads only its modules)
+# ---------------------------------------------------------------------- #
+def _output_problem(args: argparse.Namespace) -> Optional[str]:
+    """Why an output path of ``args`` is unusable, or None when all are usable.
+
+    ``--json`` and ``--output`` files must land in an existing directory and
+    are not created here.  The ``--results-dir`` directory is created, as
+    the store would create it.
+    """
+    for flag, path in (("--json", getattr(args, "json_path", None)),
+                       ("--output", getattr(args, "output", None))):
+        if not path:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            return f"cannot write {flag} {path}: {os.strerror(errno.EISDIR)}"
+        if not os.path.isdir(directory):
+            return f"cannot write {flag} {path}: no directory {directory}"
+        if not os.access(path if os.path.exists(path) else directory, os.W_OK):
+            return f"cannot write {flag} {path}: {os.strerror(errno.EACCES)}"
+    results_dir = getattr(args, "results_dir", None)
+    if results_dir:
+        try:
+            os.makedirs(results_dir, exist_ok=True)
+        except OSError as error:
+            return f"cannot create --results-dir {results_dir}: {error.strerror}"
+    return None
+
+
+def _outputs_unusable(args: argparse.Namespace) -> bool:
+    """Check the output paths before any trial runs; print why one fails."""
+    problem = _output_problem(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+    return problem is not None
+
+
+def _build_engine(args: argparse.Namespace):
     """Engine configured from the shared --workers/--backend/--results-dir flags."""
+    from repro.engine.engine import Engine
+    from repro.engine.store import ResultStore
+
     store = None
     if getattr(args, "results_dir", None):
         store = ResultStore(args.results_dir)
@@ -738,29 +852,51 @@ def _build_engine(args: argparse.Namespace) -> Engine:
 
 
 def _write_json(path: str, payload) -> None:
+    from repro.engine.store import jsonify
+
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(jsonify(payload), handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {path}")
 
 
-def _run_experiments(args: argparse.Namespace) -> int:
-    renderer = format_markdown if getattr(args, "markdown", False) else format_table
-    if args.experiments_command == "list":
-        for experiment_id in sorted(EXPERIMENTS, key=lambda e: int(e[1:])):
-            experiment = EXPERIMENTS[experiment_id]
-            print(f"{experiment_id}: {experiment.title}  [{experiment.paper_reference}]")
-        return 0
-    if args.experiments_command == "run":
-        report = run_experiment(args.experiment_id, scale=args.scale, seed=args.seed)
-        print(renderer(report))
-        if args.json_path:
-            _write_json(args.json_path, report.as_dict())
-        return 0
-    # run-all
+def _renderer(args: argparse.Namespace):
+    """The report renderer ``--markdown`` asks for."""
+    from repro.experiments.report import format_markdown, format_table
+
+    return format_markdown if getattr(args, "markdown", False) else format_table
+
+
+def _run_experiments_list(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import EXPERIMENTS
+
+    for experiment_id in _experiment_ids():
+        experiment = EXPERIMENTS[experiment_id]
+        print(f"{experiment_id}: {experiment.title}  [{experiment.paper_reference}]")
+    return 0
+
+
+def _run_experiments_run(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import run_experiment
+
+    if _outputs_unusable(args):
+        return 2
+    report = run_experiment(args.experiment_id, scale=args.scale, seed=args.seed)
+    print(_renderer(args)(report))
+    if args.json_path:
+        _write_json(args.json_path, report.as_dict())
+    return 0
+
+
+def _run_experiments_run_all(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import run_experiment
+
+    if _outputs_unusable(args):
+        return 2
+    renderer = _renderer(args)
     sections = []
     reports = []
-    for experiment_id in sorted(EXPERIMENTS, key=lambda e: int(e[1:])):
+    for experiment_id in _experiment_ids():
         report = run_experiment(experiment_id, scale=args.scale, seed=args.seed)
         reports.append(report)
         sections.append(renderer(report))
@@ -777,7 +913,15 @@ def _run_experiments(args: argparse.Namespace) -> int:
 
 
 def _run_experiment_pipeline(args: argparse.Namespace) -> int:
-    renderer = format_markdown if args.markdown else format_table
+    from repro.api import experiment_plan, experiment_request
+    from repro.engine.store import MergeConflictError
+    from repro.experiments.pipeline import (
+        MissingRecordError,
+        assemble_from_store,
+        execute_plan,
+    )
+
+    renderer = _renderer(args)
     if args.shard is not None and args.merge is not None:
         print("error: --shard and --merge are mutually exclusive", file=sys.stderr)
         return 2
@@ -787,6 +931,8 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
             "carries results between the fan-out and fan-in steps)",
             file=sys.stderr,
         )
+        return 2
+    if _outputs_unusable(args):
         return 2
     engine = _build_engine(args)
     plan = experiment_plan(
@@ -885,6 +1031,16 @@ def _source_options(args: argparse.Namespace) -> tuple[Optional[str], Optional[i
 
 
 def _run_flood(args: argparse.Namespace) -> int:
+    from repro.api import RequestError, compile_request, estimator_description, flood_request
+    from repro.core.bounds import (
+        classic_edge_meg_bound,
+        corollary6_bound,
+        waypoint_flooding_bound,
+    )
+    from repro.util.stats import summarize
+
+    if _outputs_unusable(args):
+        return 2
     sources, num_sources = _source_options(args)
     try:
         plan = compile_request(
@@ -959,10 +1115,12 @@ def _sweep_factory_kwargs(args: argparse.Namespace) -> dict:
     return {name: getattr(args, name) for name in SWEEP_FAMILY_DEFAULTS[args.family]}
 
 
-def _sweep_stopping(args: argparse.Namespace) -> Optional[StoppingRule]:
-    """The stopping rule a ``--target-ci`` sweep invocation asks for."""
+def _sweep_stopping(args: argparse.Namespace):
+    """The stopping rule a ``--target-ci`` sweep invocation asks for, or None."""
     if getattr(args, "target_ci", None) is None:
         return None
+    from repro.stats.sequential import StoppingRule
+
     return StoppingRule(
         target_halfwidth=args.target_ci,
         confidence=args.ci_confidence,
@@ -972,6 +1130,10 @@ def _sweep_stopping(args: argparse.Namespace) -> Optional[StoppingRule]:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
+    from repro.api import RequestError, compile_request, estimator_description, sweep_request
+    from repro.experiments.runner import run_sweep_specs, sweep_as_dicts
+    from repro.util.stats import halfwidth
+
     if args.shard is not None and args.shard[1] > args.trials:
         print(
             f"error: shard count {args.shard[1]} exceeds --trials {args.trials} "
@@ -986,6 +1148,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
             "run sweep --target-ci` for multi-machine adaptive sweeps)",
             file=sys.stderr,
         )
+        return 2
+    if _outputs_unusable(args):
         return 2
     engine = _build_engine(args)
     factory_kwargs = _sweep_factory_kwargs(args)
@@ -1050,6 +1214,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_worker(args: argparse.Namespace) -> int:
+    from repro.fleet.worker import run_worker
+
     telemetry_dir = _telemetry_dir(args)
     if args.profile and not telemetry_dir:
         print(
@@ -1085,6 +1251,21 @@ def _fleet_engine_config(args: argparse.Namespace) -> dict:
 
 
 def _run_fleet_run(args: argparse.Namespace) -> int:
+    from repro.api import estimator_description, experiment_request, sweep_request
+    from repro.engine.engine import Engine
+    from repro.engine.store import MergeConflictError, ResultStore
+    from repro.experiments.runner import sweep_as_dicts
+    from repro.fleet.coordinator import (
+        FleetError,
+        assemble_experiment_report,
+        merge_fleet_stores,
+        plan_variance_budgets,
+        run_fleet,
+        sweep_results_from_store,
+    )
+    from repro.fleet.jobs import request_job_payloads
+    from repro.fleet.queue import JobSpool
+
     if not args.results_dir:
         print(
             "error: fleet run needs --results-dir (the destination the job "
@@ -1225,14 +1406,16 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
         return 0
 
     report = assemble_experiment_report(payloads[0], destination)
-    renderer = format_markdown if args.markdown else format_table
-    print(renderer(report))
+    print(_renderer(args)(report))
     if args.json_path:
         _write_json(args.json_path, report.as_dict())
     return 0
 
 
 def _run_fleet_status(args: argparse.Namespace) -> int:
+    from repro.fleet.queue import JobSpool
+    from repro.fleet.status import format_status, spool_metrics, spool_status, status_as_dict
+
     if not os.path.isdir(args.spool):
         print(f"error: no spool directory at {args.spool}", file=sys.stderr)
         return 2
@@ -1247,6 +1430,11 @@ def _run_fleet_status(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
+    from repro.engine.store import ResultStore
+    from repro.fleet.queue import JobSpool
+    from repro.serve.http import create_server
+    from repro.serve.service import SimulationService
+
     store = ResultStore.at(args.results_dir)
     spool = JobSpool(args.spool)
     service = SimulationService(
@@ -1287,6 +1475,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_telemetry_report(args: argparse.Namespace) -> int:
+    from repro.telemetry.report import format_report, load_events, summarize_events
+
     try:
         events, skipped = load_events(args.directory, with_skipped=True)
     except FileNotFoundError as error:
@@ -1304,6 +1494,8 @@ def _run_telemetry_report(args: argparse.Namespace) -> int:
 
 def _telemetry_events_or_error(args: argparse.Namespace):
     """Shared loader of the trace subcommand: (directory, events) or None."""
+    from repro.telemetry.report import load_events
+
     directory = _telemetry_dir(args)
     if not directory:
         print(
@@ -1321,6 +1513,8 @@ def _telemetry_events_or_error(args: argparse.Namespace):
 
 
 def _run_telemetry_trace(args: argparse.Namespace) -> int:
+    from repro.telemetry.trace import format_trace, list_traces, summarize_trace
+
     loaded = _telemetry_events_or_error(args)
     if loaded is None:
         return 2
@@ -1356,6 +1550,9 @@ def _run_telemetry_trace(args: argparse.Namespace) -> int:
 
 
 def _run_telemetry_export(args: argparse.Namespace) -> int:
+    from repro import __version__
+    from repro.telemetry.timeseries import TelemetryTailer, validate_exposition
+
     directory = _telemetry_dir(args)
     if not directory:
         print(
@@ -1389,6 +1586,11 @@ def _run_telemetry_export(args: argparse.Namespace) -> int:
 
 
 def _run_fleet_top(args: argparse.Namespace) -> int:
+    from repro.engine.store import jsonify
+    from repro.fleet.queue import JobSpool
+    from repro.fleet.top import gather_frame, run_top
+    from repro.telemetry.timeseries import TelemetryTailer
+
     if not os.path.isdir(args.spool):
         print(f"error: no spool directory at {args.spool}", file=sys.stderr)
         return 2
@@ -1417,6 +1619,8 @@ def _run_fleet_top(args: argparse.Namespace) -> int:
 
 
 def _run_merge(args: argparse.Namespace) -> int:
+    from repro.engine.store import MergeConflictError, ResultStore
+
     destination = ResultStore.at(args.output)
     try:
         report = destination.merge(*args.sources)
@@ -1431,41 +1635,17 @@ def _run_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.command == "experiments":
-        return _run_experiments(args)
-    if args.command == "experiment":
-        return _run_experiment_pipeline(args)
-    if args.command == "flood":
-        return _run_flood(args)
-    if args.command == "sweep":
-        return _run_sweep(args)
-    if args.command == "merge-results":
-        return _run_merge(args)
-    if args.command == "worker":
-        return _run_worker(args)
-    if args.command == "fleet":
-        if args.fleet_command == "run":
-            return _run_fleet_run(args)
-        if args.fleet_command == "top":
-            return _run_fleet_top(args)
-        return _run_fleet_status(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "telemetry":
-        if args.telemetry_command == "trace":
-            return _run_telemetry_trace(args)
-        if args.telemetry_command == "export":
-            return _run_telemetry_export(args)
-        return _run_telemetry_report(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2  # pragma: no cover - parser.error raises
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Top-level options take no value, so the first non-option token is the
+    # subcommand (or a typo argparse reports as an invalid choice).
+    command = next((token for token in argv if not token.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
+
+    from repro.telemetry import core as telemetry_core
+    from repro.telemetry.log import configure as configure_logging
+
     try:
         configure_logging(getattr(args, "log_level", None))
     except ValueError as error:
@@ -1475,7 +1655,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if telemetry_dir is not None:
         telemetry_core.enable(telemetry_dir)
     try:
-        return _dispatch(parser, args)
+        return args.handler(args)
     finally:
         if telemetry_dir is not None:
             telemetry_core.disable()

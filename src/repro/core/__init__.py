@@ -15,41 +15,7 @@
 * :mod:`repro.core.metrics` — flooding-time statistics over repeated trials.
 """
 
-from repro.core.bounds import (
-    corollary4_bound,
-    corollary5_bound,
-    corollary6_bound,
-    edge_meg_general_bound,
-    theorem1_bound,
-    theorem3_bound,
-    waypoint_flooding_bound,
-)
-from repro.core.epochs import degree_into_set, set_expansion, spread_over_window
-from repro.core.flooding import (
-    FloodingResult,
-    batch_source_flooding_times,
-    batched_flooding_time_samples,
-    default_max_steps,
-    flood,
-    flood_sources_set,
-    flooding_time,
-    flooding_time_samples,
-    multi_source_flood,
-    worst_case_flooding_time,
-)
-from repro.core.metrics import flooding_time_statistics
-from repro.core.spreading import (
-    SpreadingResult,
-    gossip_spread,
-    push_pull_spread,
-    si_epidemic,
-)
-from repro.core.stationarity import (
-    StationarityEstimate,
-    estimate_beta,
-    estimate_edge_probability,
-    estimate_stationarity,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FloodingResult",
@@ -82,3 +48,44 @@ __all__ = [
     "waypoint_flooding_bound",
     "worst_case_flooding_time",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.bounds": (
+            "corollary4_bound",
+            "corollary5_bound",
+            "corollary6_bound",
+            "edge_meg_general_bound",
+            "theorem1_bound",
+            "theorem3_bound",
+            "waypoint_flooding_bound",
+        ),
+        "repro.core.epochs": ("degree_into_set", "set_expansion", "spread_over_window"),
+        "repro.core.flooding": (
+            "FloodingResult",
+            "batch_source_flooding_times",
+            "batched_flooding_time_samples",
+            "default_max_steps",
+            "flood",
+            "flood_sources_set",
+            "flooding_time",
+            "flooding_time_samples",
+            "multi_source_flood",
+            "worst_case_flooding_time",
+        ),
+        "repro.core.metrics": ("flooding_time_statistics",),
+        "repro.core.spreading": (
+            "SpreadingResult",
+            "gossip_spread",
+            "push_pull_spread",
+            "si_epidemic",
+        ),
+        "repro.core.stationarity": (
+            "StationarityEstimate",
+            "estimate_beta",
+            "estimate_edge_probability",
+            "estimate_stationarity",
+        ),
+    },
+)

@@ -30,37 +30,7 @@ The execution backbone all trial-running code routes through:
     :meth:`~ResultStore.merge` for unioning shard stores.
 """
 
-from repro.engine.batch import flood_trials_batch
-from repro.engine.engine import (
-    BACKENDS,
-    BATCH_AUTO_MAX_NODES,
-    BATCH_AUTO_MIN_TRIALS,
-    EXECUTORS,
-    SPARSE_AUTO_MAX_DENSITY,
-    SPARSE_AUTO_MIN_NODES,
-    Engine,
-    estimated_snapshot_density,
-    resolve_backend,
-    run_source_batch,
-)
-from repro.engine.kernel import flood_sources_batch, flood_sparse, flood_vectorized
-from repro.engine.replay import SnapshotReplay
-from repro.engine.shard import (
-    ShardSpec,
-    batch_store_key,
-    parse_shard,
-    seed_token,
-    shard_specs,
-    shard_store_key,
-)
-from repro.engine.spec import BatchResult, TrialSpec
-from repro.engine.store import (
-    MergeConflictError,
-    MergeReport,
-    ResultStore,
-    jsonify,
-)
-from repro.stats.sequential import StoppingRule
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BACKENDS",
@@ -92,3 +62,35 @@ __all__ = [
     "shard_specs",
     "shard_store_key",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.engine.batch": ("flood_trials_batch",),
+        "repro.engine.engine": (
+            "BACKENDS",
+            "BATCH_AUTO_MAX_NODES",
+            "BATCH_AUTO_MIN_TRIALS",
+            "EXECUTORS",
+            "SPARSE_AUTO_MAX_DENSITY",
+            "SPARSE_AUTO_MIN_NODES",
+            "Engine",
+            "estimated_snapshot_density",
+            "resolve_backend",
+            "run_source_batch",
+        ),
+        "repro.engine.kernel": ("flood_sources_batch", "flood_sparse", "flood_vectorized"),
+        "repro.engine.replay": ("SnapshotReplay",),
+        "repro.engine.shard": (
+            "ShardSpec",
+            "batch_store_key",
+            "parse_shard",
+            "seed_token",
+            "shard_specs",
+            "shard_store_key",
+        ),
+        "repro.engine.spec": ("BatchResult", "TrialSpec"),
+        "repro.engine.store": ("MergeConflictError", "MergeReport", "ResultStore", "jsonify"),
+        "repro.stats.sequential": ("StoppingRule",),
+    },
+)

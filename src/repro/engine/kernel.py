@@ -21,15 +21,17 @@ implementation, and upgrades to the sparse kernel on large, sparse models).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from repro.core.flooding import FloodingResult, default_max_steps
 from repro.meg.base import DynamicGraph, overrides
 from repro.telemetry import core as telemetry
 from repro.util.rng import RNGLike
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 def _record_flood(kernel: str, history: Sequence[int]) -> None:
@@ -54,6 +56,8 @@ def _record_flood(kernel: str, history: Sequence[int]) -> None:
 
 def _as_count_csr(matrix) -> scipy.sparse.csr_matrix:
     """CSR with an ``intp`` data dtype (no wrap-around when counts accumulate)."""
+    import scipy.sparse
+
     if not scipy.sparse.issparse(matrix):
         raise TypeError(
             f"sparse_adjacency must return a scipy sparse matrix, got {type(matrix).__name__}"

@@ -30,13 +30,15 @@ avoid.
 
 from __future__ import annotations
 
-from typing import Iterator, Set
+from typing import TYPE_CHECKING, Iterator, Set
 
 import numpy as np
-import scipy.sparse
 
 from repro.meg.base import DynamicGraph
 from repro.util.rng import RNGLike
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 class SnapshotReplay(DynamicGraph):
@@ -121,6 +123,8 @@ class SnapshotReplay(DynamicGraph):
             self._frames.append(self._capture())
 
     def current_edges(self) -> Iterator[tuple[int, int]]:
+        import scipy.sparse
+
         upper = scipy.sparse.triu(self._frame(), k=1).tocoo()
         return iter(list(zip(upper.row.tolist(), upper.col.tolist())))
 

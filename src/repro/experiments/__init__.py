@@ -18,23 +18,7 @@ reports them next to the corresponding bound formula and baselines.
   benchmarks and EXPERIMENTS.md.
 """
 
-from repro.experiments.pipeline import (
-    ExperimentJob,
-    ExperimentPlan,
-    MissingRecordError,
-    PipelineRun,
-    assemble_from_store,
-    compile_experiment,
-    execute_plan,
-    run_experiment_pipeline,
-)
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
-from repro.experiments.report import ExperimentReport, format_markdown, format_table
-from repro.experiments.runner import (
-    SweepMeasurement,
-    measure_flooding_sweep,
-    sweep_as_dicts,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EXPERIMENTS",
@@ -55,3 +39,26 @@ __all__ = [
     "run_experiment_pipeline",
     "sweep_as_dicts",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.pipeline": (
+            "ExperimentJob",
+            "ExperimentPlan",
+            "MissingRecordError",
+            "PipelineRun",
+            "assemble_from_store",
+            "compile_experiment",
+            "execute_plan",
+            "run_experiment_pipeline",
+        ),
+        "repro.experiments.registry": ("EXPERIMENTS", "get_experiment", "run_experiment"),
+        "repro.experiments.report": ("ExperimentReport", "format_markdown", "format_table"),
+        "repro.experiments.runner": (
+            "SweepMeasurement",
+            "measure_flooding_sweep",
+            "sweep_as_dicts",
+        ),
+    },
+)

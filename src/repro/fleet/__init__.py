@@ -29,46 +29,7 @@ those shards onto a fleet of workers automatically:
     in-flight jobs.
 """
 
-from repro.fleet.coordinator import (
-    FleetError,
-    FleetOutcome,
-    assemble_experiment_report,
-    merge_fleet_stores,
-    plan_variance_budgets,
-    run_fleet,
-    spawn_local_worker,
-    sweep_results_from_store,
-)
-from repro.fleet.jobs import (
-    DEFAULT_PRIORITY,
-    JOB_KINDS,
-    PRIORITIES,
-    engine_from_config,
-    execute_job,
-    expected_store_keys,
-    experiment_job_payloads,
-    job_expected_keys,
-    request_from_payload,
-    request_job_payloads,
-    sweep_job_payloads,
-)
-from repro.fleet.queue import (
-    DEFAULT_LEASE_TTL,
-    DEFAULT_MAX_ATTEMPTS,
-    Job,
-    JobSpool,
-)
-from repro.fleet.status import (
-    SpoolMetrics,
-    SpoolStatus,
-    format_status,
-    spool_metrics,
-    spool_snapshot,
-    spool_status,
-    status_as_dict,
-)
-from repro.fleet.top import gather_frame, render_frame, run_top
-from repro.fleet.worker import default_worker_id, run_worker
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
@@ -107,3 +68,44 @@ __all__ = [
     "sweep_job_payloads",
     "sweep_results_from_store",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.fleet.coordinator": (
+            "FleetError",
+            "FleetOutcome",
+            "assemble_experiment_report",
+            "merge_fleet_stores",
+            "plan_variance_budgets",
+            "run_fleet",
+            "spawn_local_worker",
+            "sweep_results_from_store",
+        ),
+        "repro.fleet.jobs": (
+            "DEFAULT_PRIORITY",
+            "JOB_KINDS",
+            "PRIORITIES",
+            "engine_from_config",
+            "execute_job",
+            "expected_store_keys",
+            "experiment_job_payloads",
+            "job_expected_keys",
+            "request_from_payload",
+            "request_job_payloads",
+            "sweep_job_payloads",
+        ),
+        "repro.fleet.queue": ("DEFAULT_LEASE_TTL", "DEFAULT_MAX_ATTEMPTS", "Job", "JobSpool"),
+        "repro.fleet.status": (
+            "SpoolMetrics",
+            "SpoolStatus",
+            "format_status",
+            "spool_metrics",
+            "spool_snapshot",
+            "spool_status",
+            "status_as_dict",
+        ),
+        "repro.fleet.top": ("gather_frame", "render_frame", "run_top"),
+        "repro.fleet.worker": ("default_worker_id", "run_worker"),
+    },
+)

@@ -8,20 +8,7 @@ structural properties (δ-regularity, diameter, point congestion) that enter
 the bounds.
 """
 
-from repro.graphs.generators import (
-    complete_mobility_graph,
-    cycle_mobility_graph,
-    path_mobility_graph,
-    torus_graph,
-)
-from repro.graphs.grid import augmented_grid_graph, grid_graph, grid_side_for_points
-from repro.graphs.paths import PathFamily, edge_paths, shortest_path_family
-from repro.graphs.properties import (
-    degree_regularity,
-    diameter,
-    max_point_congestion,
-    path_family_regularity,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PathFamily",
@@ -39,3 +26,23 @@ __all__ = [
     "shortest_path_family",
     "torus_graph",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.graphs.generators": (
+            "complete_mobility_graph",
+            "cycle_mobility_graph",
+            "path_mobility_graph",
+            "torus_graph",
+        ),
+        "repro.graphs.grid": ("augmented_grid_graph", "grid_graph", "grid_side_for_points"),
+        "repro.graphs.paths": ("PathFamily", "edge_paths", "shortest_path_family"),
+        "repro.graphs.properties": (
+            "degree_regularity",
+            "diameter",
+            "max_point_congestion",
+            "path_family_regularity",
+        ),
+    },
+)

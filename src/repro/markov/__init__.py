@@ -14,24 +14,7 @@ This sub-package provides:
   grids, product chains).
 """
 
-from repro.markov.builders import (
-    birth_death_chain,
-    complete_graph_walk,
-    cycle_walk,
-    four_state_edge_chain,
-    lazy_random_walk,
-    random_walk_on_graph,
-    two_state_chain,
-    uniform_chain,
-)
-from repro.markov.chain import MarkovChain
-from repro.markov.mixing import (
-    mixing_time,
-    relaxation_time,
-    spectral_gap,
-    tv_distance_from_stationarity,
-)
-from repro.markov.sampling import sample_path, sample_stationary_state, sample_states
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MarkovChain",
@@ -51,3 +34,27 @@ __all__ = [
     "two_state_chain",
     "uniform_chain",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.markov.builders": (
+            "birth_death_chain",
+            "complete_graph_walk",
+            "cycle_walk",
+            "four_state_edge_chain",
+            "lazy_random_walk",
+            "random_walk_on_graph",
+            "two_state_chain",
+            "uniform_chain",
+        ),
+        "repro.markov.chain": ("MarkovChain",),
+        "repro.markov.mixing": (
+            "mixing_time",
+            "relaxation_time",
+            "spectral_gap",
+            "tv_distance_from_stationarity",
+        ),
+        "repro.markov.sampling": ("sample_path", "sample_stationary_state", "sample_states"),
+    },
+)

@@ -16,17 +16,7 @@ link-based models studied in the paper:
   schedules and a rotating T-interval-connected adversary.
 """
 
-from repro.meg.adversarial import ExplicitScheduleGraph, RotatingSpanningTreeGraph
-from repro.meg.base import DynamicGraph, StaticGraphProcess
-from repro.meg.edge_meg import EdgeMEG, GeneralEdgeMEG, four_state_edge_meg
-from repro.meg.erdos_renyi import ErdosRenyiSequence
-from repro.meg.node_meg import NodeMEG
-from repro.meg.snapshots import (
-    SnapshotStats,
-    is_t_interval_connected,
-    largest_stable_interval,
-    snapshot_statistics,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DynamicGraph",
@@ -43,3 +33,20 @@ __all__ = [
     "largest_stable_interval",
     "snapshot_statistics",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.meg.adversarial": ("ExplicitScheduleGraph", "RotatingSpanningTreeGraph"),
+        "repro.meg.base": ("DynamicGraph", "StaticGraphProcess"),
+        "repro.meg.edge_meg": ("EdgeMEG", "GeneralEdgeMEG", "four_state_edge_meg"),
+        "repro.meg.erdos_renyi": ("ErdosRenyiSequence",),
+        "repro.meg.node_meg": ("NodeMEG",),
+        "repro.meg.snapshots": (
+            "SnapshotStats",
+            "is_t_interval_connected",
+            "largest_stable_interval",
+            "snapshot_statistics",
+        ),
+    },
+)

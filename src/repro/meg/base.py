@@ -23,13 +23,15 @@ from __future__ import annotations
 import abc
 import hashlib
 import pickle
-from typing import Iterator, Optional, Set
+from typing import TYPE_CHECKING, Iterator, Optional, Set
 
-import networkx as nx
 import numpy as np
-import scipy.sparse
 
 from repro.util.rng import RNGLike
+
+if TYPE_CHECKING:
+    import networkx as nx
+    import scipy.sparse
 
 
 class DynamicGraph(abc.ABC):
@@ -161,6 +163,8 @@ class DynamicGraph(abc.ABC):
         must treat the returned matrix as read-only.
         """
         if overrides(self, "adjacency_matrix") and not overrides(self, "edge_pairs"):
+            import scipy.sparse
+
             return scipy.sparse.csr_matrix(self.adjacency_matrix(), dtype=np.intp)
         return sparse_adjacency_from_pairs(self.num_nodes, self.edge_pairs())
 
@@ -191,6 +195,8 @@ class DynamicGraph(abc.ABC):
 
     def snapshot(self) -> nx.Graph:
         """The current snapshot as a :class:`networkx.Graph` on ``0..n-1``."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self.num_nodes))
         graph.add_edges_from(self.current_edges())
@@ -360,6 +366,8 @@ def sparse_adjacency_from_pairs(
     The data dtype is ``intp`` so the sparse kernels can accumulate informed
     counts without the wrap-around a narrow integer dtype would risk.
     """
+    import scipy.sparse
+
     pairs = np.asarray(pairs, dtype=np.intp)
     if pairs.size == 0:
         return scipy.sparse.csr_matrix((num_nodes, num_nodes), dtype=np.intp)

@@ -17,20 +17,7 @@ All models implement :class:`repro.meg.base.DynamicGraph`, so the flooding
 simulator and the stationarity estimators apply to them directly.
 """
 
-from repro.mobility.connection import UnitDiskConnection, radius_edges
-from repro.mobility.geometry import SquareRegion, discretize_square
-from repro.mobility.manhattan import ManhattanWaypoint
-from repro.mobility.positional import (
-    empirical_positional_distribution,
-    uniformity_parameters,
-    waypoint_density,
-)
-from repro.mobility.random_direction import RandomDirection
-from repro.mobility.random_path import GraphRandomWalkMobility, RandomPathModel
-from repro.mobility.random_trip import RandomTrip, TrajectorySampler
-from repro.mobility.random_walk import RandomWalkMobility
-from repro.mobility.random_waypoint import RandomWaypoint
-from repro.mobility.waypoint_chain import WaypointChainModel, build_waypoint_chain
+from repro._lazy import lazy_exports
 
 __all__ = [
     "GraphRandomWalkMobility",
@@ -51,3 +38,23 @@ __all__ = [
     "uniformity_parameters",
     "waypoint_density",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.mobility.connection": ("UnitDiskConnection", "radius_edges"),
+        "repro.mobility.geometry": ("SquareRegion", "discretize_square"),
+        "repro.mobility.manhattan": ("ManhattanWaypoint",),
+        "repro.mobility.positional": (
+            "empirical_positional_distribution",
+            "uniformity_parameters",
+            "waypoint_density",
+        ),
+        "repro.mobility.random_direction": ("RandomDirection",),
+        "repro.mobility.random_path": ("GraphRandomWalkMobility", "RandomPathModel"),
+        "repro.mobility.random_trip": ("RandomTrip", "TrajectorySampler"),
+        "repro.mobility.random_walk": ("RandomWalkMobility",),
+        "repro.mobility.random_waypoint": ("RandomWaypoint",),
+        "repro.mobility.waypoint_chain": ("WaypointChainModel", "build_waypoint_chain"),
+    },
+)

@@ -11,18 +11,28 @@ identical pair sets was measured 4-8x slower at 128-1,024 agents.
 Every query accepts an optional prebuilt tree.  :class:`SnapshotCache` is
 where a mobility model keeps the tree of its current snapshot, so every
 neighbourhood query, edge enumeration and adjacency build of one time step
-shares one tree, one pair array and one edge list.
+shares one tree, one pair array and one edge list.  SciPy's spatial module
+loads with the first tree, so importing this module costs no SciPy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Set
+from typing import TYPE_CHECKING, Iterable, Optional, Set
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.util.validation import require_positive
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
+
+
+def _build_tree(points: np.ndarray) -> cKDTree:
+    """A ``cKDTree`` over ``points`` (the first call loads ``scipy.spatial``)."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
 
 
 def radius_pairs(
@@ -40,7 +50,7 @@ def radius_pairs(
     if pts.shape[0] < 2:
         return np.empty((0, 2), dtype=np.intp)
     if tree is None:
-        tree = cKDTree(pts)
+        tree = _build_tree(pts)
     pairs = tree.query_pairs(r=radius, output_type="ndarray")
     return pairs.astype(np.intp, copy=False)
 
@@ -74,7 +84,7 @@ def neighbors_within_radius(
         bad = source_array[(source_array < 0) | (source_array >= pts.shape[0])][0]
         raise ValueError(f"source index {bad} out of range")
     if tree is None:
-        tree = cKDTree(pts)
+        tree = _build_tree(pts)
     reached = set()
     neighbor_lists = tree.query_ball_point(pts[source_array], r=radius)
     for neighbors in neighbor_lists:
@@ -147,7 +157,7 @@ class SnapshotCache:
     def tree(self) -> cKDTree:
         """k-d tree over the current positions."""
         if self._tree is None:
-            self._tree = cKDTree(self._current())
+            self._tree = _build_tree(self._current())
         return self._tree
 
     def pairs(self) -> np.ndarray:

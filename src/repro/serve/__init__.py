@@ -17,14 +17,7 @@ shared read-through result cache with the fleet as compute backend:
     (``repro serve --spool DIR --results-dir DIR [--port N]``).
 """
 
-from repro.serve.http import ServeHandler, create_server
-from repro.serve.service import (
-    DEFAULT_MAX_QUEUE,
-    ServeResult,
-    SimulationService,
-    plan_etag,
-    request_ticket,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_MAX_QUEUE",
@@ -35,3 +28,17 @@ __all__ = [
     "plan_etag",
     "request_ticket",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.http": ("ServeHandler", "create_server"),
+        "repro.serve.service": (
+            "DEFAULT_MAX_QUEUE",
+            "ServeResult",
+            "SimulationService",
+            "plan_etag",
+            "request_ticket",
+        ),
+    },
+)

@@ -12,21 +12,7 @@ reservoir streams are seed-derived, so sharded and unsharded runs embed
 bit-identical sketches.
 """
 
-from repro.stats.sequential import (
-    DEFAULT_RESERVOIR,
-    BatchSketch,
-    MomentSketch,
-    P2Quantile,
-    QuantileSketch,
-    StoppingRule,
-    merge_sketch_payloads,
-    quantile_rank_epsilon,
-    sketch_from_samples,
-    sketch_salt,
-    summary_from_sketch,
-    whp_from_sketch,
-    z_score,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_RESERVOIR",
@@ -43,3 +29,24 @@ __all__ = [
     "whp_from_sketch",
     "z_score",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.stats.sequential": (
+            "DEFAULT_RESERVOIR",
+            "BatchSketch",
+            "MomentSketch",
+            "P2Quantile",
+            "QuantileSketch",
+            "StoppingRule",
+            "merge_sketch_payloads",
+            "quantile_rank_epsilon",
+            "sketch_from_samples",
+            "sketch_salt",
+            "summary_from_sketch",
+            "whp_from_sketch",
+            "z_score",
+        ),
+    },
+)

@@ -8,43 +8,7 @@ the ``repro telemetry report`` merger, and :mod:`repro.telemetry.log` for
 stdlib ``logging`` wiring.
 """
 
-from repro.telemetry.core import (
-    Telemetry,
-    activate,
-    active,
-    count,
-    current_span_id,
-    deactivate,
-    default_process_id,
-    disable,
-    enable,
-    event,
-    gauge,
-    span,
-    timing,
-    trace_carrier,
-)
-from repro.telemetry.log import LOG_FORMAT, configure, get_logger
-from repro.telemetry.report import (
-    format_report,
-    load_events,
-    summarize_events,
-    telemetry_report,
-)
-from repro.telemetry.timeseries import (
-    TelemetryTailer,
-    render_prometheus,
-    validate_exposition,
-)
-from repro.telemetry.trace import (
-    attach_carrier,
-    attach_trace,
-    current_trace_id,
-    format_trace,
-    list_traces,
-    mint_trace_id,
-    summarize_trace,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LOG_FORMAT",
@@ -79,3 +43,46 @@ __all__ = [
     "trace_carrier",
     "validate_exposition",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.telemetry.core": (
+            "Telemetry",
+            "activate",
+            "active",
+            "count",
+            "current_span_id",
+            "deactivate",
+            "default_process_id",
+            "disable",
+            "enable",
+            "event",
+            "gauge",
+            "span",
+            "timing",
+            "trace_carrier",
+        ),
+        "repro.telemetry.log": ("LOG_FORMAT", "configure", "get_logger"),
+        "repro.telemetry.report": (
+            "format_report",
+            "load_events",
+            "summarize_events",
+            "telemetry_report",
+        ),
+        "repro.telemetry.timeseries": (
+            "TelemetryTailer",
+            "render_prometheus",
+            "validate_exposition",
+        ),
+        "repro.telemetry.trace": (
+            "attach_carrier",
+            "attach_trace",
+            "current_trace_id",
+            "format_trace",
+            "list_traces",
+            "mint_trace_id",
+            "summarize_trace",
+        ),
+    },
+)

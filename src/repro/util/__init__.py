@@ -4,13 +4,7 @@ These helpers are deliberately dependency-light so every other sub-package can
 use them without import cycles.
 """
 
-from repro.util.rng import ensure_rng, spawn_rngs, spawn_seed_sequences
-from repro.util.validation import (
-    require_in_range,
-    require_positive,
-    require_probability,
-    require_type,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ensure_rng",
@@ -21,3 +15,16 @@ __all__ = [
     "spawn_rngs",
     "spawn_seed_sequences",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.util.rng": ("ensure_rng", "spawn_rngs", "spawn_seed_sequences"),
+        "repro.util.validation": (
+            "require_in_range",
+            "require_positive",
+            "require_probability",
+            "require_type",
+        ),
+    },
+)

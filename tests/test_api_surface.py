@@ -3,14 +3,19 @@
 These guard the packaging-level promises a downstream user relies on:
 everything listed in ``__all__`` really is importable, every dynamic-graph
 model honours the common interface (including ``rng=None`` and re-use across
-runs), the package version is consistent with the project metadata, and
-the neighbour search stays behind one module.
+runs), the package version is consistent with the project metadata, the
+neighbour search stays behind one module, and SciPy and networkx load only
+on the code paths that use them.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +155,23 @@ def _imported_modules(node: ast.AST) -> set[str]:
     return names
 
 
+def _import_time_imports(body):
+    """Import statements that run when a module loads: everything outside
+    function bodies and ``if TYPE_CHECKING:`` blocks."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _import_time_imports(node.orelse)
+        else:
+            for field in ("body", "orelse", "finalbody"):
+                yield from _import_time_imports(getattr(node, field, []))
+            for handler in getattr(node, "handlers", []):
+                yield from _import_time_imports(handler.body)
+
+
 class TestImportBoundaries:
     ROOT = Path(repro.__file__).parent
 
@@ -182,3 +204,89 @@ class TestImportBoundaries:
                 if any(module.split(".")[0] == "scipy" for module in _imported_modules(body)):
                     guarded.append(name)
         assert guarded == []
+
+    #: The modules that may import networkx or SciPy when they load: the
+    #: graph substrate and the models and baselines built on networkx graphs
+    #: throughout.  Everything else imports them inside the function that
+    #: needs them, so a command that never reaches these modules loads
+    #: neither library (see TestColdImports).
+    HEAVY_IMPORTERS = {
+        "repro/baselines/meeting_time.py",
+        "repro/graphs/generators.py",
+        "repro/graphs/grid.py",
+        "repro/graphs/paths.py",
+        "repro/graphs/properties.py",
+        "repro/markov/builders.py",
+        "repro/meg/adversarial.py",
+        "repro/meg/snapshots.py",
+        "repro/mobility/random_path.py",
+    }
+
+    def test_networkx_and_scipy_load_only_in_allowlisted_modules(self):
+        importers = set()
+        for name, tree in self._sources():
+            for statement in _import_time_imports(tree.body):
+                roots = {module.split(".")[0] for module in _imported_modules(statement)}
+                if roots & {"networkx", "scipy"}:
+                    importers.add(name)
+        assert importers == self.HEAVY_IMPORTERS
+
+
+def _modules_after(code: str) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after running ``code``."""
+    src = str(Path(repro.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import contextlib, io, json, sys\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def _cli_modules(argv: list[str]) -> set[str]:
+    """``sys.modules`` after ``repro <argv>`` ran (its output discarded)."""
+    return _modules_after(
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        assert main({argv!r}) == 0\n"
+        "    except SystemExit as exit_:\n"
+        "        assert exit_.code == 0\n"
+    )
+
+
+class TestColdImports:
+    """A command loads NumPy, SciPy and networkx only when it reaches them."""
+
+    def test_import_cli_loads_no_numeric_stack(self):
+        modules = _modules_after("import repro.cli")
+        assert not modules & {"numpy", "scipy", "networkx"}
+
+    def test_version_loads_no_numpy(self):
+        assert "numpy" not in _cli_modules(["--version"])
+
+    def test_small_edge_meg_sweep_loads_no_scipy_or_networkx(self):
+        modules = _cli_modules(["sweep", "edge-meg", "--nodes", "16,32", "--trials", "2"])
+        assert "numpy" in modules
+        assert not modules & {"scipy", "networkx"}
+
+    def test_waypoint_sweep_loads_scipy_spatial_only(self):
+        modules = _cli_modules(
+            ["sweep", "waypoint", "--nodes", "8,12", "--trials", "2", "--side", "3"]
+        )
+        assert "scipy.spatial" in modules
+        assert "networkx" not in modules
+
+    def test_package_roots_resolve_lazily(self):
+        modules = _modules_after(
+            "import repro, repro.meg\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert repro.meg.base.DynamicGraph is repro.DynamicGraph\n"
+        )
+        assert "repro.meg.base" in modules
+        assert "networkx" not in modules

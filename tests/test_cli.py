@@ -195,3 +195,57 @@ class TestRunAll:
         for experiment_id in (f"E{i}" for i in range(1, 11)):
             assert f"### {experiment_id}:" in content
         assert "wrote" in capsys.readouterr().out
+
+
+class TestUnusableOutputPaths:
+    """Bad ``--json``/``--output``/``--results-dir`` paths fail before any trial runs.
+
+    Each case exits 2 with a one-line ``error:`` on stderr, prints nothing
+    on stdout (no trial ran) and creates no file.
+    """
+
+    COMMANDS = {
+        "sweep": ["sweep", "edge-meg", "--nodes", "8", "--trials", "2"],
+        "flood": ["flood", "edge-meg", "--nodes", "8", "--trials", "2"],
+        "experiment": ["experiment", "E7"],
+        "experiments-run": ["experiments", "run", "E7"],
+        "experiments-run-all": ["experiments", "run-all"],
+    }
+
+    @staticmethod
+    def _assert_refused(capsys, code, flag):
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot ")
+        assert flag in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_json_in_missing_directory(self, command, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code = main([*self.COMMANDS[command], "--json", str(target)])
+        self._assert_refused(capsys, code, "--json")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_json_path_is_a_directory(self, command, tmp_path, capsys):
+        code = main([*self.COMMANDS[command], "--json", str(tmp_path)])
+        self._assert_refused(capsys, code, "--json")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep", "flood", "experiment"])
+    def test_results_dir_that_cannot_be_created(self, command, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        json_path = tmp_path / "out.json"
+        code = main([*self.COMMANDS[command], "--results-dir", str(blocker / "store"),
+                     "--json", str(json_path)])
+        self._assert_refused(capsys, code, "--results-dir")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["file"]
+
+    def test_run_all_output_in_missing_directory(self, tmp_path, capsys):
+        code = main([*self.COMMANDS["experiments-run-all"],
+                     "--output", str(tmp_path / "missing" / "report.md")])
+        self._assert_refused(capsys, code, "--output")
+        assert list(tmp_path.iterdir()) == []

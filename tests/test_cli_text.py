@@ -1,10 +1,13 @@
-"""Pinned CLI text: every ``--help`` page, ``--version`` and the usage errors.
+"""Pinned CLI text and dispatch: help pages, ``--version``, usage errors, handlers.
 
 The goldens in ``tests/data/cli_text_golden.json`` hold the exact stdout,
 stderr and exit code of each case at ``COLUMNS=80``.  Regenerate them after
 an intended text change with::
 
     PYTHONPATH=src python tests/test_cli_text.py
+
+Every leaf command also parses a minimal valid argv to the handler it
+registers with ``set_defaults(handler=...)``.
 """
 
 from __future__ import annotations
@@ -119,3 +122,61 @@ if __name__ == "__main__":
         json.dump(goldens, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {len(goldens)} goldens to {GOLDEN_PATH}")
+
+
+#: a minimal valid argv for every leaf command, and the handler it must reach
+LEAF_HANDLERS = {
+    ("experiments", "list"): ([], "_run_experiments_list"),
+    ("experiments", "run"): (["E1"], "_run_experiments_run"),
+    ("experiments", "run-all"): ([], "_run_experiments_run_all"),
+    ("experiment",): (["E1"], "_run_experiment_pipeline"),
+    ("flood", "edge-meg"): ([], "_run_flood"),
+    ("flood", "waypoint"): ([], "_run_flood"),
+    ("flood", "grid-walk"): ([], "_run_flood"),
+    ("sweep", "edge-meg"): ([], "_run_sweep"),
+    ("sweep", "waypoint"): ([], "_run_sweep"),
+    ("sweep", "grid-walk"): ([], "_run_sweep"),
+    ("merge-results",): (["out.jsonl", "store"], "_run_merge"),
+    ("worker",): (["--spool", "spool"], "_run_worker"),
+    ("fleet", "run", "sweep", "edge-meg"): (["--spool", "s", "--shards", "2"], "_run_fleet_run"),
+    ("fleet", "run", "sweep", "waypoint"): (["--spool", "s", "--shards", "2"], "_run_fleet_run"),
+    ("fleet", "run", "sweep", "grid-walk"): (["--spool", "s", "--shards", "2"], "_run_fleet_run"),
+    ("fleet", "run", "experiment"): (["E1", "--spool", "s", "--shards", "2"], "_run_fleet_run"),
+    ("fleet", "status"): (["spool"], "_run_fleet_status"),
+    ("fleet", "top"): (["spool"], "_run_fleet_top"),
+    ("serve",): (["--spool", "s", "--results-dir", "r"], "_run_serve"),
+    ("telemetry", "report"): (["dir"], "_run_telemetry_report"),
+    ("telemetry", "trace"): ([], "_run_telemetry_trace"),
+    ("telemetry", "export"): ([], "_run_telemetry_export"),
+}
+
+
+def _leaf_paths(parser, prefix=()):
+    """Every subcommand path of ``parser`` that has no further subcommands."""
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaf_paths(child, (*prefix, name))
+            return
+    yield prefix
+
+
+def test_every_leaf_command_has_a_handler_case():
+    from repro.cli import COMMANDS, _build_parser
+
+    leaves = {
+        path for name, _, _ in COMMANDS for path in _leaf_paths(_build_parser(name))
+        if path[0] == name
+    }
+    assert leaves == set(LEAF_HANDLERS)
+
+
+@pytest.mark.parametrize("path", sorted(LEAF_HANDLERS), ids=" ".join)
+def test_leaf_parses_to_its_handler(path):
+    import repro.cli as cli
+
+    extra, handler = LEAF_HANDLERS[path]
+    args = cli._build_parser(path[0]).parse_args([*path, *extra])
+    assert args.handler is getattr(cli, handler)
