@@ -216,8 +216,11 @@ def _observability_options() -> argparse.ArgumentParser:
 
 
 def _source_parent() -> argparse.ArgumentParser:
-    """Batched-source estimators: flood/sweep only, not the registered
-    experiments (whose estimators are part of the experiment definition)."""
+    """Batched-source estimator flags.
+
+    They apply to flood and sweep, not to the registered experiments, whose
+    estimators are part of the experiment definition.
+    """
     source_parent = argparse.ArgumentParser(add_help=False)
     source_options = source_parent.add_mutually_exclusive_group()
     source_options.add_argument(
@@ -234,6 +237,7 @@ def _source_parent() -> argparse.ArgumentParser:
 
 
 def _sweep_points() -> argparse.ArgumentParser:
+    """The sweep points: node counts, trials per point and the seed."""
     sweep_points = argparse.ArgumentParser(add_help=False)
     sweep_points.add_argument(
         "--nodes", type=_int_list, default=[64, 128, 256], metavar="N1,N2,...",
@@ -245,7 +249,7 @@ def _sweep_points() -> argparse.ArgumentParser:
 
 
 #: help of each sweep family's subcommand (``sweep`` and ``fleet run sweep``)
-FAMILY_HELP = {
+_FAMILY_HELP = {
     "edge-meg": "edge-MEG at constant expected degree",
     "waypoint": "random waypoint over a fixed square",
     "grid-walk": "random walks over a fixed augmented grid",
@@ -401,7 +405,7 @@ def _add_sweep(subparsers, name: str, help_text: str) -> None:
     family_params = _family_parameters()
     for family in SWEEP_FAMILIES:
         sweep_sub.add_parser(
-            family, parents=[*parents, family_params[family]], help=FAMILY_HELP[family],
+            family, parents=[*parents, family_params[family]], help=_FAMILY_HELP[family],
         ).set_defaults(handler=_run_sweep)
 
 
@@ -535,7 +539,7 @@ def _add_fleet(subparsers, name: str, help_text: str) -> None:
     family_params = _family_parameters()
     for family in SWEEP_FAMILIES:
         fleet_sweep_sub.add_parser(
-            family, parents=[*parents, family_params[family]], help=FAMILY_HELP[family],
+            family, parents=[*parents, family_params[family]], help=_FAMILY_HELP[family],
         ).set_defaults(handler=_run_fleet_run)
     fleet_experiment = fleet_run_sub.add_parser(
         "experiment", parents=[engine_options, fleet_options, observability_options],
