@@ -430,6 +430,25 @@ def _store_payload(
     return payload
 
 
+def _run_model(spec: TrialSpec) -> DynamicGraph:
+    """The model one run floods: built once, and never the caller's object.
+
+    Trials step their model in place, and a wrapped model may key the store
+    on its pickled state, so a wrapped instance is flooded as the same
+    pickle round-trip a pool worker receives; the caller's object (and so
+    the key of a re-run) stays as it was.  Unpicklable models key on their
+    ``id()``, which stepping cannot move, and are flooded as they are.
+    """
+    model = spec.build_model()
+    if spec.wraps_model:
+        try:
+            frozen = pickle.dumps(model)
+        except (pickle.PicklingError, TypeError, AttributeError):
+            return model
+        return pickle.loads(frozen)
+    return model
+
+
 def _chunk_evenly(items: Sequence, chunks: int) -> list[list]:
     """Split ``items`` into ``chunks`` contiguous, near-equal parts."""
     base, remainder = divmod(len(items), chunks)
@@ -675,7 +694,7 @@ class Engine:
             # stochastic factory then contributes one realization shared by
             # every trial, so serial and parallel runs sample the same
             # process.
-            model = spec.build_model()
+            model = _run_model(spec)
             if spec.stopping is not None:
                 outcomes, stopped_early = self._execute_adaptive(spec, model, seeds)
             else:
@@ -770,7 +789,7 @@ class Engine:
 
             all_seeds = trial_seeds(spec, key_material)
             shard_seeds = [all_seeds[i] for i in shard.trial_indices]
-            model = spec.build_model()
+            model = _run_model(spec)
             outcomes = self._execute_trials(spec, model, shard_seeds) if shard_seeds else []
             result = BatchResult(
                 label=spec.label,

@@ -12,7 +12,9 @@ stationarity estimators in :mod:`repro.core` work uniformly:
 * ``current_edges()`` — the edge set of the current snapshot;
 * ``edge_pairs()`` — the same edges as an ``(m, 2)`` index array, the one
   form the dense and sparse adjacency views derive from (models holding
-  their snapshot as arrays override it);
+  their snapshot as arrays override it; :class:`PairIndexedGraph` and
+  :class:`StateInducedGraph` derive every view for the two array-backed
+  snapshot shapes);
 * ``neighbors_of_set(nodes)`` — all nodes adjacent to a given set in the
   current snapshot (the only query flooding needs; models may override it
   with something faster than scanning every edge).
@@ -116,9 +118,9 @@ class DynamicGraph(abc.ABC):
         vectorized flooding kernel.  The result may include members of
         ``informed`` itself; flooding callers union it with the informed mask
         anyway.  The default reduces the adjacency rows of the informed
-        nodes; models whose edges are induced by per-node state (node-MEGs,
-        the graph mobility models) override it with a state-level update that
-        never materialises the ``n x n`` matrix.
+        nodes; :class:`StateInducedGraph` (node-MEGs, the graph mobility
+        models) overrides it with a class-level update that never
+        materialises the ``n x n`` matrix.
         """
         return self.adjacency_matrix()[np.asarray(informed, dtype=bool)].any(axis=0)
 
@@ -129,8 +131,8 @@ class DynamicGraph(abc.ABC):
         one-round update of ``B`` floods sharing this snapshot.  The generic
         implementation multiplies the dense adjacency (the batched kernel in
         :mod:`repro.engine.kernel` hoists its own scratch buffers instead of
-        calling this); the state-induced families override it with a
-        state-level update that never touches the ``n x n`` matrix.
+        calling this); :class:`StateInducedGraph` overrides it with a
+        class-level update that never touches the ``n x n`` matrix.
         """
         informed = np.asarray(informed, dtype=bool)
         accumulator = np.float32 if self.num_nodes < 2**24 else np.intp
@@ -156,16 +158,10 @@ class DynamicGraph(abc.ABC):
 
         The sparse flooding kernel of :mod:`repro.engine` advances informed
         vectors with a sparse matvec, which beats the dense kernel on large,
-        sparse snapshots (cost ``O(m)`` per step instead of ``O(n^2)``).  The
-        generic implementation builds the CSR from :meth:`edge_pairs`; only
-        models that override :meth:`adjacency_matrix` but not
-        :meth:`edge_pairs` compress their dense adjacency instead.  Callers
-        must treat the returned matrix as read-only.
+        sparse snapshots (cost ``O(m)`` per step instead of ``O(n^2)``).  It
+        is built from :meth:`edge_pairs`; callers must treat the returned
+        matrix as read-only.
         """
-        if overrides(self, "adjacency_matrix") and not overrides(self, "edge_pairs"):
-            import scipy.sparse
-
-            return scipy.sparse.csr_matrix(self.adjacency_matrix(), dtype=np.intp)
         return sparse_adjacency_from_pairs(self.num_nodes, self.edge_pairs())
 
     def cache_token(self) -> dict:
@@ -218,7 +214,7 @@ class DynamicGraph(abc.ABC):
 
     def edge_count(self) -> int:
         """Number of edges in the current snapshot."""
-        return sum(1 for _ in self.current_edges())
+        return int(self.edge_pairs().shape[0])
 
     def run(self, steps: int) -> None:
         """Advance the process by ``steps`` time steps."""
@@ -335,8 +331,84 @@ class PairIndexedGraph(DynamicGraph):
         from_j = np.isin(pairs[:, 1], node_array)
         return set(pairs[from_i, 1].tolist()) | set(pairs[from_j, 0].tolist())
 
-    def edge_count(self) -> int:
-        return int(self.edge_pairs().shape[0])
+
+class StateInducedGraph(DynamicGraph):
+    """A dynamic graph whose edges are induced by one class per node.
+
+    Distinct nodes ``u`` and ``v`` are adjacent exactly when
+    ``relation[c(u), c(v)]`` holds, for a symmetric boolean ``k x k``
+    relation over the classes.  This is the paper's node-MEG ``NM(n, M, C)``
+    (the class is the node's state and the relation is ``C``) and, with the
+    state mapped to a point and the relation a hop ball, the random-path and
+    random-walk models of Section 4.1.  Subclasses supply the two hooks
+    :meth:`_node_classes` and :meth:`_class_relation`; every snapshot view
+    derives from them here.  The reach updates work at class level and never
+    materialise the ``n x n`` adjacency.
+    """
+
+    @abc.abstractmethod
+    def _node_classes(self) -> np.ndarray:
+        """Class index of every node (raises before :meth:`reset`)."""
+
+    @abc.abstractmethod
+    def _class_relation(self) -> np.ndarray:
+        """The symmetric boolean ``k x k`` relation over the classes."""
+
+    def adjacency_matrix(self) -> np.ndarray:
+        """Dense boolean adjacency: the relation gathered at the node classes."""
+        classes = self._node_classes()
+        matrix = self._class_relation()[np.ix_(classes, classes)]
+        np.fill_diagonal(matrix, False)
+        return matrix
+
+    def edge_pairs(self) -> np.ndarray:
+        pairs = np.argwhere(self.adjacency_matrix())
+        return pairs[pairs[:, 0] < pairs[:, 1]]
+
+    def current_edges(self) -> Iterator[tuple[int, int]]:
+        pairs = self.edge_pairs()
+        return zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())
+
+    def neighbors_of_set(self, nodes: Set[int]) -> set[int]:
+        classes = self._node_classes()
+        if not nodes:
+            return set()
+        node_array = np.fromiter(nodes, dtype=np.intp)
+        rows = self._class_relation()[np.ix_(classes[node_array], classes)]
+        rows[np.arange(node_array.size), node_array] = False
+        return set(np.flatnonzero(rows.any(axis=0)).tolist())
+
+    def reach_mask(self, informed: np.ndarray) -> np.ndarray:
+        """Class-level flooding update, ``O(n + k * |informed classes|)``.
+
+        A node is reached when its class relates to the class of some
+        informed node.  Informed nodes may appear in the result; flooding
+        unions them anyway, so the self-edge exclusion is immaterial.
+        """
+        classes = self._node_classes()
+        informed = np.asarray(informed, dtype=bool)
+        return self._class_relation()[classes[informed]].any(axis=0)[classes]
+
+    def reach_mask_batch(self, informed: np.ndarray) -> np.ndarray:
+        """Class-level batched update over an ``n x B`` informed matrix.
+
+        Column for column the booleans of :meth:`reach_mask`: informed nodes
+        are scattered into a ``k x B`` class-occupancy table, the relation
+        marks the related classes, and the result is gathered back at the
+        node classes — ``O(nB + k^2 B)`` instead of ``O(n^2 B)``.
+        """
+        classes = self._node_classes()
+        relation = self._class_relation()
+        informed = np.asarray(informed, dtype=bool)
+        k = relation.shape[0]
+        occupied = np.zeros((k, informed.shape[1]), dtype=bool)
+        nodes, columns = np.nonzero(informed)
+        occupied[classes[nodes], columns] = True
+        # Exact: the float32 product counts informed related classes (integers
+        # well below 2**24); a nonzero count means reached.
+        accumulator = np.float32 if k < 2**24 else np.intp
+        connected = (relation.astype(accumulator) @ occupied.astype(accumulator)) != 0
+        return connected[classes, :]
 
 
 def edges_from_adjacency_matrix(matrix: np.ndarray) -> list[tuple[int, int]]:

@@ -18,12 +18,12 @@ and the ratio ``eta = P_NM2 / P_NM**2`` that Theorem 3 consumes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.markov.chain import MarkovChain
-from repro.meg.base import DynamicGraph, edges_from_adjacency_matrix
+from repro.meg.base import StateInducedGraph
 from repro.util.rng import RNGLike, ensure_rng
 from repro.util.validation import require_node_count
 
@@ -52,8 +52,12 @@ def _connection_matrix(chain: MarkovChain, connection: ConnectionLike) -> np.nda
     return matrix.copy()
 
 
-class NodeMEG(DynamicGraph):
+class NodeMEG(StateInducedGraph):
     """A node-Markovian evolving graph ``NM(n, M, C)``.
+
+    Its snapshot views come from :class:`~repro.meg.base.StateInducedGraph`:
+    the node states are the classes and ``C`` is the relation, so the dense
+    adjacency is one gather and flooding updates work at state level.
 
     Parameters
     ----------
@@ -67,9 +71,6 @@ class NodeMEG(DynamicGraph):
     initial_distribution:
         Optional per-node initial distribution over states (defaults to the
         stationary distribution of ``chain`` — a stationary node-MEG).
-    include_self_state_loops:
-        Node-MEG edges connect *distinct* nodes only; this flag is unused for
-        self-edges but kept for API clarity (self edges never exist).
     """
 
     def __init__(
@@ -100,7 +101,6 @@ class NodeMEG(DynamicGraph):
         self._cumulative = np.cumsum(chain.transition_matrix, axis=1)
         self._states: Optional[np.ndarray] = None
         self._rng: Optional[np.random.Generator] = None
-        self._adjacency_cache: Optional[np.ndarray] = None
         self._time = 0
 
     # ------------------------------------------------------------------ #
@@ -157,7 +157,6 @@ class NodeMEG(DynamicGraph):
         self._states = self._rng.choice(
             self._chain.num_states, size=self._num_nodes, p=self._initial_distribution
         )
-        self._adjacency_cache = None
 
     def step(self) -> None:
         if self._states is None or self._rng is None:
@@ -166,7 +165,6 @@ class NodeMEG(DynamicGraph):
         rows = self._cumulative[self._states]
         nxt = (rows < u[:, None]).sum(axis=1)
         self._states = np.minimum(nxt, self._chain.num_states - 1)
-        self._adjacency_cache = None
         self._time += 1
 
     def node_states(self) -> np.ndarray:
@@ -181,79 +179,17 @@ class NodeMEG(DynamicGraph):
         labels = self._chain.states
         return [labels[i] for i in states]
 
-    def _adjacency(self) -> np.ndarray:
+    def _node_classes(self) -> np.ndarray:
         if self._states is None:
             raise RuntimeError("call reset() before querying the snapshot")
-        if self._adjacency_cache is None:
-            adjacency = self._connection[np.ix_(self._states, self._states)].copy()
-            np.fill_diagonal(adjacency, False)
-            self._adjacency_cache = adjacency
-        return self._adjacency_cache
+        return self._states
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency of the current snapshot (cached per step).
-
-        A node-MEG snapshot is the connection matrix gathered at the current
-        node states, so the whole matrix is one fancy-indexing operation; the
-        override lets ``backend="auto"`` route node-MEG flooding through the
-        vectorized kernel.  The returned array is the per-step cache — treat
-        it as read-only.
-        """
-        return self._adjacency()
-
-    def current_edges(self) -> Iterator[tuple[int, int]]:
-        return iter(edges_from_adjacency_matrix(self._adjacency()))
-
-    def neighbors_of_set(self, nodes) -> set[int]:
-        if not nodes:
-            return set()
-        adjacency = self._adjacency()
-        node_array = np.fromiter(nodes, dtype=int)
-        reached_mask = adjacency[node_array].any(axis=0)
-        return set(np.nonzero(reached_mask)[0].tolist())
-
-    def reach_mask(self, informed: np.ndarray) -> np.ndarray:
-        """State-level flooding update, ``O(n + k * |informed states|)``.
-
-        Node-MEG edges depend only on the endpoint states, so a node is
-        reached exactly when its state connects to the state of some informed
-        node — the update never needs the ``n x n`` adjacency.  (Members of
-        ``informed`` may appear in the result; flooding unions them anyway,
-        so the n-level self-edge exclusion is immaterial.)
-        """
-        if self._states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        informed = np.asarray(informed, dtype=bool)
-        connected_states = self._connection[:, self._states[informed]].any(axis=1)
-        return connected_states[self._states]
-
-    def reach_mask_batch(self, informed: np.ndarray) -> np.ndarray:
-        """State-level batched update over an ``n x B`` informed matrix.
-
-        Column for column the same booleans as :meth:`reach_mask`: for every
-        column the set of *states* occupied by its informed nodes is
-        scattered into a ``k x B`` occupancy table, connected states are
-        found against the connection matrix, and the result is gathered back
-        at the node states — ``O(nB + k^2 B)`` instead of the dense kernel's
-        ``O(n^2 B)``.
-        """
-        if self._states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        informed = np.asarray(informed, dtype=bool)
-        k = self._chain.num_states
-        occupied = np.zeros((k, informed.shape[1]), dtype=bool)
-        nodes, columns = np.nonzero(informed)
-        occupied[self._states[nodes], columns] = True
-        connected = (self._connection[:, :, None] & occupied[None, :, :]).any(axis=1)
-        return connected[self._states, :]
+    def _class_relation(self) -> np.ndarray:
+        return self._connection
 
     def trial_batch(self, count: int) -> "_NodeMEGTrialBatch":
         """Fast batched-trial runner (see :mod:`repro.engine.batch`)."""
         return _NodeMEGTrialBatch(self, count)
-
-    def edge_count(self) -> int:
-        adjacency = self._adjacency()
-        return int(np.triu(adjacency, k=1).sum())
 
 
 class _NodeMEGTrialBatch:

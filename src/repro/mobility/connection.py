@@ -71,8 +71,8 @@ def neighbors_within_radius(
 ) -> Set[int]:
     """Indices of all agents within ``radius`` of at least one source agent.
 
-    The result excludes the source indices themselves unless another source
-    happens to be within range of a source.
+    The result never contains a source index, even when another source lies
+    within range of it.
     """
     require_positive(radius, "radius", strict=False)
     pts = np.asarray(positions, dtype=float)

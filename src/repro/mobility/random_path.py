@@ -20,7 +20,7 @@ Both classes can export the exact per-agent Markov chain
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Hashable, Iterator, Optional
+from typing import Hashable, Optional
 
 import networkx as nx
 import numpy as np
@@ -28,14 +28,14 @@ import numpy as np
 from repro.graphs.grid import hop_ball_matrix, nodes_within_hops
 from repro.graphs.paths import PathFamily, edge_paths
 from repro.markov.chain import MarkovChain
-from repro.meg.base import DynamicGraph
+from repro.meg.base import StateInducedGraph
 from repro.util.rng import RNGLike, ensure_rng
 from repro.util.validation import require_node_count
 
 Point = Hashable
 
 
-class RandomPathModel(DynamicGraph):
+class RandomPathModel(StateInducedGraph):
     """The random-path mobility model ``RP = (H, P)`` as a dynamic graph.
 
     Parameters
@@ -140,7 +140,6 @@ class RandomPathModel(DynamicGraph):
 
         self._agent_states: Optional[np.ndarray] = None
         self._rng: Optional[np.random.Generator] = None
-        self._edges_cache: Optional[list[tuple[int, int]]] = None
         self._stationary_cache: Optional[np.ndarray] = None
         self._time = 0
 
@@ -263,7 +262,6 @@ class RandomPathModel(DynamicGraph):
                 )
             ]
             self._agent_states = np.array(starts, dtype=int)
-        self._edges_cache = None
 
     def step(self) -> None:
         if self._agent_states is None or self._rng is None:
@@ -289,7 +287,6 @@ class RandomPathModel(DynamicGraph):
                 draws = self._rng.integers(0, self._entry_count[end_states])
                 advanced[at_end] = self._entry_matrix[end_states, draws]
             self._agent_states = advanced
-        self._edges_cache = None
         self._time += 1
 
     def _step_one_agent(self, agent: int) -> None:
@@ -307,76 +304,16 @@ class RandomPathModel(DynamicGraph):
             raise RuntimeError("call reset() before querying positions")
         return [self._state_point[s] for s in self._agent_states]
 
-    def _compute_edges(self) -> list[tuple[int, int]]:
-        points = self.agent_points()
-        by_point: dict[Point, list[int]] = defaultdict(list)
-        for agent, point in enumerate(points):
-            by_point[point].append(agent)
-        edges: set[tuple[int, int]] = set()
-        for agent, point in enumerate(points):
-            for other_point in self._point_ball[point]:
-                for other in by_point.get(other_point, ()):
-                    if other != agent:
-                        edges.add((min(agent, other), max(agent, other)))
-        return sorted(edges)
-
-    def current_edges(self) -> Iterator[tuple[int, int]]:
+    def _node_classes(self) -> np.ndarray:
         if self._agent_states is None:
             raise RuntimeError("call reset() before querying the snapshot")
-        if self._edges_cache is None:
-            self._edges_cache = self._compute_edges()
-        return iter(self._edges_cache)
+        return self._state_point_index[self._agent_states]
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency gathered from the point-ball matrix."""
-        if self._agent_states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        points = self._state_point_index[self._agent_states]
-        matrix = self._point_ball_matrix[np.ix_(points, points)]
-        np.fill_diagonal(matrix, False)
-        return matrix
-
-    def reach_mask(self, informed: np.ndarray) -> np.ndarray:
-        """Point-level flooding update through the point-ball matrix."""
-        if self._agent_states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        informed = np.asarray(informed, dtype=bool)
-        points = self._state_point_index[self._agent_states]
-        connected_points = self._point_ball_matrix[points[informed]].any(axis=0)
-        return connected_points[points]
-
-    def reach_mask_batch(self, informed: np.ndarray) -> np.ndarray:
-        """Point-level batched update over an ``n x B`` informed matrix.
-
-        Column for column the same booleans as :meth:`reach_mask`, computed
-        at point level: informed agents are scattered into a point-occupancy
-        table, the (symmetric) point-ball matrix marks connected points, and
-        the result is gathered back at the agents' points — ``O(nB + P^2 B)``
-        in the number of mobility-graph points ``P`` instead of ``O(n^2 B)``.
-        """
-        if self._agent_states is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        points = self._state_point_index[self._agent_states]
-        return _point_reach_batch(points, self._point_ball_matrix, informed)
+    def _class_relation(self) -> np.ndarray:
+        return self._point_ball_matrix
 
 
-def _point_reach_batch(
-    points: np.ndarray, ball_matrix: np.ndarray, informed: np.ndarray
-) -> np.ndarray:
-    """Batched point-level reach shared by the graph mobility models."""
-    informed = np.asarray(informed, dtype=bool)
-    num_points = ball_matrix.shape[0]
-    occupied = np.zeros((num_points, informed.shape[1]), dtype=bool)
-    nodes, columns = np.nonzero(informed)
-    occupied[points[nodes], columns] = True
-    # Exact: the float32 product counts informed point-neighbours (integers
-    # well below 2**24); nonzero count = connected, as in reach_mask.
-    accumulator = np.float32 if num_points < 2**24 else np.intp
-    connected = (ball_matrix.astype(accumulator) @ occupied.astype(accumulator)) != 0
-    return connected[points, :]
-
-
-class GraphRandomWalkMobility(DynamicGraph):
+class GraphRandomWalkMobility(StateInducedGraph):
     """Independent random walks over a mobility graph ``H`` (``rho = 1``).
 
     Agents occupy the vertices of ``H``; at every step each agent moves to a
@@ -417,22 +354,11 @@ class GraphRandomWalkMobility(DynamicGraph):
         self._radius_hops = radius_hops
         self._holding_probability = holding_probability
         self._stationary_start = stationary_start
-        self._ball_indices: list[np.ndarray] = []
-        for point in self._points:
-            if radius_hops == 0:
-                ball = {point}
-            else:
-                ball = nodes_within_hops(graph, point, radius_hops)
-            self._ball_indices.append(
-                np.array(sorted(self._point_index[p] for p in ball), dtype=int)
-            )
-        # Point-level ball relation as one boolean matrix (snapshot adjacency
-        # is a single gather) and the neighbour lists padded into one integer
-        # matrix (whole-population steps draw broadcast bounded integers).
+        # The point-level ball relation (the snapshot's class relation) and
+        # the neighbour lists padded into one integer matrix (whole-population
+        # steps draw broadcast bounded integers).
         k = len(self._points)
-        self._ball_matrix = np.zeros((k, k), dtype=bool)
-        for i, ball in enumerate(self._ball_indices):
-            self._ball_matrix[i, ball] = True
+        self._ball_matrix = hop_ball_matrix(graph, radius_hops, self._points)
         self._degree_counts = np.array(
             [len(nbrs) for nbrs in self._neighbors], dtype=np.intp
         )
@@ -443,7 +369,6 @@ class GraphRandomWalkMobility(DynamicGraph):
             self._neighbor_matrix[i, : len(nbrs)] = nbrs
         self._agent_points: Optional[np.ndarray] = None
         self._rng: Optional[np.random.Generator] = None
-        self._edges_cache: Optional[list[tuple[int, int]]] = None
         self._time = 0
 
     @property
@@ -474,7 +399,6 @@ class GraphRandomWalkMobility(DynamicGraph):
             self._agent_points = self._rng.choice(k, size=self._num_nodes, p=probabilities)
         else:
             self._agent_points = self._rng.integers(0, k, size=self._num_nodes)
-        self._edges_cache = None
 
     def step(self) -> None:
         if self._agent_points is None or self._rng is None:
@@ -495,7 +419,6 @@ class GraphRandomWalkMobility(DynamicGraph):
             points = self._agent_points
             draws = self._rng.integers(0, self._degree_counts[points])
             self._agent_points = self._neighbor_matrix[points, draws]
-        self._edges_cache = None
         self._time += 1
 
     def agent_points(self) -> list:
@@ -504,51 +427,13 @@ class GraphRandomWalkMobility(DynamicGraph):
             raise RuntimeError("call reset() before querying positions")
         return [self._points[i] for i in self._agent_points]
 
-    def _compute_edges(self) -> list[tuple[int, int]]:
-        assert self._agent_points is not None
-        by_point: dict[int, list[int]] = defaultdict(list)
-        for agent, point_index in enumerate(self._agent_points):
-            by_point[int(point_index)].append(agent)
-        edges: set[tuple[int, int]] = set()
-        for agent, point_index in enumerate(self._agent_points):
-            for other_point in self._ball_indices[int(point_index)]:
-                for other in by_point.get(int(other_point), ()):
-                    if other != agent:
-                        edges.add((min(agent, other), max(agent, other)))
-        return sorted(edges)
-
-    def current_edges(self) -> Iterator[tuple[int, int]]:
+    def _node_classes(self) -> np.ndarray:
         if self._agent_points is None:
             raise RuntimeError("call reset() before querying the snapshot")
-        if self._edges_cache is None:
-            self._edges_cache = self._compute_edges()
-        return iter(self._edges_cache)
+        return self._agent_points
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency gathered from the point-ball matrix."""
-        if self._agent_points is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        points = self._agent_points
-        matrix = self._ball_matrix[np.ix_(points, points)]
-        np.fill_diagonal(matrix, False)
-        return matrix
-
-    def reach_mask(self, informed: np.ndarray) -> np.ndarray:
-        """Point-level flooding update: reached iff the agent's point lies in
-        the ball of some informed agent's point (``O(n + k |informed|)``)."""
-        if self._agent_points is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        informed = np.asarray(informed, dtype=bool)
-        points = self._agent_points
-        connected_points = self._ball_matrix[points[informed]].any(axis=0)
-        return connected_points[points]
-
-    def reach_mask_batch(self, informed: np.ndarray) -> np.ndarray:
-        """Point-level batched update over an ``n x B`` informed matrix
-        (column for column the booleans of :meth:`reach_mask`)."""
-        if self._agent_points is None:
-            raise RuntimeError("call reset() before querying the snapshot")
-        return _point_reach_batch(self._agent_points, self._ball_matrix, informed)
+    def _class_relation(self) -> np.ndarray:
+        return self._ball_matrix
 
     def edge_probability(self) -> float:
         """Stationary probability that two fixed agents are connected.

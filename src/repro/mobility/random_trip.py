@@ -258,9 +258,6 @@ class RandomTrip(DynamicGraph):
     def sparse_adjacency(self):
         return sparse_adjacency_from_pairs(self._num_nodes, self.edge_pairs())
 
-    def edge_count(self) -> int:
-        return int(self.edge_pairs().shape[0])
-
     def expected_degree_estimate(self) -> float:
         """Rough stationary expected degree ``(n - 1) * pi r^2 / L^2``.
 

@@ -213,9 +213,6 @@ class RandomWalkMobility(DynamicGraph):
         """Dense boolean adjacency scattered from the k-d tree's edge pairs."""
         return dense_adjacency_from_pairs(self._num_nodes, self.edge_pairs())
 
-    def edge_count(self) -> int:
-        return int(self.edge_pairs().shape[0])
-
     def expected_degree_estimate(self) -> float:
         """Rough stationary expected degree ``(n - 1) * pi r^2 / area``."""
         area = max(self.side_length, self._spacing) ** 2

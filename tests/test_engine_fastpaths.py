@@ -34,11 +34,16 @@ from repro.engine import (
     resolve_backend,
 )
 from repro.graphs.grid import augmented_grid_graph, grid_graph, hop_ball_matrix
+from repro.graphs.paths import shortest_path_family
 from repro.markov.builders import random_walk_on_graph
 from repro.meg.base import DynamicGraph, StaticGraphProcess, overrides
 from repro.meg.edge_meg import EdgeMEG
 from repro.meg.node_meg import NodeMEG
-from repro.mobility.random_path import GraphRandomWalkMobility, random_walk_path_model
+from repro.mobility.random_path import (
+    GraphRandomWalkMobility,
+    RandomPathModel,
+    random_walk_path_model,
+)
 from repro.mobility.random_walk import RandomWalkMobility
 from repro.mobility.random_waypoint import RandomWaypoint
 
@@ -57,14 +62,20 @@ def _family_models() -> dict[str, DynamicGraph]:
         "edge-meg": EdgeMEG(30, p=0.1, q=0.3),
         "node-meg": _node_meg(30),
         "grid": GraphRandomWalkMobility(24, augmented_grid_graph(4, 2), radius_hops=1),
+        "random-path": RandomPathModel(
+            24, shortest_path_family(grid_graph(4)), radius_hops=1, holding_probability=0.25
+        ),
         "mobility": RandomWaypoint(24, side=4.0, radius=1.2, v_min=1.0),
     }
+
+
+FAMILIES = list(_family_models())
 
 
 class TestCrossFamilyKernelAgreement:
     """Satellite: set-based, dense and sparse kernels agree on every family."""
 
-    @pytest.mark.parametrize("family", ["edge-meg", "node-meg", "grid", "mobility"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_single_source_kernels_identical(self, family):
         model = _family_models()[family]
         for seed in range(4):
@@ -73,7 +84,7 @@ class TestCrossFamilyKernelAgreement:
             via_sparse = flood_sparse(model, rng=seed)
             assert via_set == via_dense == via_sparse
 
-    @pytest.mark.parametrize("family", ["edge-meg", "node-meg", "grid", "mobility"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_source_batch_kernels_identical(self, family):
         model = _family_models()[family]
         sources = [0, 5, model.num_nodes - 1]
@@ -83,7 +94,7 @@ class TestCrossFamilyKernelAgreement:
             via_sparse = flood_sources_batch(model, sources, rng=seed, backend="sparse")
             assert via_set == via_dense == via_sparse
 
-    @pytest.mark.parametrize("family", ["edge-meg", "node-meg", "grid", "mobility"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_engine_backends_identical(self, family):
         samples = {}
         for backend in ("set", "vectorized", "sparse"):
@@ -95,7 +106,7 @@ class TestCrossFamilyKernelAgreement:
 
 
 class TestFastSnapshotInterfaces:
-    @pytest.mark.parametrize("family", ["edge-meg", "node-meg", "grid", "mobility"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_adjacency_override_matches_generic(self, family):
         model = _family_models()[family]
         assert overrides(model, "adjacency_matrix")
@@ -106,7 +117,7 @@ class TestFastSnapshotInterfaces:
         assert np.array_equal(fast, fast.T)
         assert not fast.diagonal().any()
 
-    @pytest.mark.parametrize("family", ["edge-meg", "node-meg", "grid", "mobility"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_sparse_adjacency_matches_dense(self, family):
         model = _family_models()[family]
         model.reset(5)

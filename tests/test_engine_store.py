@@ -4,17 +4,33 @@ from __future__ import annotations
 
 import json
 
+import networkx as nx
 import numpy as np
+import pytest
 
-from repro.engine import Engine, ResultStore, TrialSpec, jsonify
+from repro.engine import Engine, ResultStore, ShardSpec, TrialSpec, jsonify
+from repro.experiments.registry import colocation_node_meg_model
 from repro.experiments.runner import measure_flooding_sweep
+from repro.graphs.grid import augmented_grid_graph, grid_graph
+from repro.graphs.paths import edge_paths
+from repro.meg.base import StaticGraphProcess
 from repro.meg.edge_meg import EdgeMEG
+from repro.mobility.random_path import GraphRandomWalkMobility, RandomPathModel
 from repro.telemetry import core as telemetry
 
 
 def make_sweep_model(num_nodes: int) -> EdgeMEG:
     """Module-level sweep factory with a stable cache identity."""
     return EdgeMEG(num_nodes, p=0.1, q=0.3)
+
+
+def _state_keyed_model(family: str):
+    """A wrapped model without a parameter-level cache token."""
+    if family == "node-meg":
+        return colocation_node_meg_model(12, 3)
+    if family == "grid-walk":
+        return GraphRandomWalkMobility(12, augmented_grid_graph(3, 1), radius_hops=1)
+    return RandomPathModel(12, edge_paths(grid_graph(3)), radius_hops=1)
 
 
 class TestJsonify:
@@ -185,6 +201,35 @@ class TestEngineCaching:
         )
         assert second.from_cache
         assert second.flooding_times == first.flooding_times
+
+    @pytest.mark.parametrize("family", ["node-meg", "grid-walk", "random-path"])
+    @pytest.mark.parametrize(
+        "engine_kwargs", [{}, {"workers": 2, "executor": "thread"}], ids=["serial", "thread"]
+    )
+    def test_wrapped_model_rerun_hits(self, tmp_path, family, engine_kwargs):
+        # These models key on their pickled state, so the engine must flood a
+        # private copy: stepping the caller's object would move the key.
+        model = _state_keyed_model(family)
+        engine = Engine(store=ResultStore(tmp_path), **engine_kwargs)
+        spec = TrialSpec.from_model(model, num_trials=4, seed=5)
+        first = engine.run(spec)
+        second = engine.run(spec)
+        assert not first.from_cache
+        assert second.from_cache
+        assert second.flooding_times == first.flooding_times
+        sharded = Engine(store=ResultStore(tmp_path / "shards"), **engine_kwargs)
+        shard = ShardSpec(spec, 1, 2)
+        assert not sharded.run_shard(shard).from_cache
+        assert sharded.run_shard(shard).from_cache
+
+    def test_unpicklable_wrapped_model_runs_serially(self, tmp_path):
+        model = StaticGraphProcess(nx.path_graph(5))
+        model.hook = lambda: None  # a lambda attribute makes the model unpicklable
+        engine = Engine(store=ResultStore(tmp_path))
+        spec = TrialSpec.from_model(model, num_trials=2, seed=1)
+        first = engine.run(spec)
+        assert first.flooding_times == (4, 4)
+        assert engine.run(spec).from_cache
 
     def test_no_store_never_caches(self):
         engine = Engine()

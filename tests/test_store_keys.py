@@ -154,6 +154,41 @@ class TestGoldenKeys:
             "f0c5e1b8438384eb7fc97e9b8e18da78de713d22cffde703de1819d17ed25e81",
         ]
 
+    def test_state_induced_factory_keys(self):
+        # Node-MEG, random-path and graph-walk jobs are factory-keyed too, so
+        # moving their snapshot code into a shared base cannot move them.
+        e2 = compile_request(experiment_request("E2", seed=3))
+        assert e2.store_keys == [
+            "3222d0d720e3458c96ac4429a3387d379b9f6bb0d70c4d1d16af5f45b0157b6f",
+            "a821191c117eb3d11dfc9c5bb63357612130ddff36beadd3bc28f12284ccad94",
+            "09b234877f6b42b0d0c38a86bd86a9e4ddeac2841f6470d7e1d82892e8afde7a",
+        ]
+        e5 = compile_request(experiment_request("E5", seed=3))
+        assert e5.store_keys == [
+            "b5df7f018be580874baa8aa54bf6d58e2714ba57068eaf8c5181d9306b90411b",
+            "926aca21078da2ccf0e039238cdc3db925edb013f7f11007fc7aea7d2db22403",
+            "f3a5f0fef91e23b7f1cd8ba2d6a4f4fa972600e0b41607deb53dfccd0ccf499b",
+        ]
+        e6 = compile_request(experiment_request("E6", seed=3))
+        assert e6.store_keys == [
+            "0ecaf39095a3dce075c0692c3e5a185789bc7f77b5ec5d5f2334946d8fd4ed5f",
+            "81f20aba38636836d975344e5f99350eb553992201d6d4e4e0a62b99056f11a9",
+            "ac0d7addaf2cbde2960147fb4cb7dad979dbf1943bda3cfe47876ea32848495c",
+        ]
+        sweep = compile_request(sweep_request("grid-walk", [24], 4, seed=7))
+        assert sweep.store_keys == [
+            "998d1015060de34e52922bdb26a8b66c23b5c37c672a8882cc85bfe325bdc302"
+        ]
+
+    def test_wrapped_grid_walk_key(self):
+        # A wrapped GraphRandomWalkMobility keys on its pickled attributes;
+        # the key moved (from 7d74a163…) when the per-class snapshot caches
+        # and ball lists gave way to the shared state-induced base.
+        plan = compile_request(flood_request("grid-walk", 3, seed=1))
+        assert plan.store_keys == [
+            "0cc889acfc8f33dd0cdd24262efa5b81ff90ce048c736a845e5849b999840112"
+        ]
+
     def test_sketch_salt(self):
         assert sketch_salt(seed_token(spawn_seed_sequences(7, 5))) == 3848894767485456737
         assert shard_module.batch_salt(SeedRange.of(7, 5)) == 3848894767485456737
