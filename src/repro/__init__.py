@@ -36,34 +36,7 @@ sub-packages hold the full API:
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "DynamicGraph",
-    "EdgeMEG",
-    "Engine",
-    "FloodingResult",
-    "GeneralEdgeMEG",
-    "MarkovChain",
-    "NodeMEG",
-    "RandomPathModel",
-    "RandomWalkMobility",
-    "RandomWaypoint",
-    "ResultStore",
-    "ShardSpec",
-    "SnapshotReplay",
-    "TrialSpec",
-    "__version__",
-    "corollary4_bound",
-    "corollary5_bound",
-    "corollary6_bound",
-    "edge_meg_general_bound",
-    "flood",
-    "flooding_time",
-    "theorem1_bound",
-    "theorem3_bound",
-    "waypoint_flooding_bound",
-]
-
-_getattr, __dir__ = lazy_exports(
+_getattr, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.core.bounds": (
@@ -86,6 +59,7 @@ _getattr, __dir__ = lazy_exports(
         "repro.mobility.random_waypoint": ("RandomWaypoint",),
     },
 )
+__all__ = sorted([*__all__, "__version__"])
 
 
 def __getattr__(name: str):

@@ -3,7 +3,8 @@
 Every ``repro`` package ``__init__`` lists its public names with the module
 that defines each, instead of importing those modules up front.  So
 ``import repro.cli`` costs only the modules the invoked command reaches, and
-NumPy, SciPy and networkx load on the code paths that use them.
+NumPy, SciPy and networkx load on the code paths that use them.  The table
+is also the package's one export list: ``__all__`` is derived from it.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from typing import Callable, Mapping, Sequence
 
 def lazy_exports(
     package: str, exports: Mapping[str, Sequence[str]]
-) -> tuple[Callable[[str], object], Callable[[], list]]:
-    """The ``__getattr__`` and ``__dir__`` of ``package``.
+) -> tuple[Callable[[str], object], Callable[[], list], list]:
+    """The ``__getattr__``, ``__dir__`` and ``__all__`` of ``package``.
 
     ``exports`` maps each module to the public names it defines.  Any other
     attribute resolves to the submodule of that name, so ``repro.meg.base``
     works after a bare ``import repro.meg``.  A resolved value is stored in
     the package namespace, so ``__getattr__`` runs once per name.
+    ``__all__`` is the sorted list of the names in ``exports``.
     """
     origin = {name: module for module, names in exports.items() for name in names}
     namespace = sys.modules[package].__dict__
@@ -46,4 +48,4 @@ def lazy_exports(
     def __dir__() -> list:
         return sorted(set(namespace) | set(origin))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, sorted(origin)

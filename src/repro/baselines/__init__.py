@@ -15,17 +15,7 @@ here so the experiments can reproduce both sides of every comparison.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "classic_edge_meg_prior_bound",
-    "diameter_lower_bound",
-    "expected_meeting_time",
-    "geometric_lower_bound",
-    "hitting_time_matrix",
-    "meeting_time_bound",
-    "sparse_waypoint_lower_bound",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.baselines.edge_meg_bound": ("classic_edge_meg_prior_bound",),

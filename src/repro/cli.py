@@ -1496,10 +1496,8 @@ def _run_telemetry_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _telemetry_events_or_error(args: argparse.Namespace):
-    """Shared loader of the trace subcommand: (directory, events) or None."""
-    from repro.telemetry.report import load_events
-
+def _telemetry_dir_or_error(args: argparse.Namespace) -> Optional[str]:
+    """The existing telemetry directory of trace/export, or None after an error."""
     directory = _telemetry_dir(args)
     if not directory:
         print(
@@ -1508,21 +1506,20 @@ def _telemetry_events_or_error(args: argparse.Namespace):
             file=sys.stderr,
         )
         return None
-    try:
-        events, _ = load_events(directory, with_skipped=True)
-    except FileNotFoundError as error:
-        print(f"error: {error}", file=sys.stderr)
+    if not os.path.isdir(directory):
+        print(f"error: no telemetry directory at {directory}", file=sys.stderr)
         return None
-    return directory, events
+    return directory
 
 
 def _run_telemetry_trace(args: argparse.Namespace) -> int:
+    from repro.telemetry.report import load_events
     from repro.telemetry.trace import format_trace, list_traces, summarize_trace
 
-    loaded = _telemetry_events_or_error(args)
-    if loaded is None:
+    directory = _telemetry_dir_or_error(args)
+    if directory is None:
         return 2
-    directory, events = loaded
+    events = load_events(directory)
     if args.trace_id is None:
         entries = list_traces(events)
         if not entries:
@@ -1557,16 +1554,8 @@ def _run_telemetry_export(args: argparse.Namespace) -> int:
     from repro import __version__
     from repro.telemetry.timeseries import TelemetryTailer, validate_exposition
 
-    directory = _telemetry_dir(args)
-    if not directory:
-        print(
-            "error: no telemetry directory (pass --telemetry DIR or set "
-            f"{TELEMETRY_ENV})",
-            file=sys.stderr,
-        )
-        return 2
-    if not os.path.isdir(directory):
-        print(f"error: no telemetry directory at {directory}", file=sys.stderr)
+    directory = _telemetry_dir_or_error(args)
+    if directory is None:
         return 2
     tailer = TelemetryTailer(directory, window=args.window)
     if args.checkpoint:

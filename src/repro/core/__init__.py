@@ -17,39 +17,7 @@
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "FloodingResult",
-    "SpreadingResult",
-    "StationarityEstimate",
-    "batch_source_flooding_times",
-    "batched_flooding_time_samples",
-    "corollary4_bound",
-    "corollary5_bound",
-    "corollary6_bound",
-    "default_max_steps",
-    "degree_into_set",
-    "edge_meg_general_bound",
-    "estimate_beta",
-    "estimate_edge_probability",
-    "estimate_stationarity",
-    "flood",
-    "flood_sources_set",
-    "flooding_time",
-    "flooding_time_samples",
-    "flooding_time_statistics",
-    "gossip_spread",
-    "multi_source_flood",
-    "push_pull_spread",
-    "set_expansion",
-    "si_epidemic",
-    "spread_over_window",
-    "theorem1_bound",
-    "theorem3_bound",
-    "waypoint_flooding_bound",
-    "worst_case_flooding_time",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.core.bounds": (

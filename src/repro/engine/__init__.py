@@ -32,38 +32,7 @@ The execution backbone all trial-running code routes through:
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "BATCH_AUTO_MAX_NODES",
-    "BATCH_AUTO_MIN_TRIALS",
-    "BatchResult",
-    "EXECUTORS",
-    "Engine",
-    "MergeConflictError",
-    "MergeReport",
-    "ResultStore",
-    "SPARSE_AUTO_MAX_DENSITY",
-    "SPARSE_AUTO_MIN_NODES",
-    "ShardSpec",
-    "SnapshotReplay",
-    "StoppingRule",
-    "TrialSpec",
-    "batch_store_key",
-    "estimated_snapshot_density",
-    "flood_sources_batch",
-    "flood_sparse",
-    "flood_trials_batch",
-    "flood_vectorized",
-    "jsonify",
-    "parse_shard",
-    "resolve_backend",
-    "run_source_batch",
-    "seed_token",
-    "shard_specs",
-    "shard_store_key",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.engine.batch": ("flood_trials_batch",),

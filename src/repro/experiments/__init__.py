@@ -20,27 +20,7 @@ reports them next to the corresponding bound formula and baselines.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentJob",
-    "ExperimentPlan",
-    "ExperimentReport",
-    "MissingRecordError",
-    "PipelineRun",
-    "SweepMeasurement",
-    "assemble_from_store",
-    "compile_experiment",
-    "execute_plan",
-    "format_markdown",
-    "format_table",
-    "get_experiment",
-    "measure_flooding_sweep",
-    "run_experiment",
-    "run_experiment_pipeline",
-    "sweep_as_dicts",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.experiments.pipeline": (

@@ -31,45 +31,7 @@ those shards onto a fleet of workers automatically:
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_LEASE_TTL",
-    "DEFAULT_MAX_ATTEMPTS",
-    "DEFAULT_PRIORITY",
-    "FleetError",
-    "FleetOutcome",
-    "JOB_KINDS",
-    "Job",
-    "JobSpool",
-    "PRIORITIES",
-    "SpoolMetrics",
-    "SpoolStatus",
-    "assemble_experiment_report",
-    "default_worker_id",
-    "engine_from_config",
-    "execute_job",
-    "expected_store_keys",
-    "experiment_job_payloads",
-    "format_status",
-    "gather_frame",
-    "job_expected_keys",
-    "merge_fleet_stores",
-    "plan_variance_budgets",
-    "render_frame",
-    "request_from_payload",
-    "request_job_payloads",
-    "run_fleet",
-    "run_top",
-    "run_worker",
-    "spawn_local_worker",
-    "spool_metrics",
-    "spool_snapshot",
-    "spool_status",
-    "status_as_dict",
-    "sweep_job_payloads",
-    "sweep_results_from_store",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.fleet.coordinator": (

@@ -29,7 +29,7 @@ import time
 from typing import Optional, TextIO
 
 from repro.fleet.queue import JobSpool
-from repro.fleet.status import SpoolStatus, spool_metrics, spool_status
+from repro.fleet.status import SpoolStatus, spool_metrics, spool_status, status_as_dict
 from repro.telemetry.timeseries import TelemetryTailer
 
 #: Default seconds between dashboard refreshes.
@@ -61,13 +61,7 @@ def gather_frame(
     frame: dict = {
         "now": now,
         "spool": status.root,
-        "counts": {
-            "total": status.total,
-            "pending": len(status.pending),
-            "active": len(status.active),
-            "done": len(status.done),
-            "failed": len(status.failed),
-        },
+        "counts": status_as_dict(status)["counts"],
         "drained": status.drained,
         "workers": _worker_rows(status, tailer, now),
         "failed": [

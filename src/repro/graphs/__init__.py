@@ -10,24 +10,7 @@ the bounds.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "PathFamily",
-    "augmented_grid_graph",
-    "complete_mobility_graph",
-    "cycle_mobility_graph",
-    "degree_regularity",
-    "diameter",
-    "edge_paths",
-    "grid_graph",
-    "grid_side_for_points",
-    "max_point_congestion",
-    "path_family_regularity",
-    "path_mobility_graph",
-    "shortest_path_family",
-    "torus_graph",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.graphs.generators": (

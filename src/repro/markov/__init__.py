@@ -16,26 +16,7 @@ This sub-package provides:
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "MarkovChain",
-    "birth_death_chain",
-    "complete_graph_walk",
-    "cycle_walk",
-    "four_state_edge_chain",
-    "lazy_random_walk",
-    "mixing_time",
-    "random_walk_on_graph",
-    "relaxation_time",
-    "sample_path",
-    "sample_states",
-    "sample_stationary_state",
-    "spectral_gap",
-    "tv_distance_from_stationarity",
-    "two_state_chain",
-    "uniform_chain",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.markov.builders": (

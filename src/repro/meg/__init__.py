@@ -18,23 +18,7 @@ link-based models studied in the paper:
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "DynamicGraph",
-    "EdgeMEG",
-    "ErdosRenyiSequence",
-    "ExplicitScheduleGraph",
-    "GeneralEdgeMEG",
-    "NodeMEG",
-    "RotatingSpanningTreeGraph",
-    "SnapshotStats",
-    "StaticGraphProcess",
-    "four_state_edge_meg",
-    "is_t_interval_connected",
-    "largest_stable_interval",
-    "snapshot_statistics",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.meg.adversarial": ("ExplicitScheduleGraph", "RotatingSpanningTreeGraph"),

@@ -411,15 +411,6 @@ class StateInducedGraph(DynamicGraph):
         return connected[classes, :]
 
 
-def edges_from_adjacency_matrix(matrix: np.ndarray) -> list[tuple[int, int]]:
-    """Upper-triangle edge list of a boolean adjacency matrix (helper for models)."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"adjacency matrix must be square, got shape {matrix.shape}")
-    rows, cols = np.nonzero(np.triu(matrix, k=1))
-    return list(zip(rows.tolist(), cols.tolist()))
-
-
 def dense_adjacency_from_pairs(num_nodes: int, pairs: np.ndarray) -> np.ndarray:
     """Symmetric dense boolean adjacency from an ``(m, 2)`` edge array."""
     matrix = np.zeros((num_nodes, num_nodes), dtype=bool)

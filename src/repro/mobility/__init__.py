@@ -19,27 +19,7 @@ simulator and the stationarity estimators apply to them directly.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "GraphRandomWalkMobility",
-    "ManhattanWaypoint",
-    "RandomDirection",
-    "RandomPathModel",
-    "RandomTrip",
-    "RandomWalkMobility",
-    "RandomWaypoint",
-    "SquareRegion",
-    "TrajectorySampler",
-    "UnitDiskConnection",
-    "WaypointChainModel",
-    "build_waypoint_chain",
-    "discretize_square",
-    "empirical_positional_distribution",
-    "radius_edges",
-    "uniformity_parameters",
-    "waypoint_density",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.mobility.connection": ("UnitDiskConnection", "radius_edges"),

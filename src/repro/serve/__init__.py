@@ -19,17 +19,7 @@ shared read-through result cache with the fleet as compute backend:
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_QUEUE",
-    "ServeHandler",
-    "ServeResult",
-    "SimulationService",
-    "create_server",
-    "plan_etag",
-    "request_ticket",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.serve.http": ("ServeHandler", "create_server"),

@@ -14,23 +14,7 @@ bit-identical sketches.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_RESERVOIR",
-    "BatchSketch",
-    "MomentSketch",
-    "P2Quantile",
-    "QuantileSketch",
-    "StoppingRule",
-    "merge_sketch_payloads",
-    "quantile_rank_epsilon",
-    "sketch_from_samples",
-    "sketch_salt",
-    "summary_from_sketch",
-    "whp_from_sketch",
-    "z_score",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.stats.sequential": (

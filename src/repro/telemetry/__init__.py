@@ -10,41 +10,7 @@ stdlib ``logging`` wiring.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "LOG_FORMAT",
-    "Telemetry",
-    "TelemetryTailer",
-    "activate",
-    "active",
-    "attach_carrier",
-    "attach_trace",
-    "configure",
-    "count",
-    "current_span_id",
-    "current_trace_id",
-    "deactivate",
-    "default_process_id",
-    "disable",
-    "enable",
-    "event",
-    "format_report",
-    "format_trace",
-    "gauge",
-    "get_logger",
-    "list_traces",
-    "load_events",
-    "mint_trace_id",
-    "render_prometheus",
-    "span",
-    "summarize_events",
-    "summarize_trace",
-    "telemetry_report",
-    "timing",
-    "trace_carrier",
-    "validate_exposition",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.telemetry.core": (

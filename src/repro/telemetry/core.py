@@ -284,7 +284,7 @@ class Telemetry:
             }
 
     def merge_metrics(self, snapshot: Optional[dict]) -> None:
-        """Fold another registry's snapshot (e.g. a pool child's) into this one."""
+        """Fold another registry's snapshot (a pool child's, a ``metrics`` event) into this one."""
         if not snapshot:
             return
         with self._lock:

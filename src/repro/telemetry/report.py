@@ -13,6 +13,12 @@ is parsed, and the events are folded into a single report:
 * **requeue forensics** — every ``queue.requeue`` / ``queue.failed`` event
   with its attempt count and error.
 
+The module also holds the one reader and the one interpreter of event
+files: :func:`read_events` parses lines and :class:`EventFold` folds
+records.  The report is a fresh fold over whole files; the live
+:class:`~repro.telemetry.timeseries.TelemetryTailer` behind ``/metrics``,
+``telemetry export`` and ``fleet top`` is the same fold fed incrementally.
+
 Parsing is tolerant: truncated last lines (a crashed process) are skipped,
 unknown event kinds are counted but otherwise ignored — forensics must work
 on exactly the runs that went wrong.
@@ -21,13 +27,57 @@ on exactly the runs that went wrong.
 from __future__ import annotations
 
 import glob
+import heapq
 import json
 import os
+from collections import deque
+
+from repro.telemetry.core import Telemetry
 
 __all__ = ["format_report", "load_events", "summarize_events", "telemetry_report"]
 
 #: Span names treated as "one unit of scheduled work" for utilization/slowest.
 JOB_SPANS = ("worker.job", "engine.run", "engine.run_shard")
+
+
+def event_paths(directory: str) -> list[str]:
+    """The per-process event files of a telemetry directory, sorted."""
+    return sorted(glob.glob(os.path.join(directory, "events-*.jsonl")))
+
+
+def read_events(
+    path: str, offset: int = 0, complete_lines: bool = False
+) -> tuple[list[dict], int, int]:
+    """Parse ``path`` from byte ``offset``: ``(records, skipped, end_offset)``.
+
+    Blank lines are ignored; a line that is not JSON, or not a JSON object,
+    is counted in ``skipped`` — forensics on a crashed run should say how
+    much evidence went missing rather than silently reading past it.  A
+    last line without a newline is parsed like any other (a crashed
+    writer's torn half then counts as skipped), unless ``complete_lines``
+    leaves it unread: a live writer may still be appending it.
+    """
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        chunk = handle.read()
+    if complete_lines:
+        chunk = chunk[: chunk.rfind(b"\n") + 1]
+    records: list[dict] = []
+    skipped = 0
+    for raw in chunk.splitlines():
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            record = json.loads(raw.decode("utf-8"))
+        except ValueError:  # undecodable or not JSON
+            skipped += 1
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+        else:
+            skipped += 1  # parseable but not an event object
+    return records, skipped, offset + len(chunk)
 
 
 def load_events(directory: str, with_skipped: bool = False):
@@ -36,51 +86,120 @@ def load_events(directory: str, with_skipped: bool = False):
     Events are returned in wall-clock order (the per-process files are
     already ordered; the merge sorts by the ``ts`` stamp).  With
     ``with_skipped=True`` the return value is ``(events, skipped)`` where
-    ``skipped`` counts the corrupt or truncated lines that were dropped —
-    forensics on a crashed run should say how much evidence went missing
-    rather than silently reading past it.
+    ``skipped`` counts the corrupt or truncated lines that were dropped.
     """
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"no telemetry directory at {directory}")
     events: list[dict] = []
     skipped = 0
-    for path in sorted(glob.glob(os.path.join(directory, "events-*.jsonl"))):
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    skipped += 1  # truncated tail of a crashed process
-                    continue
-                if isinstance(record, dict):
-                    events.append(record)
-                else:
-                    skipped += 1  # parseable but not an event object
+    for path in event_paths(directory):
+        records, bad, _ = read_events(path)
+        events.extend(records)
+        skipped += bad
     events.sort(key=lambda record: record.get("ts", 0.0))
     if with_skipped:
         return events, skipped
     return events
 
 
-def merge_timing(into: dict, name: str, serialized: dict) -> None:
-    """Fold one serialized timing aggregate into ``into[name]``.
+class EventFold:
+    """The running state every telemetry view reads, built one record at a time.
 
-    The one count/total/min/max fold of the package: the post-hoc report,
-    the tailer's cumulative metrics and its live-registry overlay all merge
-    timings through it.
+    :meth:`ingest` is the one interpreter of event records: ``metrics``
+    events merge into :attr:`registry` (an in-memory :class:`Telemetry`,
+    so counters, gauges and timings fold exactly as a pool child's snapshot
+    does), spans feed per-process busy time, per-name phases and the
+    slowest ``top`` job spans, and queue events track transitions, claimed
+    jobs and requeue records.  The timestamp deques feed the tailer's
+    sliding window.
     """
-    aggregate = into.get(name)
-    if aggregate is None:
-        into[name] = dict(serialized)
-        return
-    aggregate["count"] += int(serialized["count"])
-    aggregate["total"] += float(serialized["total"])
-    aggregate["min"] = min(aggregate["min"], float(serialized["min"]))
-    aggregate["max"] = max(aggregate["max"], float(serialized["max"]))
-    aggregate["mean"] = aggregate["total"] / aggregate["count"] if aggregate["count"] else 0.0
+
+    def __init__(self, top: int = 5) -> None:
+        self.registry = Telemetry()
+        self.events_total = 0
+        self.trace_ids: set[str] = set()
+        self.processes: dict[str, dict] = {}
+        self.phases: dict[str, dict] = {}
+        self.queue_transitions: dict[str, int] = {}
+        self.requeue_records: list[dict] = []
+        self.active_jobs: dict[str, dict] = {}
+        self._top = top
+        # min-heap of (duration, -seq, record), bounded so a long-lived tailer stays small
+        self._slowest: list[tuple] = []
+        self._completions: deque = deque()
+        self._failures: deque = deque()
+        self._requeues: deque = deque()
+        self._job_samples: deque = deque()  # (end_ts, duration, process)
+
+    #: Copies of the merged metrics of every ``metrics`` event folded so far.
+    counters = property(lambda self: self.registry.metrics_snapshot()["counters"])
+    gauges = property(lambda self: self.registry.metrics_snapshot()["gauges"])
+    timings = property(lambda self: self.registry.metrics_snapshot()["timings"])
+
+    @property
+    def last_seen(self) -> dict:
+        """Latest positive event timestamp per process."""
+        return {
+            process: entry["last_ts"]
+            for process, entry in self.processes.items()
+            if entry["last_ts"] > 0.0
+        }
+
+    def ingest(self, record: dict) -> None:
+        """Fold one event record into every view's running state."""
+        self.events_total += 1
+        process = str(record.get("process", "?"))
+        ts = float(record.get("ts", 0.0))
+        entry = self.processes.setdefault(
+            process, {"events": 0, "first_ts": ts, "last_ts": ts, "busy_seconds": 0.0}
+        )
+        entry["events"] += 1
+        entry["first_ts"] = min(entry["first_ts"], ts)
+        entry["last_ts"] = max(entry["last_ts"], ts)
+        trace_id = record.get("trace")
+        if trace_id:
+            self.trace_ids.add(str(trace_id))
+
+        kind = record.get("kind")
+        name = str(record.get("name", "?"))
+        job = record.get("job")
+        if kind == "metrics":
+            self.registry.merge_metrics(record)
+        elif kind == "span":
+            duration = float(record.get("duration_seconds", 0.0))
+            phase = self.phases.setdefault(
+                name, {"count": 0, "total_seconds": 0.0, "max_seconds": 0.0}
+            )
+            phase["count"] += 1
+            phase["total_seconds"] += duration
+            phase["max_seconds"] = max(phase["max_seconds"], duration)
+            if name in JOB_SPANS:
+                full = len(self._slowest) >= self._top
+                push = heapq.heappushpop if full else heapq.heappush
+                push(self._slowest, (duration, -self.events_total, record))
+            if name == "worker.job":
+                entry["busy_seconds"] += duration
+                self._job_samples.append((ts, duration, process))
+                if job is not None:
+                    self.active_jobs.pop(str(job), None)
+        elif kind == "event":
+            if name.startswith("queue."):
+                self.queue_transitions[name] = self.queue_transitions.get(name, 0) + 1
+            if name == "queue.claim" and job is not None:
+                self.active_jobs[str(job)] = {
+                    "worker": record.get("worker"),
+                    "since": ts,
+                    "attempts": record.get("attempts"),
+                }
+            elif name in ("queue.done", "queue.requeue", "queue.failed"):
+                if job is not None:
+                    self.active_jobs.pop(str(job), None)
+                if name == "queue.done":
+                    self._completions.append(ts)
+                else:
+                    bucket = self._requeues if name == "queue.requeue" else self._failures
+                    bucket.append(ts)
+                    self.requeue_records.append(record)
 
 
 def summarize_events(events: list[dict], top: int = 5, skipped_lines: int = 0) -> dict:
@@ -90,54 +209,13 @@ def summarize_events(events: list[dict], top: int = 5, skipped_lines: int = 0) -
     :func:`load_events`; it is surfaced verbatim in the summary so both the
     text and ``--json`` report forms show how lossy the read was.
     """
-    processes: dict[str, dict] = {}
-    phases: dict[str, dict] = {}
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    timings: dict[str, dict] = {}
-    job_spans: list[dict] = []
-    requeues: list[dict] = []
-    queue_transitions: dict[str, int] = {}
-
+    fold = EventFold(top)
     for record in events:
-        process = str(record.get("process", "?"))
-        ts = float(record.get("ts", 0.0))
-        entry = processes.setdefault(
-            process, {"events": 0, "first_ts": ts, "last_ts": ts, "busy_seconds": 0.0}
-        )
-        entry["events"] += 1
-        entry["first_ts"] = min(entry["first_ts"], ts)
-        entry["last_ts"] = max(entry["last_ts"], ts)
+        fold.ingest(record)
+    metrics = fold.registry.metrics_snapshot()
+    counters, timings = metrics["counters"], metrics["timings"]
 
-        kind = record.get("kind")
-        if kind == "span":
-            name = str(record.get("name", "?"))
-            duration = float(record.get("duration_seconds", 0.0))
-            phase = phases.setdefault(
-                name, {"count": 0, "total_seconds": 0.0, "max_seconds": 0.0}
-            )
-            phase["count"] += 1
-            phase["total_seconds"] += duration
-            phase["max_seconds"] = max(phase["max_seconds"], duration)
-            if name in JOB_SPANS:
-                job_spans.append(record)
-                if name == "worker.job":
-                    entry["busy_seconds"] += duration
-        elif kind == "metrics":
-            for name, value in record.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + value
-            for name, value in record.get("gauges", {}).items():
-                gauges[name] = value
-            for name, serialized in record.get("timings", {}).items():
-                merge_timing(timings, name, serialized)
-        elif kind == "event":
-            name = str(record.get("name", "?"))
-            if name.startswith("queue."):
-                queue_transitions[name] = queue_transitions.get(name, 0) + 1
-            if name in ("queue.requeue", "queue.failed"):
-                requeues.append(record)
-
-    for phase in phases.values():
+    for phase in fold.phases.values():
         phase["mean_seconds"] = (
             phase["total_seconds"] / phase["count"] if phase["count"] else 0.0
         )
@@ -154,7 +232,7 @@ def summarize_events(events: list[dict], top: int = 5, skipped_lines: int = 0) -
     }
 
     workers = {}
-    for process, entry in processes.items():
+    for process, entry in fold.processes.items():
         wall = entry["last_ts"] - entry["first_ts"]
         busy = entry["busy_seconds"]
         if busy:
@@ -164,9 +242,6 @@ def summarize_events(events: list[dict], top: int = 5, skipped_lines: int = 0) -
                 "utilization": min(1.0, busy / wall) if wall > 0 else 1.0,
             }
 
-    slowest = sorted(
-        job_spans, key=lambda r: float(r.get("duration_seconds", 0.0)), reverse=True
-    )[:top]
     slowest_jobs = [
         {
             "name": record.get("name"),
@@ -174,19 +249,20 @@ def summarize_events(events: list[dict], top: int = 5, skipped_lines: int = 0) -
             "process": record.get("process"),
             "duration_seconds": float(record.get("duration_seconds", 0.0)),
         }
-        for record in slowest
+        # longest first; equal durations keep fold order (seq is negated)
+        for _, _, record in sorted(fold._slowest, reverse=True)
     ]
 
     return {
-        "events": len(events),
+        "events": fold.events_total,
         "skipped_lines": int(skipped_lines),
-        "processes": processes,
-        "phases": phases,
-        "metrics": {"counters": counters, "gauges": gauges, "timings": timings},
+        "processes": fold.processes,
+        "phases": fold.phases,
+        "metrics": metrics,
         "store": store,
         "workers": workers,
         "slowest_jobs": slowest_jobs,
-        "queue": queue_transitions,
+        "queue": fold.queue_transitions,
         "requeues": [
             {
                 "name": record.get("name"),
@@ -194,7 +270,7 @@ def summarize_events(events: list[dict], top: int = 5, skipped_lines: int = 0) -
                 "attempts": record.get("attempts"),
                 "error": record.get("error"),
             }
-            for record in requeues
+            for record in fold.requeue_records
         ],
     }
 

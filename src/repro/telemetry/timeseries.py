@@ -4,8 +4,8 @@
 after a run.  This module is the *live* counterpart — a
 :class:`TelemetryTailer` follows the per-process ``events-*.jsonl`` files
 with byte-offset checkpoints (only complete, newly appended lines are
-consumed; a partial tail line is left for the next poll) and folds what it
-sees into:
+consumed; a partial tail line is left for the next poll) and feeds them
+to the report's :class:`~repro.telemetry.report.EventFold`, which yields:
 
 * merged **cumulative metrics** (the ``metrics`` events flushed by closed
   processes);
@@ -29,15 +29,14 @@ Offsets survive restarts via :meth:`TelemetryTailer.save_checkpoint` /
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import re
 import time
-from collections import deque
 from typing import Optional
 
-from repro.telemetry.report import merge_timing
+from repro.telemetry.core import Telemetry
+from repro.telemetry.report import EventFold, event_paths, read_events
 
 __all__ = [
     "DEFAULT_WINDOW_SECONDS",
@@ -51,7 +50,6 @@ __all__ = [
 DEFAULT_WINDOW_SECONDS = 60.0
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-_EVENT_GLOB = "events-*.jsonl"
 
 
 def metric_name(name: str, prefix: str = "repro") -> str:
@@ -196,6 +194,15 @@ def _split_label_pairs(labels: str) -> list[str]:
     return pairs
 
 
+#: Exposition suffix of each timing aggregate field.
+_TIMING_SAMPLES = (("_sum", "total"), ("_count", "count"), ("_min", "min"), ("_max", "max"))
+
+
+def _family(name: str, kind: str, help_text: str, *samples: dict) -> dict:
+    """One metric family in the form :func:`render_prometheus` takes."""
+    return {"name": name, "type": kind, "help": help_text, "samples": list(samples)}
+
+
 def _quantile(ordered: list[float], fraction: float) -> float:
     """Nearest-rank quantile of an already-sorted sample list."""
     if not ordered:
@@ -204,7 +211,7 @@ def _quantile(ordered: list[float], fraction: float) -> float:
     return ordered[index]
 
 
-class TelemetryTailer:
+class TelemetryTailer(EventFold):
     """Incrementally follow a telemetry directory's event files.
 
     Parameters
@@ -218,23 +225,11 @@ class TelemetryTailer:
     def __init__(
         self, directory: str, window: float = DEFAULT_WINDOW_SECONDS
     ) -> None:
+        super().__init__()
         self.directory = str(directory)
         self.window = float(window)
-        self._offsets: dict[str, int] = {}
-        # cumulative state
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
-        self.timings: dict[str, dict] = {}
-        self.events_total = 0
         self.skipped_lines = 0
-        self.trace_ids: set[str] = set()
-        self.last_seen: dict[str, float] = {}
-        self.active_jobs: dict[str, dict] = {}
-        # windowed samples (pruned against ``window``)
-        self._completions: deque = deque()
-        self._failures: deque = deque()
-        self._requeues: deque = deque()
-        self._job_samples: deque = deque()  # (end_ts, duration, process)
+        self._offsets: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -242,8 +237,7 @@ class TelemetryTailer:
     def poll(self) -> int:
         """Consume newly appended complete lines; returns events ingested."""
         ingested = 0
-        pattern = os.path.join(self.directory, _EVENT_GLOB)
-        for path in sorted(glob.glob(pattern)):
+        for path in event_paths(self.directory):
             name = os.path.basename(path)
             offset = self._offsets.get(name, 0)
             try:
@@ -254,81 +248,16 @@ class TelemetryTailer:
                 offset = 0  # file was truncated/replaced: start over
             if size == offset:
                 continue
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read()
-            # Only complete lines are consumed; a partial tail (a process
-            # mid-write or mid-crash) stays unread until it gains its "\n".
-            last_newline = chunk.rfind(b"\n")
-            if last_newline < 0:
-                continue
-            complete, consumed = chunk[: last_newline + 1], last_newline + 1
-            self._offsets[name] = offset + consumed
-            for raw in complete.splitlines():
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = json.loads(raw.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    self.skipped_lines += 1
-                    continue
-                if isinstance(record, dict):
-                    self._ingest(record)
-                    ingested += 1
-                else:
-                    self.skipped_lines += 1
+            # A partial tail (a process mid-write or mid-crash) stays unread
+            # until it gains its "\n".
+            records, skipped, end = read_events(path, offset, complete_lines=True)
+            if end > offset:
+                self._offsets[name] = end
+            self.skipped_lines += skipped
+            for record in records:
+                self.ingest(record)
+            ingested += len(records)
         return ingested
-
-    def _ingest(self, record: dict) -> None:
-        self.events_total += 1
-        ts = float(record.get("ts", 0.0))
-        process = str(record.get("process", "?"))
-        if ts > self.last_seen.get(process, 0.0):
-            self.last_seen[process] = ts
-        trace_id = record.get("trace")
-        if trace_id:
-            self.trace_ids.add(str(trace_id))
-        kind = record.get("kind")
-        if kind == "metrics":
-            self._merge_metrics(record)
-        elif kind == "span":
-            if record.get("name") == "worker.job":
-                duration = float(record.get("duration_seconds", 0.0))
-                self._job_samples.append((ts, duration, process))
-                job = record.get("job")
-                if job is not None:
-                    self.active_jobs.pop(str(job), None)
-        elif kind == "event":
-            self._ingest_event(record, ts)
-
-    def _ingest_event(self, record: dict, ts: float) -> None:
-        name = record.get("name")
-        job = record.get("job")
-        if name == "queue.claim" and job is not None:
-            self.active_jobs[str(job)] = {
-                "worker": record.get("worker"),
-                "since": ts,
-                "attempts": record.get("attempts"),
-            }
-            return
-        if name in ("queue.done", "queue.requeue", "queue.failed"):
-            if job is not None:
-                self.active_jobs.pop(str(job), None)
-            bucket = {
-                "queue.done": self._completions,
-                "queue.requeue": self._requeues,
-                "queue.failed": self._failures,
-            }[name]
-            bucket.append(ts)
-
-    def _merge_metrics(self, record: dict) -> None:
-        for name, value in record.get("counters", {}).items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, value in record.get("gauges", {}).items():
-            self.gauges[name] = float(value)
-        for name, serialized in record.get("timings", {}).items():
-            merge_timing(self.timings, name, serialized)
 
     # ------------------------------------------------------------------ #
     # checkpoints
@@ -397,11 +326,16 @@ class TelemetryTailer:
             "worker_busy_seconds": busy,
         }
 
+    def _merged_metrics(self, extra: Optional[dict] = None) -> dict:
+        """The tailed metrics with a live registry snapshot (``extra``) merged in."""
+        merged = Telemetry()
+        merged.merge_metrics(self.registry.metrics_snapshot())
+        merged.merge_metrics(extra)
+        return merged.metrics_snapshot()
+
     def cache_hit_ratio(self, extra: Optional[dict] = None) -> Optional[float]:
         """Cumulative store/serve cache hit ratio across all sources seen."""
-        counters = dict(self.counters)
-        for name, value in ((extra or {}).get("counters") or {}).items():
-            counters[name] = counters.get(name, 0) + value
+        counters = self._merged_metrics(extra)["counters"]
         hits = counters.get("engine.store.hit", 0) + counters.get("serve.cache.hit", 0)
         misses = (
             counters.get("engine.store.miss", 0) + counters.get("serve.cache.miss", 0)
@@ -424,136 +358,78 @@ class TelemetryTailer:
         shutdown); its counters add to, and its gauges override, the tailed
         cumulative state.
         """
-        counters = dict(self.counters)
-        gauges = dict(self.gauges)
-        timings = {name: dict(agg) for name, agg in self.timings.items()}
-        if extra:
-            for name, value in (extra.get("counters") or {}).items():
-                counters[name] = counters.get(name, 0) + value
-            gauges.update(extra.get("gauges") or {})
-            for name, serialized in (extra.get("timings") or {}).items():
-                merge_timing(timings, name, serialized)
-
+        metrics = self._merged_metrics(extra)
         families = []
         if version is not None:
-            families.append(
-                {
-                    "name": "repro_build_info",
-                    "type": "gauge",
-                    "help": "Package version of the exporting process.",
-                    "samples": [{"labels": {"version": version}, "value": 1}],
-                }
-            )
-        for name in sorted(counters):
-            families.append(
-                {
-                    "name": metric_name(name) + "_total",
-                    "type": "counter",
-                    "help": f"Cumulative telemetry counter {name}.",
-                    "samples": [{"value": counters[name]}],
-                }
-            )
-        for name in sorted(gauges):
-            families.append(
-                {
-                    "name": metric_name(name),
-                    "type": "gauge",
-                    "help": f"Telemetry gauge {name}.",
-                    "samples": [{"value": gauges[name]}],
-                }
-            )
-        for name in sorted(timings):
-            aggregate = timings[name]
-            base = metric_name(name)
-            families.append(
-                {
-                    "name": base,
-                    "type": "summary",
-                    "help": f"Telemetry timing aggregate {name}.",
-                    "samples": [
-                        {"suffix": "_sum", "value": aggregate["total"]},
-                        {"suffix": "_count", "value": aggregate["count"]},
-                        {"suffix": "_min", "value": aggregate["min"]},
-                        {"suffix": "_max", "value": aggregate["max"]},
-                    ],
-                }
-            )
+            families.append(_family(
+                "repro_build_info", "gauge", "Package version of the exporting process.",
+                {"labels": {"version": version}, "value": 1},
+            ))
+        for name, value in sorted(metrics["counters"].items()):
+            families.append(_family(
+                metric_name(name) + "_total", "counter",
+                f"Cumulative telemetry counter {name}.", {"value": value},
+            ))
+        for name, value in sorted(metrics["gauges"].items()):
+            families.append(_family(
+                metric_name(name), "gauge", f"Telemetry gauge {name}.", {"value": value}
+            ))
+        for name, aggregate in sorted(metrics["timings"].items()):
+            families.append(_family(
+                metric_name(name), "summary", f"Telemetry timing aggregate {name}.",
+                *(
+                    {"suffix": suffix, "value": aggregate[key]}
+                    for suffix, key in _TIMING_SAMPLES
+                ),
+            ))
 
         stats = self.window_stats(now=now)
-        families.extend(self._window_families(stats))
+        window = {"labels": {"window_seconds": stats["window_seconds"]}}
+        families += [
+            _family(
+                "repro_jobs_per_second", "gauge",
+                "Job completion rate over the sliding window.",
+                {**window, "value": stats["jobs_per_second"]},
+            ),
+            _family(
+                "repro_requeue_rate", "gauge",
+                "Requeues over job transitions in the sliding window.",
+                {**window, "value": stats["requeue_rate"]},
+            ),
+            _family(
+                "repro_job_latency_seconds", "summary",
+                "worker.job span durations over the sliding window.",
+                {"labels": {"quantile": "0.5"}, "value": stats["job_latency_p50_seconds"]},
+                {"labels": {"quantile": "0.95"}, "value": stats["job_latency_p95_seconds"]},
+                {"suffix": "_sum", "value": stats["job_latency_sum_seconds"]},
+                {"suffix": "_count", "value": stats["job_latency_count"]},
+            ),
+        ]
         ratio = self.cache_hit_ratio(extra)
         if ratio is not None:
-            families.append(
-                {
-                    "name": "repro_cache_hit_ratio",
-                    "type": "gauge",
-                    "help": "Cumulative cache hit ratio (store + serve).",
-                    "samples": [{"value": ratio}],
-                }
-            )
-        families.extend(
-            [
-                {
-                    "name": "repro_telemetry_events_total",
-                    "type": "counter",
-                    "help": "Telemetry events ingested by the tailer.",
-                    "samples": [{"value": self.events_total}],
-                },
-                {
-                    "name": "repro_telemetry_skipped_lines_total",
-                    "type": "counter",
-                    "help": "Corrupt or truncated telemetry lines skipped.",
-                    "samples": [{"value": self.skipped_lines}],
-                },
-                {
-                    "name": "repro_traces_total",
-                    "type": "counter",
-                    "help": "Distinct trace ids observed.",
-                    "samples": [{"value": len(self.trace_ids)}],
-                },
-                {
-                    "name": "repro_jobs_in_flight",
-                    "type": "gauge",
-                    "help": "Jobs claimed but not yet done/failed/requeued.",
-                    "samples": [{"value": len(self.active_jobs)}],
-                },
-            ]
-        )
-        return families
-
-    @staticmethod
-    def _window_families(stats: dict) -> list[dict]:
-        window = {"window_seconds": stats["window_seconds"]}
-        return [
-            {
-                "name": "repro_jobs_per_second",
-                "type": "gauge",
-                "help": "Job completion rate over the sliding window.",
-                "samples": [{"labels": window, "value": stats["jobs_per_second"]}],
-            },
-            {
-                "name": "repro_requeue_rate",
-                "type": "gauge",
-                "help": "Requeues over job transitions in the sliding window.",
-                "samples": [{"labels": window, "value": stats["requeue_rate"]}],
-            },
-            {
-                "name": "repro_job_latency_seconds",
-                "type": "summary",
-                "help": "worker.job span durations over the sliding window.",
-                "samples": [
-                    {
-                        "labels": {"quantile": "0.5"},
-                        "value": stats["job_latency_p50_seconds"],
-                    },
-                    {
-                        "labels": {"quantile": "0.95"},
-                        "value": stats["job_latency_p95_seconds"],
-                    },
-                    {"suffix": "_sum", "value": stats["job_latency_sum_seconds"]},
-                    {"suffix": "_count", "value": stats["job_latency_count"]},
-                ],
-            },
+            families.append(_family(
+                "repro_cache_hit_ratio", "gauge",
+                "Cumulative cache hit ratio (store + serve).", {"value": ratio},
+            ))
+        return families + [
+            _family(
+                "repro_telemetry_events_total", "counter",
+                "Telemetry events ingested by the tailer.", {"value": self.events_total},
+            ),
+            _family(
+                "repro_telemetry_skipped_lines_total", "counter",
+                "Corrupt or truncated telemetry lines skipped.",
+                {"value": self.skipped_lines},
+            ),
+            _family(
+                "repro_traces_total", "counter", "Distinct trace ids observed.",
+                {"value": len(self.trace_ids)},
+            ),
+            _family(
+                "repro_jobs_in_flight", "gauge",
+                "Jobs claimed but not yet done/failed/requeued.",
+                {"value": len(self.active_jobs)},
+            ),
         ]
 
     def exposition(

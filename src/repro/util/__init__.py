@@ -6,17 +6,7 @@ use them without import cycles.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "ensure_rng",
-    "require_in_range",
-    "require_positive",
-    "require_probability",
-    "require_type",
-    "spawn_rngs",
-    "spawn_seed_sequences",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.util.rng": ("ensure_rng", "spawn_rngs", "spawn_seed_sequences"),

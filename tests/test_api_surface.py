@@ -36,6 +36,9 @@ PACKAGES = [
     "repro.experiments",
     "repro.fleet",
     "repro.telemetry",
+    "repro.engine",
+    "repro.serve",
+    "repro.stats",
 ]
 
 
@@ -52,6 +55,7 @@ class TestPublicExports:
         module = importlib.import_module(package_name)
         names = list(module.__all__)
         assert len(names) == len(set(names))
+        assert names == sorted(names)
 
     def test_version_string(self):
         assert isinstance(repro.__version__, str)

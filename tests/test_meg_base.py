@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import networkx as nx
-import numpy as np
 import pytest
 
-from repro.meg.base import (
-    StaticGraphProcess,
-    all_pairs,
-    edges_from_adjacency_matrix,
-)
+from repro.meg.base import StaticGraphProcess, all_pairs
 
 
 @pytest.fixture
@@ -100,15 +95,3 @@ class TestHelpers:
     def test_all_pairs_negative_raises(self):
         with pytest.raises(ValueError):
             all_pairs(-1)
-
-    def test_edges_from_adjacency_matrix(self):
-        matrix = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-        assert edges_from_adjacency_matrix(matrix) == [(0, 1), (1, 2)]
-
-    def test_edges_from_adjacency_ignores_diagonal(self):
-        matrix = np.eye(3)
-        assert edges_from_adjacency_matrix(matrix) == []
-
-    def test_edges_from_adjacency_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            edges_from_adjacency_matrix(np.zeros((2, 3)))
