@@ -37,7 +37,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -548,6 +547,9 @@ class Engine:
                 self.backend,
                 self.source_chunk,
             )
+        # Imported here: a serial run loads no ``multiprocessing``.
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
         chunks = _chunk_evenly(seeds, min(self.workers, len(seeds)))
         if self.executor == "thread":
             # Threads share one address space, but trials mutate their model

@@ -12,7 +12,8 @@ discretisation Section 4.1 of the paper uses to turn these continuous models
 into node-MEGs): a concrete model supplies :meth:`TrajectorySampler.sample_leg`,
 which returns the sequence of positions occupied on one trip, and may supply
 :meth:`TrajectorySampler.sample_legs`, which samples the trips of many agents
-at once.
+at once.  The :class:`LegStore` from :meth:`TrajectorySampler.leg_store` holds
+every agent's current trip: its positions by default, or a closed form.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ from repro.util.validation import require_node_count, require_positive
 class TrajectorySampler(abc.ABC):
     """Strategy object that samples the trips (legs) of a random trip model.
 
-    :meth:`sample_leg` samples one agent's next leg.  :meth:`RandomTrip.step`
-    refills every agent whose leg ran out with a single :meth:`sample_legs`
-    call.  Its default loops :meth:`sample_leg` over the agents in order; an
-    override may draw the legs in one batch, but it must consume the random
-    stream exactly as ``k`` sequential :meth:`sample_leg` calls would and
-    return the same legs, so a model's trajectories do not depend on which
-    of the two produced them.
+    :meth:`sample_leg` samples one agent's next leg.  The default
+    :meth:`leg_store` refills every agent whose leg ran out with a single
+    :meth:`sample_legs` call.  Its default loops :meth:`sample_leg` over the
+    agents in order; an override may draw the legs in one batch, but it must
+    consume the random stream exactly as ``k`` sequential :meth:`sample_leg`
+    calls would and return the same legs, so a model's trajectories do not
+    depend on which of the two produced them.
     """
 
     @abc.abstractmethod
@@ -69,15 +70,71 @@ class TrajectorySampler(abc.ABC):
         for start in starts:
             leg = np.asarray(self.sample_leg(start, region, rng), dtype=float)
             if leg.ndim != 2 or leg.shape[1] != 2 or leg.shape[0] < 1:
-                raise ValueError(
-                    "sample_leg must return an array of shape (k, 2) with k >= 1"
-                )
+                raise ValueError("sample_leg must return an array of shape (k, 2) with k >= 1")
             legs.append(leg)
         steps = np.array([leg.shape[0] for leg in legs], dtype=np.intp)
         padded = np.zeros((len(legs), int(steps.max()), 2))
         for row, leg in enumerate(legs):
             padded[row, : leg.shape[0]] = leg
         return padded, steps
+
+    def leg_store(self, positions: np.ndarray, region: SquareRegion) -> LegStore:
+        """The store that holds the legs of agents standing at ``positions``."""
+        return PaddedLegs(self, positions, region)
+
+
+class LegStore(abc.ABC):
+    """Every agent's current leg, and how far along it the agent is.
+
+    Agent ``i`` has taken ``cursor[i]`` of its leg's ``lengths[i]`` steps,
+    and its leg ran out once ``cursor[i] >= lengths[i]``.  A new store stands
+    each agent at the end of a one-step leg to its row of ``positions``.
+    """
+
+    def __init__(self, sampler: TrajectorySampler, positions: np.ndarray, region: SquareRegion):
+        self._sampler = sampler
+        self._region = region
+        self.lengths = np.ones(positions.shape[0], dtype=np.intp)
+        self.cursor = np.ones(positions.shape[0], dtype=np.intp)
+
+    @abc.abstractmethod
+    def refill(self, rows: np.ndarray, starts: np.ndarray, rng: np.random.Generator) -> None:
+        """Sample new legs for agents ``rows`` (in order) from ``starts``; cursors go to 0."""
+
+    @abc.abstractmethod
+    def positions(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Where agents ``rows`` (all by default) stand, clipped to the region."""
+
+
+class PaddedLegs(LegStore):
+    """Legs held as positions: row ``i`` of one padded array is agent ``i``'s leg.
+
+    Each refill is one :meth:`TrajectorySampler.sample_legs` call, and
+    advancing every agent is a single NumPy gather.
+    """
+
+    def __init__(self, sampler: TrajectorySampler, positions: np.ndarray, region: SquareRegion):
+        super().__init__(sampler, positions, region)
+        self._buffer = positions[:, None, :].copy()
+
+    def refill(self, rows: np.ndarray, starts: np.ndarray, rng: np.random.Generator) -> None:
+        legs, steps = self._sampler.sample_legs(starts, self._region, rng)
+        width = int(steps.max())
+        grow = width - self._buffer.shape[1]
+        if grow > 0:
+            self._buffer = np.pad(self._buffer, ((0, 0), (0, grow), (0, 0)))
+        # Write each leg's own steps only: the rest of its row keeps what it
+        # held, so the buffer never depends on the sampler's padding.
+        leg_rows, columns = np.nonzero(np.arange(width) < steps[:, None])
+        clipped = np.clip(legs[leg_rows, columns], 0.0, self._region.side)
+        self._buffer[rows[leg_rows], columns] = clipped
+        self.lengths[rows] = steps
+        self.cursor[rows] = 0
+
+    def positions(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        if rows is None:
+            rows = np.arange(self.cursor.shape[0])
+        return self._buffer[rows, self.cursor[rows] - 1]
 
 
 class RandomTrip(DynamicGraph):
@@ -130,13 +187,7 @@ class RandomTrip(DynamicGraph):
         self._warmup_steps = warmup_steps
         self._snap_resolution = snap_resolution
         self._positions: Optional[np.ndarray] = None
-        # Remaining trip of every agent, stored as one padded array so the
-        # per-step position update is a single NumPy gather: row ``node``
-        # holds that agent's current leg, ``_leg_cursor[node]`` the index of
-        # its next position, ``_leg_lengths[node]`` the leg's true length.
-        self._leg_buffer: Optional[np.ndarray] = None
-        self._leg_lengths: Optional[np.ndarray] = None
-        self._leg_cursor: Optional[np.ndarray] = None
+        self._legs: Optional[LegStore] = None
         self._rng: Optional[np.random.Generator] = None
         self._time = 0
 
@@ -169,55 +220,41 @@ class RandomTrip(DynamicGraph):
     def reset(self, rng: RNGLike = None) -> None:
         self._rng = ensure_rng(rng)
         self._time = 0
-        self._positions = self._region.sample_uniform(self._rng, self._num_nodes)
+        positions = self._region.sample_uniform(self._rng, self._num_nodes)
         if self._snap_resolution is not None:
-            self._positions = self._snap(self._positions)
-        self._leg_buffer = np.zeros((self._num_nodes, 1, 2))
-        self._leg_lengths = np.zeros(self._num_nodes, dtype=np.intp)
-        self._leg_cursor = np.zeros(self._num_nodes, dtype=np.intp)
-        self._snapshot.update(self._positions)
+            positions = self._snap(positions)
+        self._legs = self._sampler.leg_store(positions, self._region)
+        # The warm-up moves only the cursors: positions are read for the
+        # agents whose legs run out, and for everyone once, at time 0.
         for _ in range(self._warmup_steps):
             self._advance()
-        self._time = 0
+        self._positions = self._placed()
+        self._snapshot.update(self._positions)
 
     def step(self) -> None:
         if self._positions is None:
             raise RuntimeError("call reset() before step()")
         self._advance()
+        self._positions = self._placed()
+        self._snapshot.update(self._positions)
         self._time += 1
 
     def _advance(self) -> None:
-        assert self._positions is not None and self._rng is not None
-        buffer = self._leg_buffer
-        lengths = self._leg_lengths
-        cursor = self._leg_cursor
-        assert buffer is not None and lengths is not None and cursor is not None
-        # Refill every exhausted leg with one sampler call; the sampler
-        # consumes the random stream in node order.
-        exhausted = np.nonzero(cursor >= lengths)[0]
+        """Refill every exhausted leg from where its agent stands, then move every cursor."""
+        legs = self._legs
+        assert legs is not None and self._rng is not None
+        exhausted = np.nonzero(legs.cursor >= legs.lengths)[0]
         if exhausted.size:
-            legs, steps = self._sampler.sample_legs(
-                self._positions[exhausted], self._region, self._rng
-            )
-            width = int(steps.max())
-            if width > buffer.shape[1]:
-                grown = np.zeros((self._num_nodes, width, 2))
-                grown[:, : buffer.shape[1]] = buffer
-                buffer = self._leg_buffer = grown
-            # Write each leg's own steps only: the rest of its row keeps what
-            # it held, so the buffer never depends on the sampler's padding.
-            rows, columns = np.nonzero(np.arange(width) < steps[:, None])
-            buffer[exhausted[rows], columns] = np.clip(
-                legs[rows, columns], 0.0, self._region.side
-            )
-            lengths[exhausted] = steps
-            cursor[exhausted] = 0
-        # The whole population advances in one gather.
-        self._positions = buffer[np.arange(self._num_nodes), cursor]
-        cursor += 1
+            legs.refill(exhausted, self._placed(exhausted), self._rng)
+        legs.cursor += 1
+
+    def _placed(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Positions of agents ``rows`` (all by default), snapped when snapping is on."""
+        assert self._legs is not None
+        positions = self._legs.positions(rows)
         if self._snap_resolution is not None:
-            self._positions = self._snap(self._positions)
-        self._snapshot.update(self._positions)
+            positions = self._snap(positions)
+        return positions
 
     def _snap(self, positions: np.ndarray) -> np.ndarray:
         """Snap positions to the centres of the ``m x m`` discretisation cells."""
@@ -297,28 +334,45 @@ def straight_legs(
     """Positions along ``k`` straight segments at once, padded to one width.
 
     Row ``i`` travels ``starts[i] -> destinations[i]`` at ``speeds[i]`` per
-    step: position ``j`` (0-based) is ``start + min((j + 1) * speed /
-    distance, 1) * displacement``, for ``ceil(distance / speed)`` steps (one
-    step, at the destination, when the two points coincide).  It then stays
-    exactly at the destination for ``hold_steps`` more steps.  Returns
-    ``(legs, steps)`` as :meth:`TrajectorySampler.sample_legs` does, with the
-    padding also at the destination.
+    step, as :func:`segment_points` places it after steps ``1, 2, ...``, for
+    ``ceil(distance / speed)`` steps (one step, at the destination, when the
+    two points coincide).  It then stays exactly at the destination for
+    ``hold_steps`` more steps.  Returns ``(legs, steps)`` as
+    :meth:`TrajectorySampler.sample_legs` does, with the padding also at the
+    destination.
+    """
+    segments = straight_segments(starts, destinations, speeds)
+    steps = np.maximum(segments[-1], 1) + hold_steps
+    taken = np.arange(1, int(steps.max()) + 1)
+    return segment_points(tuple(field[:, None] for field in segments), taken), steps
+
+
+def straight_segments(starts: np.ndarray, destinations: np.ndarray, speeds: np.ndarray) -> tuple:
+    """``(start, displacement, destination, speed, distance, travel)`` of ``k`` segments.
+
+    ``travel`` is the number of steps a segment takes, ``ceil(distance /
+    speed)``, or 0 when its two ends coincide.
     """
     displacement = destinations - starts
     distance = row_norms(displacement)
     moving = distance > 0.0
     travel = np.zeros(distance.shape[0], dtype=np.intp)
     travel[moving] = np.ceil(distance[moving] / speeds[moving])
-    steps = np.maximum(travel, 1) + hold_steps
-    width = int(steps.max())
+    return starts, displacement, destinations, speeds, distance, travel
+
+
+def segment_points(segments: tuple, taken: np.ndarray) -> np.ndarray:
+    """Where travellers on :func:`straight_segments` stand after ``taken`` steps.
+
+    That is ``start + min(taken * speed / distance, 1) * displacement`` while
+    ``taken <= travel`` and exactly the destination after.  The point fields
+    carry a trailing axis of length 2; the others broadcast with ``taken``.
+    """
+    starts, displacement, destinations, speeds, distance, travel = segments
     with np.errstate(divide="ignore", invalid="ignore"):
-        fractions = np.minimum(
-            np.arange(1, width + 1) * speeds[:, None] / distance[:, None], 1.0
-        )
-    legs = starts[:, None, :] + fractions[:, :, None] * displacement[:, None, :]
-    arrived = np.arange(width) >= travel[:, None]
-    legs[arrived] = np.broadcast_to(destinations[:, None, :], legs.shape)[arrived]
-    return legs, steps
+        fractions = np.minimum(taken * speeds / distance, 1.0)
+    points = starts + fractions[..., None] * displacement
+    return np.where((taken > travel)[..., None], destinations, points)
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:

@@ -25,7 +25,14 @@ import math
 import numpy as np
 
 from repro.mobility.geometry import SquareRegion
-from repro.mobility.random_trip import RandomTrip, TrajectorySampler, straight_legs
+from repro.mobility.random_trip import (
+    LegStore,
+    RandomTrip,
+    TrajectorySampler,
+    segment_points,
+    straight_legs,
+    straight_segments,
+)
 from repro.util.validation import require_positive
 
 
@@ -61,26 +68,54 @@ class WaypointSampler(TrajectorySampler):
     def sample_leg(
         self, position: np.ndarray, region: SquareRegion, rng: np.random.Generator
     ) -> np.ndarray:
-        legs, steps = self.sample_legs(
-            np.asarray(position, dtype=float)[None, :], region, rng
-        )
+        legs, steps = self.sample_legs(np.asarray(position, dtype=float)[None, :], region, rng)
         return legs[0, : steps[0]]
 
     def sample_legs(
         self, starts: np.ndarray, region: SquareRegion, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        count = starts.shape[0]
-        if self._v_min == self._v_max:
-            destinations = region.sample_uniform(rng, count)
-            speeds = np.full(count, float(self._v_min))
-        else:
-            # Per agent: x, y, then the speed ``Generator.uniform`` would
-            # draw, ``low + (high - low) * u`` from one double.
-            draws = rng.random((count, 3))
-            destinations = draws[:, :2] * region.side
-            low, high = float(self._v_min), float(self._v_max)
-            speeds = low + (high - low) * draws[:, 2]
+        destinations, speeds = self._draw(starts.shape[0], region, rng)
         return straight_legs(starts, destinations, speeds, self._pause_steps)
+
+    def leg_store(self, positions: np.ndarray, region: SquareRegion) -> LegStore:
+        return WaypointLegs(self, positions, region)
+
+    def _draw(self, count: int, region: SquareRegion, rng: np.random.Generator) -> tuple:
+        """The destinations and speeds of ``count`` legs, in agent order."""
+        if self._v_min == self._v_max:
+            return region.sample_uniform(rng, count), np.full(count, float(self._v_min))
+        # Per agent: x, y, then the speed ``Generator.uniform`` would draw,
+        # ``low + (high - low) * u`` from one double.
+        draws = rng.random((count, 3))
+        low, high = float(self._v_min), float(self._v_max)
+        return draws[:, :2] * region.side, low + (high - low) * draws[:, 2]
+
+
+class WaypointLegs(LegStore):
+    """Waypoint legs in closed form: each agent's :func:`straight_segments` fields.
+
+    Positions are evaluated only when read, so a warm-up evaluates only the
+    positions where legs run out.
+    """
+
+    def __init__(self, sampler: WaypointSampler, positions: np.ndarray, region: SquareRegion):
+        super().__init__(sampler, positions, region)
+        # A zero-length segment at each position: one step, at its end.
+        here = positions.copy()
+        self._segments = straight_segments(here, here.copy(), np.ones(len(here)))
+
+    def refill(self, rows: np.ndarray, starts: np.ndarray, rng: np.random.Generator) -> None:
+        sampler: WaypointSampler = self._sampler  # type: ignore[assignment]
+        segments = straight_segments(starts, *sampler._draw(rows.size, self._region, rng))
+        for field, values in zip(self._segments, segments):
+            field[rows] = values
+        self.lengths[rows] = np.maximum(segments[-1], 1) + sampler.pause_steps
+        self.cursor[rows] = 0
+
+    def positions(self, rows: np.ndarray | None = None) -> np.ndarray:
+        pick = slice(None) if rows is None else rows
+        points = segment_points(tuple(field[pick] for field in self._segments), self.cursor[pick])
+        return np.clip(points, 0.0, self._region.side)
 
 
 class RandomWaypoint(RandomTrip):
@@ -159,14 +194,3 @@ class RandomWaypoint(RandomTrip):
     def mixing_time_estimate(self) -> float:
         """The paper's ``Theta(L / v_max)`` mixing-time estimate for the model."""
         return self.region.side / self.v_max
-
-    def expected_degree_estimate(self) -> float:
-        """Rough stationary expected degree ``(n - 1) * pi r^2 / L^2``.
-
-        This ignores boundary effects and the non-uniform waypoint density,
-        but is the right order of magnitude and is useful to decide whether a
-        configuration is in the sparse or dense regime.
-        """
-        n = self.num_nodes
-        area = self.region.volume()
-        return (n - 1) * math.pi * self.radius**2 / area

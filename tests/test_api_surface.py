@@ -286,6 +286,10 @@ class TestColdImports:
         assert "scipy.spatial" in modules
         assert "networkx" not in modules
 
+    def test_serial_sweep_loads_no_process_pool(self):
+        modules = _cli_modules(["sweep", "waypoint", "--nodes", "16", "--trials", "2"])
+        assert not modules & {"multiprocessing", "concurrent.futures.process"}
+
     def test_package_roots_resolve_lazily(self):
         modules = _modules_after(
             "import repro, repro.meg\n"

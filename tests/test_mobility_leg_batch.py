@@ -1,22 +1,27 @@
-"""Batched random-trip leg refills against the per-node refill they replaced.
+"""Random-trip leg stores against the per-node refill they replaced.
 
-``RandomTrip.step`` refills every exhausted leg with one
-``TrajectorySampler.sample_legs`` call, and ``WaypointSampler`` draws those
-legs in one batch.  The reference below is the per-node form: one
-``sample_leg`` call per exhausted agent, each leg built by a per-segment
-``straight_leg``.  Positions, the leg buffer and the generator state must
-match it bit for bit after every step.
+``RandomTrip`` keeps every agent's leg in the store its sampler's
+``leg_store`` returns.  The default store holds positions in one padded
+array, refilled by one ``TrajectorySampler.sample_legs`` call per step; the
+random waypoint's store holds each leg in closed form and evaluates
+positions when they are read.  The reference below is a plain ``RandomTrip``
+whose sampler implements only ``sample_leg``, one call per exhausted agent,
+each leg built by a per-segment ``straight_leg``.  Positions, leg lengths,
+cursors and the generator state must match it bit for bit after every step.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import Engine, ResultStore, TrialSpec
 from repro.mobility.geometry import SquareRegion
-from repro.mobility.manhattan import ManhattanSampler
+from repro.mobility.manhattan import ManhattanSampler, ManhattanWaypoint
 from repro.mobility.random_trip import (
     RandomTrip,
     TrajectorySampler,
@@ -70,30 +75,28 @@ def reference_manhattan_leg(sampler, position, region, rng):
     return np.vstack([first, second])
 
 
-class ReferenceRandomWaypoint(RandomWaypoint):
-    """Random waypoint advanced by the per-node refill loop."""
+class ReferenceWaypointSampler(TrajectorySampler):
+    """Waypoint legs from ``reference_waypoint_leg``, one ``sample_leg`` call each."""
 
-    def _advance(self):
-        buffer = self._leg_buffer
-        lengths = self._leg_lengths
-        cursor = self._leg_cursor
-        for node in np.nonzero(cursor >= lengths)[0]:
-            leg = reference_waypoint_leg(
-                self._sampler, self._positions[node], self._region, self._rng
-            )
-            steps = leg.shape[0]
-            if steps > buffer.shape[1]:
-                grown = np.zeros((self._num_nodes, steps, 2))
-                grown[:, : buffer.shape[1]] = buffer
-                buffer = self._leg_buffer = grown
-            buffer[node, :steps] = np.clip(leg, 0.0, self._region.side)
-            lengths[node] = steps
-            cursor[node] = 0
-        self._positions = buffer[np.arange(self._num_nodes), cursor]
-        cursor += 1
-        if self._snap_resolution is not None:
-            self._positions = self._snap(self._positions)
-        self._snapshot.update(self._positions)
+    def __init__(self, v_min, v_max, pause_steps):
+        self.v_min, self.v_max, self.pause_steps = v_min, v_max, pause_steps
+
+    def sample_leg(self, position, region, rng):
+        return reference_waypoint_leg(self, position, region, rng)
+
+
+def reference_random_waypoint(
+    num_nodes, side, radius, v_min, v_max, pause_steps=0, warmup_steps=0, snap_resolution=None
+):
+    """Random waypoint as a plain ``RandomTrip`` on the default padded store."""
+    return RandomTrip(
+        num_nodes,
+        side,
+        radius,
+        ReferenceWaypointSampler(v_min, v_max, pause_steps),
+        warmup_steps=warmup_steps,
+        snap_resolution=snap_resolution,
+    )
 
 
 class ScriptedRNG:
@@ -113,9 +116,8 @@ class ScriptedRNG:
 
 def assert_same_state(model, reference):
     assert np.array_equal(model.positions(), reference.positions())
-    assert np.array_equal(model._leg_buffer, reference._leg_buffer)
-    assert np.array_equal(model._leg_lengths, reference._leg_lengths)
-    assert np.array_equal(model._leg_cursor, reference._leg_cursor)
+    assert np.array_equal(model._legs.lengths, reference._legs.lengths)
+    assert np.array_equal(model._legs.cursor, reference._legs.cursor)
     assert model._rng.bit_generator.state == reference._rng.bit_generator.state
 
 
@@ -126,7 +128,7 @@ waypoint_configs = st.fixed_dictionaries(
         "v_min": st.floats(0.05, 4.0),
         "spread": st.one_of(st.just(1.0), st.floats(1.0, 3.0)),
         "pause_steps": st.integers(0, 3),
-        "warmup_steps": st.integers(0, 12),
+        "warmup_steps": st.integers(0, 40),
         "snap_resolution": st.one_of(st.none(), st.integers(1, 32)),
     }
 )
@@ -141,7 +143,7 @@ class TestWaypointOracle:
         spread = config.pop("spread")
         args = (config.pop("num_nodes"), config.pop("side"), 1.0, v_min, v_min * spread)
         model = RandomWaypoint(*args, **config)
-        reference = ReferenceRandomWaypoint(*args, **config)
+        reference = reference_random_waypoint(*args, **config)
         model.reset(np.random.default_rng(seed))
         reference.reset(np.random.default_rng(seed))
         assert_same_state(model, reference)
@@ -153,14 +155,14 @@ class TestWaypointOracle:
     def test_sweep_geometry_with_default_warmup(self):
         # The waypoint sweep's geometry: side 12, radius 1, unit speed.
         model = RandomWaypoint(128, 12.0, 1.0, 1.0)
-        reference = ReferenceRandomWaypoint(128, 12.0, 1.0, 1.0)
+        reference = reference_random_waypoint(128, 12.0, 1.0, 1.0, 1.0, warmup_steps=26)
         model.reset(np.random.default_rng(73))
         reference.reset(np.random.default_rng(73))
         assert_same_state(model, reference)
         for _ in range(25):
             model.step()
             reference.step()
-        assert_same_state(model, reference)
+            assert_same_state(model, reference)
 
 
 class TestWaypointSampler:
@@ -331,3 +333,77 @@ class TestSnapAtTimeZero:
         continuous.reset(np.random.default_rng(9))
         assert snapped._rng.bit_generator.state == continuous._rng.bit_generator.state
         assert np.array_equal(snapped.positions(), snapped._snap(continuous.positions()))
+
+
+class TestLegStores:
+    class _LegOnly(TrajectorySampler):
+        """``WaypointSampler.sample_leg`` alone, so the default store holds its legs."""
+
+        def __init__(self, inner):
+            self.inner = inner
+
+        def sample_leg(self, position, region, rng):
+            return self.inner.sample_leg(position, region, rng)
+
+    @pytest.mark.parametrize(
+        "v_max,pause_steps,snap_resolution", [(1.0, 0, None), (2.5, 2, None), (1.7, 1, 16)]
+    )
+    def test_default_store_matches_closed_form(self, v_max, pause_steps, snap_resolution):
+        model = RandomWaypoint(
+            40, 9.0, 1.0, 1.0, v_max, pause_steps, snap_resolution=snap_resolution
+        )
+        padded = RandomTrip(
+            40,
+            9.0,
+            1.0,
+            self._LegOnly(model.sampler),
+            warmup_steps=model._warmup_steps,
+            snap_resolution=snap_resolution,
+        )
+        model.reset(np.random.default_rng(17))
+        padded.reset(np.random.default_rng(17))
+        assert_same_state(model, padded)
+        for _ in range(40):
+            model.step()
+            padded.step()
+            assert_same_state(model, padded)
+            assert np.array_equal(model.adjacency_matrix(), padded.adjacency_matrix())
+
+    @pytest.mark.parametrize("steps_before", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RandomWaypoint(30, 8.0, 1.0, 0.6, 1.4, pause_steps=1, snap_resolution=10),
+            lambda: RandomWaypoint(30, 8.0, 1.0, 1.0),
+            lambda: ManhattanWaypoint(30, 8.0, 1.0, 0.8),
+        ],
+        ids=["waypoint-snapped", "waypoint", "manhattan"],
+    )
+    def test_pickled_copy_resumes_identically(self, build, steps_before):
+        model = build()
+        model.reset(np.random.default_rng(23))
+        for _ in range(steps_before):
+            model.step()
+        copy = pickle.loads(pickle.dumps(model))
+        assert_same_state(copy, model)
+        for _ in range(20):
+            model.step()
+            copy.step()
+            assert_same_state(copy, model)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: RandomWaypoint(24, 6.0, 1.0, 1.0), lambda: ManhattanWaypoint(24, 6.0, 1.0, 1.0)],
+        ids=["waypoint", "manhattan"],
+    )
+    def test_wrapped_model_rerun_hits(self, tmp_path, build):
+        # Engine.run floods a pickle copy, so the caller's store never moves.
+        model = build()
+        model.reset(np.random.default_rng(2))
+        engine = Engine(store=ResultStore(tmp_path))
+        spec = TrialSpec.from_model(model, num_trials=4, seed=5)
+        first = engine.run(spec)
+        second = engine.run(spec)
+        assert not first.from_cache
+        assert second.from_cache
+        assert second.flooding_times == first.flooding_times
