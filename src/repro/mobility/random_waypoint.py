@@ -68,14 +68,9 @@ class WaypointSampler(TrajectorySampler):
     def sample_leg(
         self, position: np.ndarray, region: SquareRegion, rng: np.random.Generator
     ) -> np.ndarray:
-        legs, steps = self.sample_legs(np.asarray(position, dtype=float)[None, :], region, rng)
-        return legs[0, : steps[0]]
-
-    def sample_legs(
-        self, starts: np.ndarray, region: SquareRegion, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        destinations, speeds = self._draw(starts.shape[0], region, rng)
-        return straight_legs(starts, destinations, speeds, self._pause_steps)
+        start = np.asarray(position, dtype=float)[None, :]
+        legs, _ = straight_legs(start, *self._draw(1, region, rng), self._pause_steps)
+        return legs[0]
 
     def leg_store(self, positions: np.ndarray, region: SquareRegion) -> LegStore:
         return WaypointLegs(self, positions, region)
