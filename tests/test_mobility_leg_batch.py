@@ -4,15 +4,17 @@
 ``leg_store`` returns.  The default store holds positions in one padded
 array, refilled by one ``TrajectorySampler.sample_legs`` call per step; the
 random waypoint's store holds each leg in closed form and evaluates
-positions when they are read.  The reference below is a plain ``RandomTrip``
-whose sampler implements only ``sample_leg``, one call per exhausted agent,
-each leg built by a per-segment ``straight_leg``.  Positions, leg lengths,
-cursors and the generator state must match it bit for bit after every step.
+positions when they are read.  The references below are a plain
+``RandomTrip`` whose sampler implements only ``sample_leg``, one call per
+exhausted agent, and a store-free per-agent loop that shares no stepping code
+with ``RandomTrip``.  Positions, leg lengths, cursors and the generator state
+must match them bit for bit after every step.
 """
 
 from __future__ import annotations
 
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -75,28 +77,74 @@ def reference_manhattan_leg(sampler, position, region, rng):
     return np.vstack([first, second])
 
 
-class ReferenceWaypointSampler(TrajectorySampler):
-    """Waypoint legs from ``reference_waypoint_leg``, one ``sample_leg`` call each."""
+class LegOnlySampler(TrajectorySampler):
+    """One ``leg(position, region, rng)`` call per exhausted agent, on the default store."""
 
-    def __init__(self, v_min, v_max, pause_steps):
-        self.v_min, self.v_max, self.pause_steps = v_min, v_max, pause_steps
+    def __init__(self, leg):
+        self.leg = leg
 
     def sample_leg(self, position, region, rng):
-        return reference_waypoint_leg(self, position, region, rng)
+        return self.leg(position, region, rng)
 
 
 def reference_random_waypoint(
-    num_nodes, side, radius, v_min, v_max, pause_steps=0, warmup_steps=0, snap_resolution=None
+    num_nodes,
+    side,
+    radius,
+    v_min,
+    v_max,
+    pause_steps=0,
+    warmup_steps=0,
+    snap_resolution=None,
+    library_legs=False,
 ):
-    """Random waypoint as a plain ``RandomTrip`` on the default padded store."""
+    """Random waypoint as a plain ``RandomTrip`` on the default padded store.
+
+    Its legs come from ``reference_waypoint_leg``, or from
+    ``WaypointSampler.sample_leg`` when ``library_legs`` is set.
+    """
+    waypoint = WaypointSampler(v_min, v_max, pause_steps)
+    leg = waypoint.sample_leg if library_legs else partial(reference_waypoint_leg, waypoint)
     return RandomTrip(
         num_nodes,
         side,
         radius,
-        ReferenceWaypointSampler(v_min, v_max, pause_steps),
+        LegOnlySampler(leg),
         warmup_steps=warmup_steps,
         snap_resolution=snap_resolution,
     )
+
+
+def store_free_waypoint(sampler, num_nodes, side, warmup_steps, snap_resolution, rng):
+    """Random waypoint stepped agent by agent, with legs as plain lists of points.
+
+    Yields ``(positions, lengths, cursors)`` at time 0 and after every step.
+    Time 0 comes after ``warmup_steps`` steps; each agent starts at the end
+    of a one-step leg to its (snapped) uniform start.
+    """
+    region = SquareRegion(side)
+    spacing = None if snap_resolution is None else side / snap_resolution
+
+    def snap(point):
+        if spacing is None:
+            return point
+        return (np.clip(np.floor(point / spacing), 0, snap_resolution - 1) + 0.5) * spacing
+
+    positions = [snap(point) for point in region.sample_uniform(rng, num_nodes)]
+    legs = [[point] for point in positions]
+    cursors = [1] * num_nodes
+    time = -warmup_steps
+    while True:
+        if time >= 0:
+            yield np.array(positions).reshape(-1, 2), [len(leg) for leg in legs], list(cursors)
+        for agent in range(num_nodes):
+            if cursors[agent] >= len(legs[agent]):
+                leg = reference_waypoint_leg(sampler, positions[agent], region, rng)
+                legs[agent] = list(np.clip(leg, 0.0, side))
+                cursors[agent] = 0
+            cursors[agent] += 1
+            positions[agent] = snap(legs[agent][cursors[agent] - 1])
+        time += 1
 
 
 class ScriptedRNG:
@@ -136,14 +184,19 @@ waypoint_configs = st.fixed_dictionaries(
 
 class TestWaypointOracle:
     @settings(max_examples=60)
-    @given(config=waypoint_configs, seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 30))
-    def test_positions_buffer_and_stream_match(self, config, seed, steps):
+    @given(
+        config=waypoint_configs,
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 30),
+        library_legs=st.booleans(),
+    )
+    def test_positions_buffer_and_stream_match(self, config, seed, steps, library_legs):
         config = dict(config)
         v_min = config.pop("v_min")
         spread = config.pop("spread")
         args = (config.pop("num_nodes"), config.pop("side"), 1.0, v_min, v_min * spread)
         model = RandomWaypoint(*args, **config)
-        reference = reference_random_waypoint(*args, **config)
+        reference = reference_random_waypoint(*args, **config, library_legs=library_legs)
         model.reset(np.random.default_rng(seed))
         reference.reset(np.random.default_rng(seed))
         assert_same_state(model, reference)
@@ -163,6 +216,39 @@ class TestWaypointOracle:
             model.step()
             reference.step()
             assert_same_state(model, reference)
+
+    @settings(max_examples=30)
+    @given(config=waypoint_configs, seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 30))
+    def test_store_free_stepping_matches(self, config, seed, steps):
+        v_min, v_max = config["v_min"], config["v_min"] * config["spread"]
+        model = RandomWaypoint(
+            config["num_nodes"],
+            config["side"],
+            1.0,
+            v_min,
+            v_max,
+            config["pause_steps"],
+            config["warmup_steps"],
+            config["snap_resolution"],
+        )
+        model.reset(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        states = store_free_waypoint(
+            WaypointSampler(v_min, v_max, config["pause_steps"]),
+            config["num_nodes"],
+            config["side"],
+            config["warmup_steps"],
+            config["snap_resolution"],
+            rng,
+        )
+        for step in range(steps + 1):
+            if step:
+                model.step()
+            positions, lengths, cursors = next(states)
+            assert np.array_equal(model.positions(), positions)
+            assert model._legs.lengths.tolist() == lengths
+            assert model._legs.cursor.tolist() == cursors
+            assert model._rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestWaypointSampler:
@@ -336,39 +422,6 @@ class TestSnapAtTimeZero:
 
 
 class TestLegStores:
-    class _LegOnly(TrajectorySampler):
-        """``WaypointSampler.sample_leg`` alone, so the default store holds its legs."""
-
-        def __init__(self, inner):
-            self.inner = inner
-
-        def sample_leg(self, position, region, rng):
-            return self.inner.sample_leg(position, region, rng)
-
-    @pytest.mark.parametrize(
-        "v_max,pause_steps,snap_resolution", [(1.0, 0, None), (2.5, 2, None), (1.7, 1, 16)]
-    )
-    def test_default_store_matches_closed_form(self, v_max, pause_steps, snap_resolution):
-        model = RandomWaypoint(
-            40, 9.0, 1.0, 1.0, v_max, pause_steps, snap_resolution=snap_resolution
-        )
-        padded = RandomTrip(
-            40,
-            9.0,
-            1.0,
-            self._LegOnly(model.sampler),
-            warmup_steps=model._warmup_steps,
-            snap_resolution=snap_resolution,
-        )
-        model.reset(np.random.default_rng(17))
-        padded.reset(np.random.default_rng(17))
-        assert_same_state(model, padded)
-        for _ in range(40):
-            model.step()
-            padded.step()
-            assert_same_state(model, padded)
-            assert np.array_equal(model.adjacency_matrix(), padded.adjacency_matrix())
-
     @pytest.mark.parametrize("steps_before", [0, 1, 7])
     @pytest.mark.parametrize(
         "build",
