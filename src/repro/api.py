@@ -545,7 +545,7 @@ def _compile_experiment(request: WorkRequest) -> CompiledPlan:
 
     def assemble(records: Mapping[str, dict]) -> dict:
         samples = {
-            job.tag: [int(t) for t in records[job.tag]["flooding_times"]]
+            job.tag: list(map(int, records[job.tag]["flooding_times"]))
             for job in jobs
         }
         report = plan.assemble(samples)
@@ -572,7 +572,7 @@ def _compile_flood(request: WorkRequest) -> CompiledPlan:
     jobs = (RequestJob(tag="flood", spec=spec),)
 
     def assemble(records: Mapping[str, dict]) -> dict:
-        samples = [int(t) for t in records["flood"]["flooding_times"]]
+        samples = list(map(int, records["flood"]["flooding_times"]))
         return {
             "kind": "flood",
             "family": request.family,

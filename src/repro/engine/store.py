@@ -63,8 +63,26 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 
+#: exact types ``jsonify`` returns as they are (subclasses take the slow path)
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
 def jsonify(value):
-    """Recursively convert numpy scalars/arrays so ``json`` can encode them."""
+    """Recursively convert numpy scalars/arrays so ``json`` can encode them.
+
+    Exact built-in scalars, lists and tuples of them, and ``str`` keys take
+    C-level fast paths; everything else (NumPy values, ``np.float64``,
+    namedtuples, ``OrderedDict``) goes through the ``isinstance`` chain.
+    """
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is list or kind is tuple:
+        if _PLAIN.issuperset(map(type, value)):
+            return list(value)
+        return [jsonify(v) for v in value]
+    if kind is dict:
+        return {k if type(k) is str else str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -129,10 +147,12 @@ class SeedRange:
             entropy_text = "[" + ",".join(str(int(word)) for word in entropy) + "]"
         else:
             entropy_text = str(int(entropy))
+        if not self.count:
+            return "[]"
         head = '{"entropy":' + entropy_text + ',"spawn_key":['
         head += "".join(f"{key}," for key in self.spawn_key)
-        indices = range(self.first, self.first + self.count)
-        return "[" + ",".join(f"{head}{index}]}}" for index in indices) + "]"
+        indices = map(str, range(self.first, self.first + self.count))
+        return "[" + head + ("]}," + head).join(indices) + "]}]"
 
 
 class MergeConflictError(RuntimeError):

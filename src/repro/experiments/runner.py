@@ -21,7 +21,7 @@ from repro.engine import Engine, ShardSpec, TrialSpec
 from repro.meg.base import DynamicGraph
 from repro.stats.sequential import StoppingRule, summary_from_sketch, whp_from_sketch
 from repro.util.rng import RNGLike, spawn_seed_sequences
-from repro.util.stats import TrialSummary, summarize, whp_quantile
+from repro.util.stats import TrialSummary, summarize_with_whp
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,13 @@ def run_sweep_specs(
         else:
             batch = engine.run_shard(ShardSpec(spec, *shard_pair))
         samples = list(batch.flooding_times)
+        summary, whp_value = summarize_with_whp(samples, batch.num_nodes)
         measurements.append(
             SweepMeasurement(
                 parameter=spec.args[0],
                 num_nodes=batch.num_nodes,
-                summary=summarize(samples),
-                whp_value=whp_quantile(samples, batch.num_nodes),
+                summary=summary,
+                whp_value=whp_value,
                 samples=tuple(samples),
                 from_cache=batch.from_cache,
                 stopped_early=batch.stopped_early,
@@ -193,12 +194,13 @@ def measurement_from_record(spec: TrialSpec, record: dict) -> SweepMeasurement:
             from_cache=True,
             stopped_early=stopped_early,
         )
-    samples = [int(time) for time in times]
+    samples = list(map(int, times))
+    summary, whp_value = summarize_with_whp(samples, num_nodes)
     return SweepMeasurement(
         parameter=spec.args[0],
         num_nodes=num_nodes,
-        summary=summarize(samples),
-        whp_value=whp_quantile(samples, num_nodes),
+        summary=summary,
+        whp_value=whp_value,
         samples=tuple(samples),
         from_cache=True,
         stopped_early=stopped_early,

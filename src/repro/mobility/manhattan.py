@@ -72,6 +72,15 @@ class ManhattanWaypoint(RandomTrip):
         """Constant agent speed."""
         return self.sampler.speed  # type: ignore[attr-defined]
 
+    def _cache_params(self) -> dict:
+        # Constructor parameters, not pickled state (see RandomWaypoint).
+        return {
+            "side": float(self.region.side),
+            "radius": float(self.radius),
+            "speed": float(self.speed),
+            "warmup_steps": int(self._warmup_steps),
+        }
+
     def mixing_time_estimate(self) -> float:
         """Mixing-time estimate ``Theta(L / v)`` (Manhattan legs are <= 2L long)."""
         return 2.0 * self.region.side / self.speed

@@ -96,6 +96,17 @@ class RandomDirection(RandomTrip):
         """Constant agent speed."""
         return self.sampler.speed  # type: ignore[attr-defined]
 
+    def _cache_params(self) -> dict:
+        # Constructor parameters, not pickled state (see RandomWaypoint).
+        return {
+            "side": float(self.region.side),
+            "radius": float(self.radius),
+            "speed": float(self.speed),
+            "mean_leg_steps": float(self.sampler.mean_leg_steps),  # type: ignore[attr-defined]
+            "warmup_steps": int(self._warmup_steps),
+            "snap_resolution": self.snap_resolution,
+        }
+
     def mixing_time_estimate(self) -> float:
         """Order-of-magnitude mixing time ``Theta(L / v)`` (same as the waypoint)."""
         return self.region.side / self.speed

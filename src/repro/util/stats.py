@@ -48,19 +48,7 @@ class TrialSummary:
 
 def summarize(samples: Sequence[float]) -> TrialSummary:
     """Compute a :class:`TrialSummary` of ``samples``."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot summarise an empty sample")
-    return TrialSummary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        median=float(np.median(arr)),
-        q90=float(np.quantile(arr, 0.90)),
-        q99=float(np.quantile(arr, 0.99)),
-    )
+    return summarize_with_whp(list(samples), 1)[0]
 
 
 def whp_quantile(samples: Sequence[float], n: int) -> float:
@@ -77,6 +65,31 @@ def whp_quantile(samples: Sequence[float], n: int) -> float:
         return float(arr.max())
     level = min(1.0 - 1.0 / n, 1.0)
     return float(np.quantile(arr, level))
+
+
+def summarize_with_whp(samples: Sequence[float], n: int) -> tuple[TrialSummary, float]:
+    """``(summarize(samples), whp_quantile(samples, n))`` from one float array.
+
+    q90, q99 and the ``1 - 1/n`` level come from one ``np.quantile`` call,
+    which gives the values of separate calls exactly.  The median stays on
+    ``np.median``: a vectorised 0.5 quantile can differ in the last bit.
+    """
+    arr = np.asarray(samples, dtype=float)
+    if arr.size == 0:
+        raise ValueError("cannot summarise an empty sample")
+    levels = [0.90, 0.99] if n < 2 else [0.90, 0.99, min(1.0 - 1.0 / n, 1.0)]
+    quantiles = np.quantile(arr, levels).tolist()
+    summary = TrialSummary(
+        count=int(arr.size),
+        mean=float(arr.mean()),
+        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+        minimum=float(arr.min()),
+        maximum=float(arr.max()),
+        median=float(np.median(arr)),
+        q90=quantiles[0],
+        q99=quantiles[1],
+    )
+    return summary, quantiles[2] if n >= 2 else summary.maximum
 
 
 def z_score(confidence: float) -> float:

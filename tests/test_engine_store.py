@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import enum
 import json
+from collections import OrderedDict, namedtuple
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Engine, ResultStore, ShardSpec, TrialSpec, jsonify
 from repro.experiments.registry import colocation_node_meg_model
@@ -33,6 +37,94 @@ def _state_keyed_model(family: str):
     return RandomPathModel(12, edge_paths(grid_graph(3)), radius_hops=1)
 
 
+def _reference_jsonify(value):
+    """``jsonify`` as a plain ``isinstance`` chain, without fast paths."""
+    if isinstance(value, dict):
+        return {str(k): _reference_jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonify(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_reference_jsonify(v) for v in value.tolist()]
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    return value
+
+
+def _outcome(convert, value):
+    """JSON text and node types of ``convert(value)``, or the error it raises.
+
+    A 0-d array inside a value raises ``TypeError`` (``tolist()`` gives a
+    scalar); the fast paths must keep even that behaviour.
+    """
+    try:
+        converted = convert(value)
+    except TypeError as error:
+        return type(error)
+    return json.dumps(converted), _container_types(converted)
+
+
+def _container_types(value):
+    """The type of every node of a jsonified value, as a nested structure."""
+    if isinstance(value, dict):
+        return (type(value), {k: _container_types(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return (type(value), [_container_types(v) for v in value])
+    return type(value)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Tag(str):
+    pass
+
+
+_Pair = namedtuple("_Pair", "left right")
+
+_SMALL_INTS = st.integers(min_value=-(2**40), max_value=2**40)
+_FLOATS = st.floats(allow_nan=False, width=64)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    _SMALL_INTS,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    _FLOATS,
+    st.text(max_size=4),
+    _SMALL_INTS.map(np.int64),
+    _SMALL_INTS.map(lambda v: np.int32(v % 2**31)),
+    _FLOATS.map(np.float64),
+    _FLOATS.map(lambda v: np.float32(v if abs(v) < 1e30 else 0.0)),
+    st.booleans().map(np.bool_),
+    st.sampled_from(list(_Level)),
+    st.text(max_size=3).map(_Tag),
+    _SMALL_INTS.map(np.array),
+)
+_ARRAYS = st.lists(_SMALL_INTS, max_size=6).map(lambda items: np.array(items, dtype=np.int64)) | st.lists(
+    _FLOATS, min_size=2, max_size=6
+).map(lambda items: np.array(items[: len(items) // 2 * 2]).reshape(2, -1))
+_KEYS = st.one_of(
+    st.text(max_size=3), _SMALL_INTS, st.sampled_from(list(_Level)), st.text(max_size=3).map(_Tag),
+    st.booleans(), st.none(),
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS | _ARRAYS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.tuples(inner, inner).map(lambda pair: _Pair(*pair)),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4).map(OrderedDict),
+    ),
+    max_leaves=20,
+)
+
 class TestJsonify:
     def test_numpy_scalars_and_arrays(self):
         payload = jsonify(
@@ -46,6 +138,17 @@ class TestJsonify:
         )
         assert json.dumps(payload)  # round-trips through the json module
         assert payload["i"] == 3 and payload["a"] == [0, 1, 2]
+
+    @given(value=st.deferred(lambda: _JSON_VALUES))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_isinstance_chain(self, value):
+        assert _outcome(jsonify, value) == _outcome(_reference_jsonify, value)
+
+    def test_plain_list_is_a_fresh_list(self):
+        samples = (3, 1, 2)
+        assert jsonify(samples) == [3, 1, 2]
+        listed = [1.5, None, True, "x"]
+        assert jsonify(listed) == listed and jsonify(listed) is not listed
 
     def test_compute_key_ignores_dict_order(self):
         a = ResultStore.compute_key({"x": 1, "y": [2, 3]})

@@ -33,6 +33,8 @@ from repro.engine import (
 from repro.engine.store import SeedRange
 from repro.fleet import JobSpool
 from repro.meg.edge_meg import EdgeMEG
+from repro.mobility.manhattan import ManhattanWaypoint
+from repro.mobility.random_direction import RandomDirection
 from repro.mobility.random_waypoint import RandomWaypoint
 from repro.serve import SimulationService, plan_etag
 from repro.stats import sketch_salt
@@ -231,11 +233,64 @@ class TestRandomWaypointKey:
         assert self._key(model) == before
 
 
+class TestTripModelKeys:
+    """Manhattan and random-direction models are keyed by constructor parameters."""
+
+    PINNED = {
+        ManhattanWaypoint: "a75f235a7ceb2ac76fa8349d28c9ce4a2861ae28a492a44df9ab4463b1f2d83a",
+        RandomDirection: "07009ab2cb3c7c368da1976ecefc0a093dd2717e76cc5adb207168bbb4bec54b",
+    }
+
+    @pytest.mark.parametrize("cls", [ManhattanWaypoint, RandomDirection])
+    def test_key_survives_reset_and_step(self, cls):
+        model = cls(20, 10.0, 1.0, 1.0)
+        keys = [TestRandomWaypointKey._key(model)]
+        model.reset(3)
+        keys.append(TestRandomWaypointKey._key(model))
+        model.step()
+        keys.append(TestRandomWaypointKey._key(model))
+        assert keys == [self.PINNED[cls]] * 3
+
+    @pytest.mark.parametrize("cls", [ManhattanWaypoint, RandomDirection])
+    def test_speed_moves_the_key(self, cls):
+        assert TestRandomWaypointKey._key(cls(20, 10.0, 1.0, 0.5)) != self.PINNED[cls]
+
+
 _ENTROPY = st.one_of(
     st.integers(min_value=0, max_value=2**32),
     st.integers(min_value=2**64, max_value=2**160),
     st.lists(st.integers(min_value=0, max_value=2**64), min_size=1, max_size=5),
 )
+
+
+def _formatted_seed_text(seeds: SeedRange) -> str:
+    """``SeedRange.text`` as one f-string per trial (the joined form's oracle)."""
+    entropy = seeds.entropy
+    if isinstance(entropy, (list, tuple)):
+        entropy_text = "[" + ",".join(str(int(word)) for word in entropy) + "]"
+    else:
+        entropy_text = str(int(entropy))
+    head = '{"entropy":' + entropy_text + ',"spawn_key":['
+    head += "".join(f"{key}," for key in seeds.spawn_key)
+    indices = range(seeds.first, seeds.first + seeds.count)
+    return "[" + ",".join(f"{head}{index}]}}" for index in indices) + "]"
+
+
+class TestSeedTextOracle:
+    @given(
+        entropy=_ENTROPY,
+        spawn_key=st.lists(st.integers(min_value=0, max_value=2**40), max_size=3).map(tuple),
+        first=st.integers(min_value=0, max_value=10**6),
+        count=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_joined_text_equals_formatted(self, entropy, spawn_key, first, count):
+        seeds = SeedRange(entropy, spawn_key, first, count)
+        assert seeds.text == _formatted_seed_text(seeds)
+
+    def test_empty_and_single_ranges(self):
+        assert SeedRange(7, (), 0, 0).text == "[]"
+        assert SeedRange(7, (2,), 5, 1).text == '[{"entropy":7,"spawn_key":[2,5]}]'
 
 
 class TestClosedFormOracle:

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.util.stats import (
+    TrialSummary,
     empirical_ccdf,
     mean_confidence_interval,
     summarize,
+    summarize_with_whp,
     whp_quantile,
 )
 
@@ -63,6 +67,51 @@ class TestWhpQuantile:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             whp_quantile([], 10)
+
+
+def _separate_summary(samples) -> TrialSummary:
+    """A summary from one ``np.quantile`` call per level (the oracle)."""
+    arr = np.asarray(list(samples), dtype=float)
+    return TrialSummary(
+        count=int(arr.size),
+        mean=float(arr.mean()),
+        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+        minimum=float(arr.min()),
+        maximum=float(arr.max()),
+        median=float(np.median(arr)),
+        q90=float(np.quantile(arr, 0.90)),
+        q99=float(np.quantile(arr, 0.99)),
+    )
+
+
+class TestSummarizeWithWhp:
+    """The one-array summary equals separate quantile calls exactly."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 24, 1024])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kind=st.sampled_from(["small-ints", "wide-ints", "floats"]),
+        n=st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=4, max_value=10**7)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_separate_calls(self, size, seed, kind, n):
+        rng = np.random.default_rng(seed)
+        if kind == "small-ints":
+            samples = rng.integers(1, 12, size=size).tolist()
+        elif kind == "wide-ints":
+            samples = rng.integers(0, 2**40, size=size).tolist()
+        else:
+            samples = (rng.standard_normal(size) * rng.exponential(100.0)).tolist()
+        summary, whp = summarize_with_whp(samples, n)
+        # repr tells -0.0 from 0.0 and prints every float to its last bit.
+        assert repr(summary) == repr(_separate_summary(samples))
+        assert repr(summarize(samples)) == repr(summary)
+        assert repr(whp) == repr(whp_quantile(samples, n))
+        assert type(whp) is float
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            summarize_with_whp([], 10)
 
 
 class TestMeanConfidenceInterval:
