@@ -70,22 +70,16 @@ _PLAIN = frozenset((str, int, float, bool, type(None)))
 def jsonify(value):
     """Recursively convert numpy scalars/arrays so ``json`` can encode them.
 
-    Exact built-in scalars, lists and tuples of them, and ``str`` keys take
-    C-level fast paths; everything else (NumPy values, ``np.float64``,
-    namedtuples, ``OrderedDict``) goes through the ``isinstance`` chain.
+    Plain scalars (exact built-in types) come back as they are, a sequence
+    of them is copied in one C-level pass and ``str`` keys skip ``str()``.
     """
-    kind = type(value)
-    if kind in _PLAIN:
+    if type(value) in _PLAIN:
         return value
-    if kind is list or kind is tuple:
+    if isinstance(value, dict):
+        return {k if type(k) is str else str(k): jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
         if _PLAIN.issuperset(map(type, value)):
             return list(value)
-        return [jsonify(v) for v in value]
-    if kind is dict:
-        return {k if type(k) is str else str(k): jsonify(v) for k, v in value.items()}
-    if isinstance(value, dict):
-        return {str(k): jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
     if isinstance(value, np.ndarray):
         return [jsonify(v) for v in value.tolist()]
@@ -142,13 +136,13 @@ class SeedRange:
     @cached_property
     def text(self) -> str:
         """Canonical JSON text of the seeds' ``seed_token`` list."""
+        if not self.count:
+            return "[]"
         entropy = self.entropy
         if isinstance(entropy, (list, tuple)):
             entropy_text = "[" + ",".join(str(int(word)) for word in entropy) + "]"
         else:
             entropy_text = str(int(entropy))
-        if not self.count:
-            return "[]"
         head = '{"entropy":' + entropy_text + ',"spawn_key":['
         head += "".join(f"{key}," for key in self.spawn_key)
         indices = map(str, range(self.first, self.first + self.count))

@@ -9,7 +9,7 @@ from collections import OrderedDict, namedtuple
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Engine, ResultStore, ShardSpec, TrialSpec, jsonify
@@ -68,9 +68,9 @@ def _outcome(convert, value):
 
 
 def _container_types(value):
-    """The type of every node of a jsonified value, as a nested structure."""
+    """The type of every node and key of a jsonified value, as a nested structure."""
     if isinstance(value, dict):
-        return (type(value), {k: _container_types(v) for k, v in value.items()})
+        return (type(value), [(type(k), k, _container_types(v)) for k, v in value.items()])
     if isinstance(value, list):
         return (type(value), [_container_types(v) for v in value])
     return type(value)
@@ -140,6 +140,9 @@ class TestJsonify:
         assert payload["i"] == 3 and payload["a"] == [0, 1, 2]
 
     @given(value=st.deferred(lambda: _JSON_VALUES))
+    @example(value=[np.float64(1.5), 2])
+    @example(value=(_Level.HIGH, np.bool_(True), "x"))
+    @example(value={_Tag("k"): [None, 1.0], 3: {"a": np.int64(4)}})
     @settings(max_examples=300, deadline=None)
     def test_matches_isinstance_chain(self, value):
         assert _outcome(jsonify, value) == _outcome(_reference_jsonify, value)
