@@ -145,7 +145,8 @@ class SeedRange:
             entropy_text = str(int(entropy))
         head = '{"entropy":' + entropy_text + ',"spawn_key":['
         head += "".join(f"{key}," for key in self.spawn_key)
-        indices = map(str, range(self.first, self.first + self.count))
+        # repr of an int is its decimal text, without str's constructor call.
+        indices = map(repr, range(self.first, self.first + self.count))
         return "[" + head + ("]}," + head).join(indices) + "]}]"
 
 
