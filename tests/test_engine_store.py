@@ -105,12 +105,19 @@ _SCALARS = st.one_of(
     st.text(max_size=3).map(_Tag),
     _SMALL_INTS.map(np.array),
 )
-_ARRAYS = st.lists(_SMALL_INTS, max_size=6).map(lambda items: np.array(items, dtype=np.int64)) | st.lists(
-    _FLOATS, min_size=2, max_size=6
-).map(lambda items: np.array(items[: len(items) // 2 * 2]).reshape(2, -1))
+_ARRAYS = st.one_of(
+    st.lists(_SMALL_INTS, max_size=6).map(lambda items: np.array(items, dtype=np.int64)),
+    st.lists(_FLOATS, min_size=2, max_size=6).map(
+        lambda items: np.array(items[: len(items) // 2 * 2]).reshape(2, -1)
+    ),
+)
 _KEYS = st.one_of(
-    st.text(max_size=3), _SMALL_INTS, st.sampled_from(list(_Level)), st.text(max_size=3).map(_Tag),
-    st.booleans(), st.none(),
+    st.text(max_size=3),
+    _SMALL_INTS,
+    st.sampled_from(list(_Level)),
+    st.text(max_size=3).map(_Tag),
+    st.booleans(),
+    st.none(),
 )
 _JSON_VALUES = st.recursive(
     _SCALARS | _ARRAYS,
@@ -124,6 +131,7 @@ _JSON_VALUES = st.recursive(
     ),
     max_leaves=20,
 )
+
 
 class TestJsonify:
     def test_numpy_scalars_and_arrays(self):
