@@ -80,25 +80,27 @@ ticket.  Every entry point above compiles requests through one seam,
 comes through.
 
 How a call is parsed and dispatched: :data:`COMMANDS` lists the top-level
-subcommands as ``(name, help, builder)`` rows.  The top-level parser always
-registers every name with its help (so ``repro --help``, usage lines and
-"invalid choice" errors never change), but :func:`main` runs only the
-builder of the invoked subcommand — the first argv token that is not an
-option — which adds that subcommand's whole parser subtree.  Every leaf
-parser registers its handler with ``set_defaults(handler=...)``, and
-:func:`main` calls ``args.handler(args)``.  Handlers import the modules
-they need in their own body, so ``import repro.cli`` and ``repro
---version`` load no NumPy, and each command loads only what it reaches.
+subcommands as ``(name, help, builder)`` rows, and every inner node of the
+tree below is a :func:`_level` of such rows.  A level registers each name
+with its help, which is all help pages, usage lines and "invalid choice"
+errors show, and builds a child's parser only when argparse reaches it, so
+a call builds just the parsers on its argv's path.  Every leaf registers
+its handler with ``set_defaults(handler=...)``, and :func:`main` calls
+``args.handler(args)``.  Handlers import what they need in their own body,
+so ``import repro.cli``, ``repro --version`` and the sweep and flood help
+pages load no NumPy, and each command loads only what it reaches.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import signal
 import sys
+from collections.abc import Mapping
 from typing import Optional, Sequence
 
 # The family factories moved to repro.sweeps (shared with the fleet worker);
@@ -139,7 +141,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _shard_argument(text: str) -> tuple[int, int]:
-    from repro.engine.shard import parse_shard
+    from repro.engine.options import parse_shard
 
     try:
         return parse_shard(text)
@@ -153,76 +155,116 @@ def _experiment_ids() -> list[str]:
     return sorted(EXPERIMENTS, key=lambda e: int(e[1:]))
 
 
-# ---------------------------------------------------------------------- #
-# option groups shared by several subcommands (built by the branches that
-# use them, never for a call that does not)
-# ---------------------------------------------------------------------- #
-def _engine_options() -> argparse.ArgumentParser:
-    """Engine options shared by every trial-running subcommand."""
-    from repro.engine.engine import BACKENDS, EXECUTORS
+class _Subcommands(argparse._SubParsersAction):
+    """A subparsers level that builds each child parser when it is looked up.
 
-    engine_options = argparse.ArgumentParser(add_help=False)
-    engine_options.add_argument(
+    ``rows`` register the children by name, help and builder, which is all
+    the help listing, the usage line and "invalid choice" errors read.
+    argparse looks a child up only to dispatch to it, so a call builds just
+    the parsers on the path its argv selects.
+    """
+
+    class _Parsers(Mapping):
+        """name -> child parser, in registration order, built on first lookup."""
+
+        def __init__(self, level, builders: dict):
+            self._level, self._builders, self._parsers = level, builders, {}
+
+        def __getitem__(self, name):
+            if name not in self._parsers:
+                parser = self._level._parser_class(prog=f"{self._level._prog_prefix} {name}")
+                self._builders[name](parser)
+                self._parsers[name] = parser
+            return self._parsers[name]
+
+        def __contains__(self, name):
+            return name in self._builders
+
+        def __iter__(self):
+            return iter(self._builders)
+
+        def __len__(self):
+            return len(self._builders)
+
+    def __init__(self, *args, rows, **kwargs):
+        super().__init__(*args, **kwargs)
+        pseudo = self._ChoicesPseudoAction
+        self._choices_actions = [pseudo(name, (), text) for name, text, _ in rows]
+        builders = {name: builder for name, _, builder in rows}
+        self.choices = self._name_parser_map = self._Parsers(self, builders)
+
+
+def _level(dest: str, rows):
+    """A builder giving its parser one required subcommand per ``(name, help, builder)``."""
+    return lambda parser: parser.add_subparsers(
+        action=_Subcommands, dest=dest, required=True, rows=rows
+    )
+
+
+# ---------------------------------------------------------------------- #
+# option groups shared by several leaves, added straight to the leaf parser
+# ---------------------------------------------------------------------- #
+def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+    """Engine options shared by every trial-running subcommand."""
+    from repro.engine.options import BACKENDS, EXECUTORS
+
+    parser.add_argument(
         "--workers", type=_positive_int, default=1,
         help="worker processes for the trial engine (1 = in-process)",
     )
-    engine_options.add_argument(
+    parser.add_argument(
         "--backend", choices=BACKENDS, default="auto",
         help="flooding kernel: auto, set (python loop), vectorized (dense NumPy) "
              "or sparse (CSR matvec)",
     )
-    engine_options.add_argument(
+    parser.add_argument(
         "--executor", choices=EXECUTORS, default="process",
         help="pool kind when --workers > 1: process (CPU parallelism, default) "
              "or thread (cheap start-up, IO-bound models); samples are "
              "bit-identical either way",
     )
-    engine_options.add_argument(
+    parser.add_argument(
         "--results-dir", default=None,
         help="directory of the persistent result store (enables caching)",
     )
-    engine_options.add_argument(
+    parser.add_argument(
         "--source-chunk", type=_positive_int, default=None, metavar="B",
         help="cap the sources flooded per kernel pass; wider batches record "
              "the realization once and replay it (identical results, "
              "bounded memory)",
     )
-    engine_options.add_argument(
+    parser.add_argument(
         "--json", dest="json_path", default=None, metavar="PATH",
         help="write machine-readable results to PATH",
     )
-    return engine_options
 
 
-def _observability_options() -> argparse.ArgumentParser:
+def _add_observability_options(parser: argparse.ArgumentParser) -> None:
     """Observability flags shared by every execution subcommand.
 
     Telemetry is strictly opt-in: without --telemetry (or REPRO_TELEMETRY)
     the tracer is a no-op, and enabling it never changes any computed result.
     """
-    observability_options = argparse.ArgumentParser(add_help=False)
-    observability_options.add_argument(
+    parser.add_argument(
         "--telemetry", dest="telemetry_dir", default=None, metavar="DIR",
         help="write per-process telemetry event files (spans, metrics) into "
              "DIR; merge them later with `repro telemetry report DIR` "
              f"(default: the {TELEMETRY_ENV} environment variable)",
     )
-    observability_options.add_argument(
+    parser.add_argument(
         "--log-level", default=None, metavar="LEVEL",
         help="stdlib logging level for the repro loggers (debug, info, "
              "warning, ...; default: info, or the REPRO_LOG_LEVEL variable)",
     )
-    return observability_options
 
 
-def _source_parent() -> argparse.ArgumentParser:
+def _add_source_options(parser: argparse.ArgumentParser) -> None:
     """Batched-source estimator flags.
 
     They apply to flood and sweep, not to the registered experiments, whose
     estimators are part of the experiment definition.
     """
-    source_parent = argparse.ArgumentParser(add_help=False)
-    source_options = source_parent.add_mutually_exclusive_group()
+    source_options = parser.add_mutually_exclusive_group()
     source_options.add_argument(
         "--all-sources", action="store_true",
         help="flood from every node of each realization in one batch and "
@@ -233,19 +275,16 @@ def _source_parent() -> argparse.ArgumentParser:
         help="flood from K sampled sources of each realization in one batch "
              "and report the worst flooding time per trial",
     )
-    return source_parent
 
 
-def _sweep_points() -> argparse.ArgumentParser:
+def _add_sweep_points(parser: argparse.ArgumentParser) -> None:
     """The sweep points: node counts, trials per point and the seed."""
-    sweep_points = argparse.ArgumentParser(add_help=False)
-    sweep_points.add_argument(
+    parser.add_argument(
         "--nodes", type=_int_list, default=[64, 128, 256], metavar="N1,N2,...",
         help="comma-separated node counts (the sweep points)",
     )
-    sweep_points.add_argument("--trials", type=_positive_int, default=10)
-    sweep_points.add_argument("--seed", type=int, default=0)
-    return sweep_points
+    parser.add_argument("--trials", type=_positive_int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 #: help of each sweep family's subcommand (``sweep`` and ``fleet run sweep``)
@@ -255,469 +294,490 @@ _FAMILY_HELP = {
     "grid-walk": "random walks over a fixed augmented grid",
 }
 
+#: help of the family parameters that have one
+_PARAMETER_HELP = {"q": "edge death rate", "avg_degree": "expected stationary degree"}
 
-def _family_parameters() -> dict[str, argparse.ArgumentParser]:
-    """Per-family model parameters, shared by `sweep` and `fleet run sweep`.
+
+def _add_family_parameters(parser: argparse.ArgumentParser, family: str) -> None:
+    """The family's model parameters, shared by `sweep` and `fleet run sweep`.
 
     Flags, types and defaults are generated from SWEEP_FAMILY_DEFAULTS — the
     same table the request facade canonicalizes against — so the CLI can
     never drift from what `repro serve` and the fleet accept.
     """
-    param_help = {
-        "q": "edge death rate",
-        "avg_degree": "expected stationary degree",
-    }
-    family_params = {}
-    for family, defaults in SWEEP_FAMILY_DEFAULTS.items():
-        family_parser = argparse.ArgumentParser(add_help=False)
-        for name, default in defaults.items():
-            family_parser.add_argument(
-                "--" + name.replace("_", "-"), type=type(default), default=default,
-                help=param_help.get(name),
-            )
-        family_params[family] = family_parser
-    return family_params
+    for name, default in SWEEP_FAMILY_DEFAULTS[family].items():
+        parser.add_argument(
+            "--" + name.replace("_", "-"), type=type(default), default=default,
+            help=_PARAMETER_HELP.get(name),
+        )
+
+
+def _family_level(add_leaf):
+    """A ``family`` level with one leaf per sweep family, built by ``add_leaf``."""
+    return _level("family", [
+        (family, help_text, functools.partial(add_leaf, family=family))
+        for family, help_text in _FAMILY_HELP.items()
+    ])
+
+
+def _add_experiment_id(parser: argparse.ArgumentParser) -> None:
+    """The experiment positional, with its ``--scale`` and ``--seed``."""
+    parser.add_argument("experiment_id", choices=_experiment_ids())
+    parser.add_argument("--scale", choices=("small", "full"), default="small")
+    parser.add_argument("--seed", type=int, default=0)
 
 
 # ---------------------------------------------------------------------- #
-# one builder per top-level subcommand: ``builder(subparsers, name, help)``
+# the subcommand tree: a builder per leaf, a ``_level`` per inner node
 # ---------------------------------------------------------------------- #
-def _add_experiments(subparsers, name: str, help_text: str) -> None:
-    experiment_ids = _experiment_ids()
-    experiments = subparsers.add_parser(name, help=help_text)
-    experiments_sub = experiments.add_subparsers(dest="experiments_command", required=True)
-    experiments_sub.add_parser(
-        "list", help="list the registered experiments"
-    ).set_defaults(handler=_run_experiments_list)
-    run_one = experiments_sub.add_parser("run", help="run a single experiment")
-    run_one.add_argument("experiment_id", choices=experiment_ids)
-    run_one.add_argument("--scale", choices=("small", "full"), default="small")
-    run_one.add_argument("--seed", type=int, default=0)
-    run_one.add_argument("--markdown", action="store_true", help="render as markdown")
-    run_one.add_argument(
+def _add_experiments_run(parser: argparse.ArgumentParser) -> None:
+    _add_experiment_id(parser)
+    parser.add_argument("--markdown", action="store_true", help="render as markdown")
+    parser.add_argument(
         "--json", dest="json_path", default=None, metavar="PATH",
         help="write the report rows as JSON to PATH",
     )
-    run_one.set_defaults(handler=_run_experiments_run)
-    run_all = experiments_sub.add_parser("run-all", help="run every experiment")
-    run_all.add_argument("--scale", choices=("small", "full"), default="small")
-    run_all.add_argument("--seed", type=int, default=0)
-    run_all.add_argument("--markdown", action="store_true")
-    run_all.add_argument("--output", default=None, help="write the report to a file")
-    run_all.add_argument(
+    parser.set_defaults(handler=_run_experiments_run)
+
+
+def _add_experiments_run_all(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scale", choices=("small", "full"), default="small")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--markdown", action="store_true")
+    parser.add_argument("--output", default=None, help="write the report to a file")
+    parser.add_argument(
         "--json", dest="json_path", default=None, metavar="PATH",
         help="write every report's rows as JSON to PATH",
     )
-    run_all.set_defaults(handler=_run_experiments_run_all)
+    parser.set_defaults(handler=_run_experiments_run_all)
 
 
-def _add_experiment(subparsers, name: str, help_text: str) -> None:
-    experiment = subparsers.add_parser(
-        name, parents=[_engine_options(), _observability_options()], help=help_text,
-    )
-    experiment.add_argument("experiment_id", choices=_experiment_ids())
-    experiment.add_argument("--scale", choices=("small", "full"), default="small")
-    experiment.add_argument("--seed", type=int, default=0)
-    experiment.add_argument(
+_add_experiments = _level("experiments_command", (
+    (
+        "list", "list the registered experiments",
+        lambda parser: parser.set_defaults(handler=_run_experiments_list),
+    ),
+    ("run", "run a single experiment", _add_experiments_run),
+    ("run-all", "run every experiment", _add_experiments_run_all),
+))
+
+
+def _add_experiment(parser: argparse.ArgumentParser) -> None:
+    _add_engine_options(parser)
+    _add_observability_options(parser)
+    _add_experiment_id(parser)
+    parser.add_argument(
         "--shard", type=_shard_argument, default=None, metavar="i/K",
         help="run only jobs i, i+K, i+2K, ... of the compiled experiment, "
              "persisting full batch records to --results-dir (required); "
              "merged shard stores are byte-identical to an unsharded run's",
     )
-    experiment.add_argument(
+    parser.add_argument(
         "--merge", nargs="*", default=None, metavar="STORE",
         help="merge the given shard STOREs into --results-dir (required) and "
              "assemble the report purely from store records, executing "
              "nothing; with no STOREs, assemble from --results-dir as-is",
     )
-    experiment.add_argument("--markdown", action="store_true", help="render as markdown")
-    experiment.set_defaults(handler=_run_experiment_pipeline)
+    parser.add_argument("--markdown", action="store_true", help="render as markdown")
+    parser.set_defaults(handler=_run_experiment_pipeline)
 
 
-def _add_flood(subparsers, name: str, help_text: str) -> None:
-    flood = subparsers.add_parser(name, help=help_text)
-    flood_sub = flood.add_subparsers(dest="model", required=True)
-    parents = [_engine_options(), _source_parent(), _observability_options()]
-
-    edge_meg = flood_sub.add_parser(
-        "edge-meg", parents=parents, help="classic edge-MEG with birth/death rates",
-    )
-    edge_meg.add_argument("--nodes", type=int, default=100)
-    edge_meg.add_argument("--p", type=float, default=0.01, help="edge birth rate")
-    edge_meg.add_argument("--q", type=float, default=0.5, help="edge death rate")
-    edge_meg.add_argument("--trials", type=int, default=10)
-    edge_meg.add_argument("--seed", type=int, default=0)
-
-    waypoint = flood_sub.add_parser(
-        "waypoint", parents=parents, help="random waypoint over a square",
-    )
-    waypoint.add_argument("--nodes", type=int, default=100)
-    waypoint.add_argument("--side", type=float, default=10.0)
-    waypoint.add_argument("--radius", type=float, default=1.0)
-    waypoint.add_argument("--speed", type=float, default=1.0)
-    waypoint.add_argument("--trials", type=int, default=5)
-    waypoint.add_argument("--seed", type=int, default=0)
-
-    grid_walk = flood_sub.add_parser(
-        "grid-walk", parents=parents, help="random walks over a grid mobility graph",
-    )
-    grid_walk.add_argument("--nodes", type=int, default=64)
-    grid_walk.add_argument("--grid-side", type=int, default=8)
-    grid_walk.add_argument("--augment-k", type=int, default=1, help="k-augmentation of the grid")
-    grid_walk.add_argument("--trials", type=int, default=5)
-    grid_walk.add_argument("--seed", type=int, default=0)
-
-    for model in (edge_meg, waypoint, grid_walk):
-        model.set_defaults(handler=_run_flood)
+#: each flood model: its help, its --trials default and its request params
+#: as ``(name, type, default, help)``, one ``--name`` flag each
+_FLOOD_MODELS = {
+    "edge-meg": ("classic edge-MEG with birth/death rates", 10, (
+        ("nodes", int, 100, None), ("p", float, 0.01, "edge birth rate"),
+        ("q", float, 0.5, "edge death rate"),
+    )),
+    "waypoint": ("random waypoint over a square", 5, (
+        ("nodes", int, 100, None), ("side", float, 10.0, None),
+        ("radius", float, 1.0, None), ("speed", float, 1.0, None),
+    )),
+    "grid-walk": ("random walks over a grid mobility graph", 5, (
+        ("nodes", int, 64, None), ("grid_side", int, 8, None),
+        ("augment_k", int, 1, "k-augmentation of the grid"),
+    )),
+}
 
 
-def _add_sweep(subparsers, name: str, help_text: str) -> None:
-    sweep = subparsers.add_parser(name, help=help_text)
-    sweep_sub = sweep.add_subparsers(dest="family", required=True)
-    sweep_common = argparse.ArgumentParser(add_help=False)
-    sweep_common.add_argument(
+def _add_flood_model(parser: argparse.ArgumentParser, model: str) -> None:
+    _add_engine_options(parser)
+    _add_source_options(parser)
+    _add_observability_options(parser)
+    _, trials, parameters = _FLOOD_MODELS[model]
+    for name, kind, default, help_text in parameters:
+        parser.add_argument(
+            "--" + name.replace("_", "-"), type=kind, default=default, help=help_text
+        )
+    parser.add_argument("--trials", type=int, default=trials)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.set_defaults(handler=_run_flood)
+
+
+_add_flood = _level("model", [
+    (model, help_text, functools.partial(_add_flood_model, model=model))
+    for model, (help_text, _, _) in _FLOOD_MODELS.items()
+])
+
+
+def _add_sweep_family(parser: argparse.ArgumentParser, family: str) -> None:
+    _add_engine_options(parser)
+    _add_source_options(parser)
+    _add_sweep_points(parser)
+    parser.add_argument(
         "--shard", type=_shard_argument, default=None, metavar="i/K",
         help="run only shard i of K: trials i, i+K, i+2K, ... of every sweep "
              "point, with the exact seeds the unsharded sweep would use",
     )
-    adaptive_sweep = argparse.ArgumentParser(add_help=False)
-    adaptive_sweep.add_argument(
+    parser.add_argument(
         "--target-ci", type=float, default=None, metavar="W",
         help="adaptive sampling: stop each sweep point once the confidence "
              "interval around its mean is within ±W (--trials caps the "
              "budget; same seed => same realized trial count at any worker "
              "count)",
     )
-    adaptive_sweep.add_argument(
+    parser.add_argument(
         "--ci-confidence", type=float, default=0.95, metavar="C",
         help="confidence level of the stopping CI (default 0.95)",
     )
-    adaptive_sweep.add_argument(
+    parser.add_argument(
         "--min-trials", type=_positive_int, default=16, metavar="N",
         help="trials to run before the stopping rule may fire (default 16)",
     )
-    adaptive_sweep.add_argument(
+    parser.add_argument(
         "--check-every", type=_positive_int, default=16, metavar="N",
         help="evaluate the stopping rule every N trials (default 16)",
     )
-    parents = [_engine_options(), _source_parent(), _sweep_points(), sweep_common,
-               adaptive_sweep, _observability_options()]
-    family_params = _family_parameters()
-    for family in SWEEP_FAMILIES:
-        sweep_sub.add_parser(
-            family, parents=[*parents, family_params[family]], help=_FAMILY_HELP[family],
-        ).set_defaults(handler=_run_sweep)
+    _add_observability_options(parser)
+    _add_family_parameters(parser, family)
+    parser.set_defaults(handler=_run_sweep)
 
 
-def _add_merge(subparsers, name: str, help_text: str) -> None:
-    merge = subparsers.add_parser(name, help=help_text)
-    merge.add_argument(
+_add_sweep = _family_level(_add_sweep_family)
+
+
+def _add_merge(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "output",
         help="destination store: a .jsonl file or a directory (results.jsonl inside)",
     )
-    merge.add_argument(
+    parser.add_argument(
         "sources", nargs="+",
         help="source stores: .jsonl files or directories holding results.jsonl",
     )
-    merge.set_defaults(handler=_run_merge)
+    parser.set_defaults(handler=_run_merge)
 
 
-def _add_worker(subparsers, name: str, help_text: str) -> None:
-    worker = subparsers.add_parser(name, parents=[_observability_options()], help=help_text)
-    worker.add_argument("--spool", required=True, help="shared spool directory")
-    worker.add_argument(
+def _add_worker(parser: argparse.ArgumentParser) -> None:
+    _add_observability_options(parser)
+    parser.add_argument("--spool", required=True, help="shared spool directory")
+    parser.add_argument(
         "--worker-id", default=None,
         help="identity recorded in lease metadata (default: hostname-pid)",
     )
-    worker.add_argument(
-        "--poll", type=float, default=0.5, help="seconds between idle spool scans"
-    )
-    worker.add_argument(
+    parser.add_argument("--poll", type=float, default=0.5, help="seconds between idle spool scans")
+    parser.add_argument(
         "--lease-ttl", type=float, default=None, metavar="S",
         help="seconds of heartbeat silence before a lease is presumed dead "
              "(default: the spool's persisted configuration)",
     )
-    worker.add_argument(
+    parser.add_argument(
         "--max-attempts", type=_positive_int, default=None, metavar="N",
         help="total execution attempts per job before it is marked failed "
              "(default: the spool's persisted configuration)",
     )
-    worker.add_argument(
+    parser.add_argument(
         "--max-jobs", type=_positive_int, default=None, metavar="N",
         help="exit after executing N jobs (worker recycling)",
     )
-    worker.add_argument(
+    parser.add_argument(
         "--exit-when-empty", action="store_true",
         help="exit once every job has reached a terminal state instead of "
              "polling forever",
     )
-    worker.add_argument(
+    parser.add_argument(
         "--profile", action="store_true",
         help="run each job under cProfile and write its top hotspots into "
              "the telemetry directory (needs --telemetry)",
     )
-    worker.set_defaults(handler=_run_worker)
+    parser.set_defaults(handler=_run_worker)
 
 
-def _add_fleet(subparsers, name: str, help_text: str) -> None:
-    from repro.fleet.top import DEFAULT_INTERVAL as TOP_DEFAULT_INTERVAL
-
-    fleet = subparsers.add_parser(name, help=help_text)
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    fleet_options = argparse.ArgumentParser(add_help=False)
-    fleet_options.add_argument(
+def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
+    """The spool, shard and worker options of every ``fleet run`` workload."""
+    parser.add_argument(
         "--spool", required=True,
         help="spool directory (fresh per run; shared across machines for "
              "multi-machine fleets)",
     )
-    fleet_options.add_argument(
+    parser.add_argument(
         "--shards", type=_positive_int, required=True, metavar="K",
         help="number of shard jobs to compile the workload into",
     )
-    fleet_options.add_argument(
+    parser.add_argument(
         "--local-workers", type=int, default=0, metavar="N",
         help="drain-mode worker processes to spawn locally (0 = external "
              "fleet: run `repro worker --spool DIR` elsewhere)",
     )
-    fleet_options.add_argument(
+    parser.add_argument(
         "--lease-ttl", type=float, default=None, metavar="S",
         help="seconds of heartbeat silence before a lease is requeued",
     )
-    fleet_options.add_argument(
+    parser.add_argument(
         "--max-attempts", type=_positive_int, default=None, metavar="N",
         help="total execution attempts per job before it is marked failed",
     )
-    fleet_options.add_argument(
+    parser.add_argument(
         "--poll", type=float, default=0.2, help="monitor seconds between spool scans"
     )
-    fleet_options.add_argument(
+    parser.add_argument(
         "--max-wait", type=float, default=None, metavar="S",
         help="abort (leaving the spool for inspection) after S seconds",
     )
-    fleet_options.add_argument(
+    parser.add_argument(
         "--profile", action="store_true",
         help="spawned local workers run each job under cProfile, writing "
              "hotspots into the telemetry directory (needs --telemetry)",
     )
-    fleet_options.add_argument(
+    parser.add_argument(
         "--resume", action="store_true",
         help="reuse a partially drained spool: keep completed jobs' verified "
              "results, re-enqueue failed or missing ones — instead of "
              "rejecting the workload's deterministic job ids as duplicates",
     )
 
-    fleet_adaptive = argparse.ArgumentParser(add_help=False)
-    fleet_adaptive.add_argument(
+
+def _add_fleet_sweep_family(parser: argparse.ArgumentParser, family: str) -> None:
+    _add_engine_options(parser)
+    _add_source_options(parser)
+    _add_sweep_points(parser)
+    _add_fleet_options(parser)
+    parser.add_argument(
         "--target-ci", type=float, default=None, metavar="W",
         help="variance-aware sizing: run a local pilot round per sweep "
              "point, then shard a derived fixed budget sized so each CI "
              "half-width lands within ±W (--trials caps each budget)",
     )
-    fleet_adaptive.add_argument(
+    parser.add_argument(
         "--ci-confidence", type=float, default=0.95, metavar="C",
         help="confidence level of the sizing CI (default 0.95)",
     )
-    fleet_adaptive.add_argument(
+    parser.add_argument(
         "--pilot-trials", type=_positive_int, default=16, metavar="N",
         help="pilot trials per sweep point used to estimate variance "
              "(default 16; also the per-point budget floor)",
     )
+    _add_observability_options(parser)
+    _add_family_parameters(parser, family)
+    parser.set_defaults(handler=_run_fleet_run)
 
-    engine_options = _engine_options()
-    observability_options = _observability_options()
-    fleet_run = fleet_sub.add_parser(
-        "run", help="compile, execute and fan in one workload"
-    )
-    fleet_run_sub = fleet_run.add_subparsers(dest="workload", required=True)
-    fleet_sweep = fleet_run_sub.add_parser(
-        "sweep", help="fleet-execute a node-count sweep of a model family"
-    )
-    fleet_sweep_sub = fleet_sweep.add_subparsers(dest="family", required=True)
-    parents = [engine_options, _source_parent(), _sweep_points(), fleet_options,
-               fleet_adaptive, observability_options]
-    family_params = _family_parameters()
-    for family in SWEEP_FAMILIES:
-        fleet_sweep_sub.add_parser(
-            family, parents=[*parents, family_params[family]], help=_FAMILY_HELP[family],
-        ).set_defaults(handler=_run_fleet_run)
-    fleet_experiment = fleet_run_sub.add_parser(
-        "experiment", parents=[engine_options, fleet_options, observability_options],
-        help="fleet-execute one registered experiment (E1-E10)",
-    )
-    fleet_experiment.add_argument("experiment_id", choices=_experiment_ids())
-    fleet_experiment.add_argument("--scale", choices=("small", "full"), default="small")
-    fleet_experiment.add_argument("--seed", type=int, default=0)
-    fleet_experiment.add_argument(
-        "--markdown", action="store_true", help="render the report as markdown"
-    )
-    fleet_experiment.set_defaults(handler=_run_fleet_run)
 
-    fleet_status = fleet_sub.add_parser(
-        "status",
-        help="inspect a spool: progress, leases, heartbeats, failures, "
-             "throughput metrics",
-    )
-    fleet_status.add_argument("spool", help="spool directory to inspect")
-    fleet_status.add_argument(
+def _add_fleet_experiment(parser: argparse.ArgumentParser) -> None:
+    _add_engine_options(parser)
+    _add_fleet_options(parser)
+    _add_observability_options(parser)
+    _add_experiment_id(parser)
+    parser.add_argument("--markdown", action="store_true", help="render the report as markdown")
+    parser.set_defaults(handler=_run_fleet_run)
+
+
+def _add_fleet_status(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("spool", help="spool directory to inspect")
+    parser.add_argument(
         "--json", dest="as_json", action="store_true",
         help="emit the status snapshot (including jobs/s, requeue rate and "
              "the heartbeat-age distribution) as JSON on stdout",
     )
-    fleet_status.set_defaults(handler=_run_fleet_status)
+    parser.set_defaults(handler=_run_fleet_status)
 
-    fleet_top = fleet_sub.add_parser(
-        "top",
-        help="live dashboard over a draining spool: queue depths, per-worker "
-             "utilization and heartbeat age, throughput, drain ETA, slowest "
-             "in-flight jobs (refreshes until Ctrl-C)",
-    )
-    fleet_top.add_argument("spool", help="spool directory to watch")
-    fleet_top.add_argument(
+
+def _add_fleet_top(parser: argparse.ArgumentParser) -> None:
+    from repro.fleet.top import DEFAULT_INTERVAL
+
+    parser.add_argument("spool", help="spool directory to watch")
+    parser.add_argument(
         "--telemetry", dest="telemetry_dir", default=None, metavar="DIR",
         help="the fleet's shared telemetry directory: adds windowed "
              "throughput, latency quantiles, worker utilization and the "
              f"in-flight panel (default: the {TELEMETRY_ENV} variable)",
     )
-    fleet_top.add_argument(
-        "--interval", type=float, default=TOP_DEFAULT_INTERVAL, metavar="S",
-        help=f"seconds between refreshes (default {TOP_DEFAULT_INTERVAL:g})",
+    parser.add_argument(
+        "--interval", type=float, default=DEFAULT_INTERVAL, metavar="S",
+        help=f"seconds between refreshes (default {DEFAULT_INTERVAL:g})",
     )
-    fleet_top.add_argument(
+    parser.add_argument(
         "--once", action="store_true",
         help="print a single frame and exit (no screen clearing)",
     )
-    fleet_top.add_argument(
+    parser.add_argument(
         "--until-drained", action="store_true",
         help="exit once every job has reached a terminal state",
     )
-    fleet_top.add_argument(
+    parser.add_argument(
         "--json", dest="as_json", action="store_true",
         help="with --once: print the frame's data as JSON instead of text",
     )
-    fleet_top.add_argument(
+    parser.add_argument(
         "--width", type=_positive_int, default=80, metavar="COLS",
         help="frame width in columns (default 80)",
     )
-    fleet_top.set_defaults(handler=_run_fleet_top)
+    parser.set_defaults(handler=_run_fleet_top)
 
 
-def _add_serve(subparsers, name: str, help_text: str) -> None:
-    from repro.engine.engine import BACKENDS
+_add_fleet = _level("fleet_command", (
+    ("run", "compile, execute and fan in one workload", _level("workload", (
+        (
+            "sweep", "fleet-execute a node-count sweep of a model family",
+            _family_level(_add_fleet_sweep_family),
+        ),
+        (
+            "experiment", "fleet-execute one registered experiment (E1-E10)",
+            _add_fleet_experiment,
+        ),
+    ))),
+    (
+        "status",
+        "inspect a spool: progress, leases, heartbeats, failures, "
+        "throughput metrics",
+        _add_fleet_status,
+    ),
+    (
+        "top",
+        "live dashboard over a draining spool: queue depths, per-worker "
+        "utilization and heartbeat age, throughput, drain ETA, slowest "
+        "in-flight jobs (refreshes until Ctrl-C)",
+        _add_fleet_top,
+    ),
+))
+
+
+def _add_serve(parser: argparse.ArgumentParser) -> None:
+    from repro.engine.options import BACKENDS
     from repro.serve.service import DEFAULT_MAX_QUEUE
 
-    serve = subparsers.add_parser(name, parents=[_observability_options()], help=help_text)
-    serve.add_argument(
+    _add_observability_options(parser)
+    parser.add_argument(
         "--spool", required=True,
         help="job spool cold requests are enqueued into (drain it with "
              "`repro worker --spool DIR` on any number of machines)",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--results-dir", required=True,
         help="result store warm requests are answered from (and cold "
              "results merged into)",
     )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
+    parser.add_argument("--host", default="127.0.0.1", help="bind address")
+    parser.add_argument(
         "--port", type=int, default=8080,
         help="bind port (0 = pick a free ephemeral port)",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--max-queue", type=_positive_int, default=DEFAULT_MAX_QUEUE, metavar="N",
         help="maximum in-flight spool jobs before cold requests are refused "
              f"with 429 (default {DEFAULT_MAX_QUEUE})",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--default-shards", type=_positive_int, default=1, metavar="K",
         help="shard jobs a cold request compiles into when the request "
              "carries no 'shards' hint (default 1)",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--job-workers", type=_positive_int, default=1, metavar="N",
         help="engine worker processes each fleet job runs with",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--job-backend", choices=BACKENDS, default="auto",
         help="flooding kernel each fleet job runs with",
     )
-    serve.set_defaults(handler=_run_serve)
+    parser.set_defaults(handler=_run_serve)
 
 
-def _add_telemetry(subparsers, name: str, help_text: str) -> None:
-    from repro.telemetry.timeseries import DEFAULT_WINDOW_SECONDS
-
-    telemetry_cmd = subparsers.add_parser(name, help=help_text)
-    telemetry_sub = telemetry_cmd.add_subparsers(dest="telemetry_command", required=True)
-    telemetry_report_cmd = telemetry_sub.add_parser(
-        "report",
-        help="merge a telemetry directory's per-process event files into one "
-             "run summary: phase breakdown, store hit rate, worker "
-             "utilization, slowest jobs, requeue forensics",
-    )
-    telemetry_report_cmd.add_argument("directory", help="telemetry directory to merge")
-    telemetry_report_cmd.add_argument(
+def _add_telemetry_report(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("directory", help="telemetry directory to merge")
+    parser.add_argument(
         "--top", type=_positive_int, default=5, metavar="N",
         help="slowest jobs to list (default 5)",
     )
-    telemetry_report_cmd.add_argument(
+    parser.add_argument(
         "--json", dest="json_path", default=None, metavar="PATH",
         help="write the merged summary as JSON to PATH",
     )
-    telemetry_report_cmd.set_defaults(handler=_run_telemetry_report)
-    telemetry_trace_cmd = telemetry_sub.add_parser(
-        "trace",
-        help="reconstruct one propagated trace across processes: the span "
-             "tree (serve request -> spool wait -> worker lease -> engine "
-             "chunks) with critical-path timing; omit the id to list the "
-             "traces a directory holds",
-    )
-    telemetry_trace_cmd.add_argument(
+    parser.set_defaults(handler=_run_telemetry_report)
+
+
+def _add_telemetry_trace(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "trace_id", nargs="?", default=None,
         help="trace id (from an X-Trace-Id response header, a ticket "
              "record, or `repro telemetry trace` with no id)",
     )
-    telemetry_trace_cmd.add_argument(
+    parser.add_argument(
         "--telemetry", dest="telemetry_dir", default=None, metavar="DIR",
         help="telemetry directory holding the run's event files "
              f"(default: the {TELEMETRY_ENV} environment variable)",
     )
-    telemetry_trace_cmd.add_argument(
+    parser.add_argument(
         "--json", dest="json_path", default=None, metavar="PATH",
         help="write the reconstructed trace (or the trace list) as JSON",
     )
-    telemetry_trace_cmd.set_defaults(handler=_run_telemetry_trace)
-    telemetry_export_cmd = telemetry_sub.add_parser(
-        "export",
-        help="render a telemetry directory as Prometheus text exposition "
-             "(counters, gauges, timing summaries, windowed jobs/s + "
-             "latency quantiles + requeue rate, cache hit ratio)",
-    )
-    telemetry_export_cmd.add_argument(
+    parser.set_defaults(handler=_run_telemetry_trace)
+
+
+def _add_telemetry_export(parser: argparse.ArgumentParser) -> None:
+    from repro.telemetry.timeseries import DEFAULT_WINDOW_SECONDS
+
+    parser.add_argument(
         "--telemetry", dest="telemetry_dir", default=None, metavar="DIR",
         help="telemetry directory holding the run's event files "
              f"(default: the {TELEMETRY_ENV} environment variable)",
     )
-    telemetry_export_cmd.add_argument(
+    parser.add_argument(
         "--window", type=float, default=DEFAULT_WINDOW_SECONDS, metavar="S",
         help="sliding window for rates and latency quantiles "
              f"(default {DEFAULT_WINDOW_SECONDS:g}s)",
     )
-    telemetry_export_cmd.add_argument(
+    parser.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="byte-offset checkpoint file: resume tailing where the last "
              "export stopped instead of re-reading history, and save the "
              "new position on exit",
     )
-    telemetry_export_cmd.add_argument(
+    parser.add_argument(
         "--output", default=None, metavar="PATH",
         help="write the exposition to PATH instead of stdout",
     )
-    telemetry_export_cmd.add_argument(
+    parser.add_argument(
         "--check", action="store_true",
         help="strictly validate the exposition before emitting it "
              "(exit 1 on malformed output; what CI's metrics smoke runs)",
     )
-    telemetry_export_cmd.set_defaults(handler=_run_telemetry_export)
+    parser.set_defaults(handler=_run_telemetry_export)
+
+
+_add_telemetry = _level("telemetry_command", (
+    (
+        "report",
+        "merge a telemetry directory's per-process event files into one "
+        "run summary: phase breakdown, store hit rate, worker "
+        "utilization, slowest jobs, requeue forensics",
+        _add_telemetry_report,
+    ),
+    (
+        "trace",
+        "reconstruct one propagated trace across processes: the span "
+        "tree (serve request -> spool wait -> worker lease -> engine "
+        "chunks) with critical-path timing; omit the id to list the "
+        "traces a directory holds",
+        _add_telemetry_trace,
+    ),
+    (
+        "export",
+        "render a telemetry directory as Prometheus text exposition "
+        "(counters, gauges, timing summaries, windowed jobs/s + "
+        "latency quantiles + requeue rate, cache hit ratio)",
+        _add_telemetry_export,
+    ),
+))
 
 
 #: The top-level subcommands, in ``repro --help`` order: (name, help, builder).
@@ -765,12 +825,6 @@ class _VersionAction(argparse.Action):
     every other command would pay if the parser formatted it up front.
     """
 
-    def __init__(self, option_strings, dest, help=None):
-        super().__init__(
-            option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS, nargs=0,
-            help=help,
-        )
-
     def __call__(self, parser, namespace, values, option_string=None):
         from repro import __version__
 
@@ -778,25 +832,17 @@ class _VersionAction(argparse.Action):
         parser.exit()
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The ``repro`` parser with only ``command``'s subtree built.
-
-    Every other subcommand is registered by name and help alone, which is
-    all the top-level help, usage and "invalid choice" errors show.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser; each subcommand's parser is built when reached."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Information Spreading in Dynamic Graphs' (PODC 2012)",
     )
     parser.add_argument(
-        "--version", action=_VersionAction, help="print the package version and exit",
+        "--version", action=_VersionAction, nargs=0, default=argparse.SUPPRESS,
+        help="print the package version and exit",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, builder in COMMANDS:
-        if name == command:
-            builder(subparsers, name, help_text)
-        else:
-            subparsers.add_parser(name, help=help_text)
+    _level("command", COMMANDS)(parser)
     return parser
 
 
@@ -838,21 +884,23 @@ def _outputs_unusable(args: argparse.Namespace) -> bool:
     return problem is not None
 
 
+def _engine_config(args: argparse.Namespace) -> dict:
+    """The engine flags as ``Engine`` keywords (also carried in fleet job descriptors)."""
+    return {
+        "workers": args.workers,
+        "backend": args.backend,
+        "executor": args.executor,
+        "source_chunk": args.source_chunk,
+    }
+
+
 def _build_engine(args: argparse.Namespace):
-    """Engine configured from the shared --workers/--backend/--results-dir flags."""
+    """Engine configured from the shared engine flags and --results-dir."""
     from repro.engine.engine import Engine
     from repro.engine.store import ResultStore
 
-    store = None
-    if getattr(args, "results_dir", None):
-        store = ResultStore(args.results_dir)
-    return Engine(
-        workers=getattr(args, "workers", 1),
-        backend=getattr(args, "backend", "auto"),
-        executor=getattr(args, "executor", "process"),
-        store=store,
-        source_chunk=getattr(args, "source_chunk", None),
-    )
+    store = ResultStore(args.results_dir) if args.results_dir else None
+    return Engine(**_engine_config(args), store=store)
 
 
 def _write_json(path: str, payload) -> None:
@@ -871,6 +919,13 @@ def _renderer(args: argparse.Namespace):
     return format_markdown if getattr(args, "markdown", False) else format_table
 
 
+def _print_report(args: argparse.Namespace, report) -> None:
+    """Print an experiment report as ``--markdown`` asks; write its rows to ``--json``."""
+    print(_renderer(args)(report))
+    if args.json_path:
+        _write_json(args.json_path, report.as_dict())
+
+
 def _run_experiments_list(args: argparse.Namespace) -> int:
     from repro.experiments.registry import EXPERIMENTS
 
@@ -885,10 +940,7 @@ def _run_experiments_run(args: argparse.Namespace) -> int:
 
     if _outputs_unusable(args):
         return 2
-    report = run_experiment(args.experiment_id, scale=args.scale, seed=args.seed)
-    print(_renderer(args)(report))
-    if args.json_path:
-        _write_json(args.json_path, report.as_dict())
+    _print_report(args, run_experiment(args.experiment_id, scale=args.scale, seed=args.seed))
     return 0
 
 
@@ -897,14 +949,11 @@ def _run_experiments_run_all(args: argparse.Namespace) -> int:
 
     if _outputs_unusable(args):
         return 2
-    renderer = _renderer(args)
-    sections = []
-    reports = []
-    for experiment_id in _experiment_ids():
-        report = run_experiment(experiment_id, scale=args.scale, seed=args.seed)
-        reports.append(report)
-        sections.append(renderer(report))
-    output = "\n\n".join(sections)
+    reports = [
+        run_experiment(experiment_id, scale=args.scale, seed=args.seed)
+        for experiment_id in _experiment_ids()
+    ]
+    output = "\n\n".join(map(_renderer(args), reports))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(output + "\n")
@@ -919,13 +968,8 @@ def _run_experiments_run_all(args: argparse.Namespace) -> int:
 def _run_experiment_pipeline(args: argparse.Namespace) -> int:
     from repro.api import experiment_plan, experiment_request
     from repro.engine.store import MergeConflictError
-    from repro.experiments.pipeline import (
-        MissingRecordError,
-        assemble_from_store,
-        execute_plan,
-    )
+    from repro.experiments.pipeline import MissingRecordError, assemble_from_store, execute_plan
 
-    renderer = _renderer(args)
     if args.shard is not None and args.merge is not None:
         print("error: --shard and --merge are mutually exclusive", file=sys.stderr)
         return 2
@@ -939,9 +983,7 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
     if _outputs_unusable(args):
         return 2
     engine = _build_engine(args)
-    plan = experiment_plan(
-        experiment_request(args.experiment_id, scale=args.scale, seed=args.seed)
-    )
+    plan = experiment_plan(experiment_request(args.experiment_id, scale=args.scale, seed=args.seed))
 
     if args.merge is not None:
         store = engine.store
@@ -961,9 +1003,7 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
         except MissingRecordError as error:
             print(f"assembly failed: {error}", file=sys.stderr)
             return 1
-        print(renderer(report))
-        if args.json_path:
-            _write_json(args.json_path, report.as_dict())
+        _print_report(args, report)
         return 0
 
     run = execute_plan(plan, engine=engine, shard=args.shard)
@@ -1002,7 +1042,7 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
         return 0
 
     assert run.report is not None
-    print(renderer(run.report))
+    print(_renderer(args)(run.report))
     if run.num_cached:
         print(f"\n({run.num_cached}/{len(run.batches)} job(s) served from the result store)")
     if args.json_path:
@@ -1012,17 +1052,7 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
 
 def _flood_params(args: argparse.Namespace) -> dict:
     """The chosen flood model's parameters as a request params mapping."""
-    if args.model == "edge-meg":
-        return {"nodes": args.nodes, "p": args.p, "q": args.q}
-    if args.model == "waypoint":
-        return {
-            "nodes": args.nodes, "side": args.side, "radius": args.radius,
-            "speed": args.speed,
-        }
-    return {
-        "nodes": args.nodes, "grid_side": args.grid_side,
-        "augment_k": args.augment_k,
-    }
+    return {name: getattr(args, name) for name, _, _, _ in _FLOOD_MODELS[args.model][2]}
 
 
 def _source_options(args: argparse.Namespace) -> tuple[Optional[str], Optional[int]]:
@@ -1036,11 +1066,7 @@ def _source_options(args: argparse.Namespace) -> tuple[Optional[str], Optional[i
 
 def _run_flood(args: argparse.Namespace) -> int:
     from repro.api import RequestError, compile_request, estimator_description, flood_request
-    from repro.core.bounds import (
-        classic_edge_meg_bound,
-        corollary6_bound,
-        waypoint_flooding_bound,
-    )
+    from repro.core.bounds import classic_edge_meg_bound, corollary6_bound, waypoint_flooding_bound
     from repro.util.stats import summarize
 
     if _outputs_unusable(args):
@@ -1133,6 +1159,16 @@ def _sweep_stopping(args: argparse.Namespace):
     )
 
 
+def _measurement_line(measurement) -> str:
+    """A sweep point's printed row: node count, trials, mean, median and max."""
+    summary = measurement.summary
+    return (
+        f"  n={measurement.parameter:>6}  trials={summary.count:>4}  "
+        f"mean {summary.mean:8.1f}  median {summary.median:8.1f}  "
+        f"max {summary.maximum:8.0f}"
+    )
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     from repro.api import RequestError, compile_request, estimator_description, sweep_request
     from repro.experiments.runner import run_sweep_specs, sweep_as_dicts
@@ -1171,9 +1207,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     except (RequestError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    measurements = run_sweep_specs(
-        [job.spec for job in plan.jobs], engine=engine, shard=args.shard
-    )
+    measurements = run_sweep_specs([job.spec for job in plan.jobs], engine=engine, shard=args.shard)
     shard_note = f", shard {args.shard[0]}/{args.shard[1]}" if args.shard else ""
     print(f"sweep:  {args.family} over n = {args.nodes}{shard_note}")
     print(f"engine: workers={engine.workers}, backend={engine.backend}"
@@ -1185,13 +1219,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
             f"({stopping.confidence:.0%}), budget {args.trials} trials/point"
         )
     for measurement in measurements:
-        summary = measurement.summary
-        line = (
-            f"  n={measurement.parameter:>6}  trials={summary.count:>4}  "
-            f"mean {summary.mean:8.1f}  median {summary.median:8.1f}  "
-            f"max {summary.maximum:8.0f}"
-        )
+        line = _measurement_line(measurement)
         if stopping is not None:
+            summary = measurement.summary
             ci = halfwidth(summary.std, summary.count, stopping.confidence)
             line += f"  ci ±{ci:6.2f}"
             line += "  [stopped early]" if measurement.stopped_early else ""
@@ -1217,16 +1247,23 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_worker(args: argparse.Namespace) -> int:
-    from repro.fleet.worker import run_worker
-
-    telemetry_dir = _telemetry_dir(args)
-    if args.profile and not telemetry_dir:
+def _profile_unusable(args: argparse.Namespace, telemetry_dir: Optional[str]) -> bool:
+    """Whether ``--profile`` lacks the telemetry directory it writes into; says why."""
+    unusable = args.profile and not telemetry_dir
+    if unusable:
         print(
             "error: --profile needs a telemetry directory (--telemetry DIR or "
             f"{TELEMETRY_ENV}) to write the hotspot reports into",
             file=sys.stderr,
         )
+    return unusable
+
+
+def _run_worker(args: argparse.Namespace) -> int:
+    from repro.fleet.worker import run_worker
+
+    telemetry_dir = _telemetry_dir(args)
+    if _profile_unusable(args, telemetry_dir):
         return 2
     try:
         return run_worker(
@@ -1242,16 +1279,6 @@ def _run_worker(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive
         print("worker interrupted", file=sys.stderr)
         return 130
-
-
-def _fleet_engine_config(args: argparse.Namespace) -> dict:
-    """The per-job engine configuration carried in fleet job descriptors."""
-    return {
-        "workers": args.workers,
-        "backend": args.backend,
-        "executor": args.executor,
-        "source_chunk": args.source_chunk,
-    }
 
 
 def _run_fleet_run(args: argparse.Namespace) -> int:
@@ -1280,29 +1307,19 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
     try:
         sizing_report = None
         if args.workload == "sweep":
+            sources, num_sources = _source_options(args)
             request = sweep_request(
-                args.family,
-                args.nodes,
-                args.trials,
-                seed=args.seed,
-                sources=_source_options(args)[0],
-                num_sources=_source_options(args)[1],
-                params=_sweep_factory_kwargs(args),
+                args.family, args.nodes, args.trials, seed=args.seed, sources=sources,
+                num_sources=num_sources, params=_sweep_factory_kwargs(args),
             )
             if args.target_ci is not None:
                 # Variance-aware sizing: a store-less local pilot round per
                 # sweep point, then the fleet shards the derived fixed
                 # budgets through the normal byte-identical machinery.
-                pilot_engine = Engine(
-                    workers=args.workers,
-                    backend=args.backend,
-                    executor=args.executor,
-                    source_chunk=args.source_chunk,
-                )
                 request, sizing_report = plan_variance_budgets(
                     request,
                     args.target_ci,
-                    engine=pilot_engine,
+                    engine=Engine(**_engine_config(args)),
                     pilot_trials=args.pilot_trials,
                     confidence=args.ci_confidence,
                 )
@@ -1319,19 +1336,10 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
                         f"  budget {point['budget']:>6} (cap {point['cap']})"
                     )
         else:
-            request = experiment_request(
-                args.experiment_id, scale=args.scale, seed=args.seed
-            )
-        payloads = request_job_payloads(
-            request, args.shards, engine=_fleet_engine_config(args)
-        )
+            request = experiment_request(args.experiment_id, scale=args.scale, seed=args.seed)
+        payloads = request_job_payloads(request, args.shards, engine=_engine_config(args))
         telemetry_dir = _telemetry_dir(args)
-        if args.profile and not telemetry_dir:
-            print(
-                "error: --profile needs a telemetry directory (--telemetry DIR "
-                f"or {TELEMETRY_ENV}) to write the hotspot reports into",
-                file=sys.stderr,
-            )
+        if _profile_unusable(args, telemetry_dir):
             return 2
         spool = JobSpool(args.spool, lease_ttl=args.lease_ttl, max_attempts=args.max_attempts)
         outcome = run_fleet(
@@ -1385,12 +1393,7 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
         print(f"sweep:  {args.family} over n = {args.nodes}  ({args.shards} fleet shards)")
         print(f"estimator: {estimator} per realization")
         for measurement in measurements:
-            summary = measurement.summary
-            print(
-                f"  n={measurement.parameter:>6}  trials={summary.count:>4}  "
-                f"mean {summary.mean:8.1f}  median {summary.median:8.1f}  "
-                f"max {summary.maximum:8.0f}"
-            )
+            print(_measurement_line(measurement))
         if args.json_path:
             payload = {
                 "family": args.family,
@@ -1409,10 +1412,7 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
             _write_json(args.json_path, payload)
         return 0
 
-    report = assemble_experiment_report(payloads[0], destination)
-    print(_renderer(args)(report))
-    if args.json_path:
-        _write_json(args.json_path, report.as_dict())
+    _print_report(args, assemble_experiment_report(payloads[0], destination))
     return 0
 
 
@@ -1630,11 +1630,7 @@ def _run_merge(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # Top-level options take no value, so the first non-option token is the
-    # subcommand (or a typo argparse reports as an invalid choice).
-    command = next((token for token in argv if not token.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+    args = _build_parser().parse_args(argv)
 
     from repro.telemetry import core as telemetry_core
     from repro.telemetry.log import configure as configure_logging

@@ -14,6 +14,9 @@ The execution backbone all trial-running code routes through:
     ``K`` self-describing shards (shard ``i`` runs trials ``i, i+K, ...``
     with the unsharded run's exact seeds), executable on any machine and
     mergeable back into the full batch.
+``repro.engine.options``
+    ``BACKENDS``, ``EXECUTORS`` and :func:`parse_shard` — the values the
+    CLI's parsers need, importable without NumPy.
 ``repro.engine.kernel``
     The vectorized flooding kernels — dense NumPy and sparse CSR, single
     source and whole source batches.
@@ -37,10 +40,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "repro.engine.batch": ("flood_trials_batch",),
         "repro.engine.engine": (
-            "BACKENDS",
             "BATCH_AUTO_MAX_NODES",
             "BATCH_AUTO_MIN_TRIALS",
-            "EXECUTORS",
             "SPARSE_AUTO_MAX_DENSITY",
             "SPARSE_AUTO_MIN_NODES",
             "Engine",
@@ -49,11 +50,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "run_source_batch",
         ),
         "repro.engine.kernel": ("flood_sources_batch", "flood_sparse", "flood_vectorized"),
+        "repro.engine.options": ("BACKENDS", "EXECUTORS", "parse_shard"),
         "repro.engine.replay": ("SnapshotReplay",),
         "repro.engine.shard": (
             "ShardSpec",
             "batch_store_key",
-            "parse_shard",
             "seed_token",
             "shard_specs",
             "shard_store_key",

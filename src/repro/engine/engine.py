@@ -44,6 +44,7 @@ import numpy as np
 from repro.core.flooding import flood, flood_sources_set
 from repro.engine.batch import flood_trials_batch
 from repro.engine.kernel import flood_sources_batch, flood_sparse, flood_vectorized
+from repro.engine.options import BACKENDS as BACKENDS, EXECUTORS as EXECUTORS
 from repro.engine.shard import (
     ShardSpec,
     batch_salt,
@@ -59,8 +60,6 @@ from repro.stats.sequential import MomentSketch, sketch_from_samples
 from repro.telemetry import core as telemetry
 from repro.telemetry import trace as tracectx
 
-BACKENDS = ("auto", "set", "vectorized", "sparse", "batch")
-EXECUTORS = ("process", "thread")
 
 # ``backend="auto"`` upgrades from the dense to the sparse kernel when the
 # model is at least this large and its estimated snapshot density is at most

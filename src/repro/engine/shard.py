@@ -35,6 +35,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from repro.engine.options import parse_shard as parse_shard
 from repro.engine.spec import TrialSpec
 from repro.engine.store import ResultStore, SeedRange
 from repro.stats.sequential import sketch_salt, text_salt
@@ -174,17 +175,3 @@ def shard_specs(spec: TrialSpec, count: int) -> list[ShardSpec]:
     if count < 1:
         raise ValueError(f"shard count must be >= 1, got {count}")
     return [ShardSpec(spec, index, count) for index in range(count)]
-
-
-def parse_shard(text: str) -> tuple[int, int]:
-    """Parse the CLI's ``i/K`` shard notation into ``(index, count)``."""
-    parts = text.split("/")
-    if len(parts) != 2:
-        raise ValueError(f"shard must look like i/K (e.g. 0/3), got {text!r}")
-    try:
-        index, count = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"shard must look like i/K (e.g. 0/3), got {text!r}") from None
-    if count < 1 or not 0 <= index < count:
-        raise ValueError(f"shard index must lie in [0, count) with count >= 1, got {text!r}")
-    return index, count

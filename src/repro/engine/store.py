@@ -82,6 +82,8 @@ def jsonify(value):
             return list(value)
         return [jsonify(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.ndim == 0 and value.dtype.kind in "biuf":  # tolist() gives one scalar
+            return value.tolist()
         return [jsonify(v) for v in value.tolist()]
     if isinstance(value, (np.integer,)):
         return int(value)

@@ -274,6 +274,39 @@ class TestColdImports:
     def test_version_loads_no_numpy(self):
         assert "numpy" not in _cli_modules(["--version"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "edge-meg", "--help"],
+            ["flood", "waypoint", "--help"],
+            ["fleet", "run", "sweep", "grid-walk", "--help"],
+        ],
+        ids=" ".join,
+    )
+    def test_help_pages_load_no_numpy(self, argv):
+        assert "numpy" not in _cli_modules(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "edge-meg", "--backend", "bogus"],
+            ["sweep", "waypoint", "--shard", "3/3"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_errors_load_no_numpy(self, argv):
+        modules = _modules_after(
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        main({argv!r})\n"
+            "    except SystemExit as exit_:\n"
+            "        assert exit_.code == 2\n"
+            "    else:\n"
+            "        raise AssertionError('no usage error')\n"
+        )
+        assert "numpy" not in modules
+
     def test_small_edge_meg_sweep_loads_no_scipy_or_networkx(self):
         modules = _cli_modules(["sweep", "edge-meg", "--nodes", "16,32", "--trials", "2"])
         assert "numpy" in modules

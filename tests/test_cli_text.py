@@ -171,7 +171,7 @@ def test_every_leaf_command_has_a_handler_case():
     from repro.cli import COMMANDS, _build_parser
 
     leaves = {
-        path for name, _, _ in COMMANDS for path in _leaf_paths(_build_parser(name))
+        path for name, _, _ in COMMANDS for path in _leaf_paths(_build_parser())
         if path[0] == name
     }
     assert leaves == set(LEAF_HANDLERS)
@@ -182,5 +182,37 @@ def test_leaf_parses_to_its_handler(path):
     import repro.cli as cli
 
     extra, handler = LEAF_HANDLERS[path]
-    args = cli._build_parser(path[0]).parse_args([*path, *extra])
+    args = cli._build_parser().parse_args([*path, *extra])
     assert args.handler is getattr(cli, handler)
+
+
+#: argv -> the most ``ArgumentParser`` objects parsing it may build: the
+#: parsers on the path the argv selects, none for the commands it skips
+PARSER_BUDGETS = {
+    ("sweep", "edge-meg", "--nodes", "64,128", "--trials", "4", "--seed", "3"): 3,
+    ("fleet", "run", "sweep", "edge-meg", "--spool", "s", "--shards", "2"): 5,
+    ("--help",): 1,
+    ("bogus",): 1,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARSER_BUDGETS), ids=" ".join)
+def test_parsing_builds_only_the_selected_path(argv, monkeypatch):
+    import argparse
+
+    from repro.cli import _build_parser
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            _build_parser().parse_args(list(argv))
+        except SystemExit:
+            pass
+    assert len(built) <= PARSER_BUDGETS[argv], built

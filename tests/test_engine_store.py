@@ -44,6 +44,8 @@ def _reference_jsonify(value):
     if isinstance(value, (list, tuple)):
         return [_reference_jsonify(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.ndim == 0 and value.dtype.kind in "biuf":
+            return value.tolist()
         return [_reference_jsonify(v) for v in value.tolist()]
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -55,11 +57,7 @@ def _reference_jsonify(value):
 
 
 def _outcome(convert, value):
-    """JSON text and node types of ``convert(value)``, or the error it raises.
-
-    A 0-d array inside a value raises ``TypeError`` (``tolist()`` gives a
-    scalar); the fast paths must keep even that behaviour.
-    """
+    """JSON text and node types of ``convert(value)``, or the error it raises."""
     try:
         converted = convert(value)
     except TypeError as error:
@@ -104,6 +102,8 @@ _SCALARS = st.one_of(
     st.sampled_from(list(_Level)),
     st.text(max_size=3).map(_Tag),
     _SMALL_INTS.map(np.array),
+    _FLOATS.map(np.array),
+    st.booleans().map(np.array),
 )
 _ARRAYS = st.one_of(
     st.lists(_SMALL_INTS, max_size=6).map(lambda items: np.array(items, dtype=np.int64)),
@@ -154,6 +154,33 @@ class TestJsonify:
     @settings(max_examples=300, deadline=None)
     def test_matches_isinstance_chain(self, value):
         assert _outcome(jsonify, value) == _outcome(_reference_jsonify, value)
+
+    @pytest.mark.parametrize(
+        "array, scalar",
+        [
+            (np.array(3), 3),
+            (np.array(2.5), 2.5),
+            (np.array(True), True),
+            (np.array(7, dtype=np.uint8), 7),
+            (np.array(0.5, dtype=np.float32), 0.5),
+        ],
+    )
+    def test_zero_dimensional_numeric_array_is_its_scalar(self, array, scalar):
+        converted = jsonify(array)
+        assert converted == scalar and type(converted) is type(scalar)
+        assert jsonify({"a": array}) == {"a": scalar}
+        assert jsonify([array, (array,)]) == [scalar, [scalar]]
+
+    def test_other_arrays_convert_as_before(self):
+        # What the conversion gave before 0-d numeric arrays were accepted;
+        # store keys hash these outputs, so none may move.
+        assert jsonify(np.array([[1, 2], [3, 4]])) == [[1, 2], [3, 4]]
+        assert jsonify(np.arange(3.0).reshape(1, 3)) == [[0.0, 1.0, 2.0]]
+        assert jsonify(np.array([], dtype=np.int64)) == []
+        assert jsonify(np.array("ab")) == ["a", "b"]
+        assert jsonify(np.array(["x", "y"])) == ["x", "y"]
+        with pytest.raises(TypeError):
+            jsonify(np.array(None, dtype=object))
 
     def test_plain_list_is_a_fresh_list(self):
         samples = (3, 1, 2)
