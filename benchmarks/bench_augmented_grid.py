@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from bench_utils import run_once
 
-from repro.experiments.registry import run_augmented_grid
+from repro.experiments.registry import run_experiment
 from repro.experiments.report import format_table
 
 
 def test_e6_augmented_grid_vs_meeting_time(benchmark):
-    report = run_once(benchmark, run_augmented_grid, "small", 0)
+    report = run_once(benchmark, run_experiment, "E6", "small", 0)
     print()
     print(format_table(report))
 

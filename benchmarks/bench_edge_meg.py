@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from bench_utils import run_once
 
-from repro.experiments.registry import run_edge_meg
+from repro.experiments.registry import run_experiment
 from repro.experiments.report import format_table
 from repro.util.mathutils import logn_factor
 
 
 def test_e7_edge_meg_bounds(benchmark):
-    report = run_once(benchmark, run_edge_meg, "small", 0)
+    report = run_once(benchmark, run_experiment, "E7", "small", 0)
     print()
     print(format_table(report))
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from bench_utils import run_once
 
-from repro.experiments.registry import run_expansion
+from repro.experiments.registry import run_experiment
 from repro.experiments.report import format_table
 
 
 def test_e9_expansion_quantities(benchmark):
-    report = run_once(benchmark, run_expansion, "small", 0)
+    report = run_once(benchmark, run_experiment, "E9", "small", 0)
     print()
     print(format_table(report))
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from bench_utils import run_once
 
-from repro.experiments.registry import run_gossip
+from repro.experiments.registry import run_experiment
 from repro.experiments.report import format_table
 
 
 def test_e8_gossip_vs_flooding(benchmark):
-    report = run_once(benchmark, run_gossip, "small", 0)
+    report = run_once(benchmark, run_experiment, "E8", "small", 0)
     print()
     print(format_table(report))
 

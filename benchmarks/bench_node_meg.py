@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from bench_utils import run_once
 
-from repro.experiments.registry import run_node_meg
+from repro.experiments.registry import run_experiment
 from repro.experiments.report import format_table
 
 
 def test_e2_node_meg_bound_envelope(benchmark):
-    report = run_once(benchmark, run_node_meg, "small", 0)
+    report = run_once(benchmark, run_experiment, "E2", "small", 0)
     print()
     print(format_table(report))
 

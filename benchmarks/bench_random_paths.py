@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from bench_utils import run_once
 
-from repro.experiments.registry import run_random_paths
+from repro.experiments.registry import run_experiment
 from repro.experiments.report import format_table
 from repro.util.mathutils import loglog_slope
 
 
 def test_e5_random_paths_on_grid(benchmark):
-    report = run_once(benchmark, run_random_paths, "small", 0)
+    report = run_once(benchmark, run_experiment, "E5", "small", 0)
     print()
     print(format_table(report))
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from bench_utils import run_once
 
-from repro.experiments.registry import run_random_walk
+from repro.experiments.registry import run_experiment
 from repro.experiments.report import format_table
 
 
 def test_e4_random_walk_mobility(benchmark):
-    report = run_once(benchmark, run_random_walk, "small", 0)
+    report = run_once(benchmark, run_experiment, "E4", "small", 0)
     print()
     print(format_table(report))
 

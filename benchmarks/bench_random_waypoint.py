@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from bench_utils import run_once
 
-from repro.experiments.registry import run_random_waypoint
+from repro.experiments.registry import run_experiment
 from repro.experiments.report import format_table
 from repro.util.mathutils import loglog_slope
 
 
 def test_e3_waypoint_sparse_regime(benchmark):
-    report = run_once(benchmark, run_random_waypoint, "small", 0)
+    report = run_once(benchmark, run_experiment, "E3", "small", 0)
     print()
     print(format_table(report))
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from bench_utils import run_once
 
-from repro.experiments.registry import run_stationarity
+from repro.experiments.registry import run_experiment
 from repro.experiments.report import format_table
 
 
 def test_e10_stationarity_conditions(benchmark):
-    report = run_once(benchmark, run_stationarity, "small", 0)
+    report = run_once(benchmark, run_experiment, "E10", "small", 0)
     print()
     print(format_table(report))
 

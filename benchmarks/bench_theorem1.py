@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from bench_utils import run_once
 
-from repro.experiments.registry import run_theorem1
+from repro.experiments.registry import run_experiment
 from repro.experiments.report import format_table
 from repro.util.mathutils import loglog_slope
 
 
 def test_e1_theorem1_bound_envelope(benchmark):
-    report = run_once(benchmark, run_theorem1, "small", 0)
+    report = run_once(benchmark, run_experiment, "E1", "small", 0)
     print()
     print(format_table(report))
 

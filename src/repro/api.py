@@ -20,6 +20,10 @@ module is the single seam instead:
     .TrialSpec` jobs, their expected store keys, the shard semantics
     (``"trials"`` vs ``"jobs"``) and a pure assembly function mapping store
     records to the request's JSON result payload.
+:class:`CompiledPlan`
+    What every door does with a compiled request: :meth:`~CompiledPlan.run`
+    executes it (or one shard of it) through an engine, and
+    :meth:`~CompiledPlan.records` reads its results back from a store.
 
 Validation failures raise the :class:`RequestError` taxonomy (all
 ``ValueError`` subclasses): :class:`SchemaError` for malformed payloads,
@@ -35,8 +39,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
-from repro.engine import TrialSpec, batch_store_key
-from repro.experiments.pipeline import SCALES, ExperimentPlan, compile_experiment
+from repro.engine import BatchResult, Engine, ResultStore, TrialSpec, shard_store_key
+from repro.experiments import EXPERIMENT_IDS
+from repro.experiments.pipeline import SCALES, ExperimentJob, MissingRecordError
 from repro.experiments.runner import (
     measurement_from_record,
     sweep_as_dicts,
@@ -44,6 +49,7 @@ from repro.experiments.runner import (
 )
 from repro.stats.sequential import StoppingRule
 from repro.sweeps import SWEEP_FAMILY_DEFAULTS, resolve_family
+from repro.telemetry import core as telemetry
 from repro.util.stats import summarize
 
 #: Version stamped into (and required of) serialized request payloads.
@@ -283,12 +289,10 @@ class WorkRequest:
         )
         if not self.experiment_id:
             raise SchemaError("an experiment request needs an experiment_id")
-        from repro.experiments.registry import EXPERIMENTS
-
-        if self.experiment_id not in EXPERIMENTS:
-            known = ", ".join(sorted(EXPERIMENTS, key=lambda e: int(e[1:])))
+        if self.experiment_id not in EXPERIMENT_IDS:
             raise UnknownExperimentError(
-                f"unknown experiment {self.experiment_id!r}; known ids: {known}"
+                f"unknown experiment {self.experiment_id!r}; "
+                f"known ids: {', '.join(EXPERIMENT_IDS)}"
             )
         if self.scale not in SCALES:
             raise InvalidParameterError(
@@ -428,20 +432,12 @@ def flood_request(
 
 
 @dataclass(frozen=True)
-class RequestJob:
-    """One tagged engine workload of a compiled request."""
-
-    tag: str
-    spec: TrialSpec
-
-    def store_key(self) -> str:
-        """Content key of this job's full batch record in a result store."""
-        return batch_store_key(self.spec)
-
-
-@dataclass(frozen=True)
 class CompiledPlan:
-    """A compiled request: specs, store keys, shard semantics, assembly.
+    """A compiled request: its jobs and store keys, and how to run and read them.
+
+    Every door (the CLI, the fleet worker and coordinator, ``repro serve``)
+    compiles a request once and then calls :meth:`run` or :meth:`records`;
+    the shard rule and the store read-back are written only here.
 
     Attributes
     ----------
@@ -450,10 +446,10 @@ class CompiledPlan:
     jobs:
         The tagged engine workloads, in deterministic order.
     shard_mode:
-        ``"trials"`` — a fleet shard ``i/K`` runs trials ``i, i+K, ...`` of
-        *every* job (sweeps and floods); ``"jobs"`` — a shard runs whole
-        jobs ``i, i+K, ...`` of the list (experiments, whose per-job trial
-        counts differ).
+        ``"trials"`` — shard ``i/K`` runs trials ``i, i+K, ...`` of *every*
+        job (sweeps and floods); ``"jobs"`` — shard ``i/K`` runs whole jobs
+        ``i, i+K, ...`` of the list (experiments, whose per-job trial counts
+        differ).
     assemble:
         ``{job tag: store record} -> result payload`` — pure given the
         request, so assembly from a warm store is byte-identical to
@@ -461,7 +457,7 @@ class CompiledPlan:
     """
 
     request: WorkRequest
-    jobs: tuple[RequestJob, ...]
+    jobs: tuple[ExperimentJob, ...]
     shard_mode: str
     assemble: Callable[[Mapping[str, dict]], dict]
 
@@ -473,6 +469,71 @@ class CompiledPlan:
         re-assembly all read this one list.
         """
         return [job.store_key() for job in self.jobs]
+
+    def run(
+        self, engine: Engine, shard: Optional[tuple[int, int]] = None
+    ) -> dict[str, BatchResult]:
+        """Execute the plan, or shard ``(i, K)`` of it, through ``engine``.
+
+        A sharded run touches the engine's store first, so a shard that owns
+        no work still leaves a mergeable (empty) store file behind.
+        """
+        if shard is not None:
+            index, count = shard
+            if not 0 <= index < count:
+                raise ValueError(f"shard index must lie in [0, {count}), got {index}")
+            if engine.store is not None:
+                engine.store.touch()
+        if self.shard_mode == "trials":
+            batches = engine.run_many([job.spec for job in self.jobs], shard=shard)
+            return {job.tag: batch for job, batch in zip(self.jobs, batches)}
+        request = self.request
+        with telemetry.span(
+            "experiment.plan",
+            experiment=request.experiment_id,
+            scale=request.scale,
+            shard=None if shard is None else f"{index}/{count}",
+        ) as plan_span:
+            jobs = self.jobs if shard is None else self.jobs[index::count]
+            batches = {job.tag: engine.run(job.spec) for job in jobs}
+            plan_span.add(jobs=len(batches))
+            return batches
+
+    def records(self, store: ResultStore) -> dict[str, dict]:
+        """``{job tag: record}`` read back from ``store``, executing nothing.
+
+        Raises :class:`~repro.experiments.pipeline.MissingRecordError`
+        naming the first job without a record (a shard that never ran or
+        never merged).
+        """
+        records = {}
+        for job, key in zip(self.jobs, self.store_keys):
+            record = store.get(key)
+            if record is None:
+                request = self.request
+                if request.kind == "experiment":
+                    subject = (
+                        f"{request.experiment_id} (scale={request.scale}, "
+                        f"seed={request.seed})"
+                    )
+                else:
+                    subject = f"the {request.family} {request.kind} (seed={request.seed})"
+                raise MissingRecordError(
+                    f"store {store.path} holds no record for job {job.tag!r} of "
+                    f"{subject}; run or merge the shard owning that job first"
+                )
+            records[job.tag] = record
+        return records
+
+    def shard_keys(self, index: int, count: int) -> list[str]:
+        """The keys shard ``index`` of ``count`` writes into its own store."""
+        if self.shard_mode == "jobs":
+            return self.store_keys[index::count]
+        # A stopping-rule request only ships as the trivial 1-way shard, and
+        # the engine stores it under the parent batch key (no shard wrapper).
+        if self.request.stopping is not None:
+            return self.store_keys
+        return [shard_store_key(key, index, count) for key in self.store_keys]
 
 
 def _flood_model(family: str, params: Mapping):
@@ -513,7 +574,7 @@ def _compile_sweep(request: WorkRequest) -> CompiledPlan:
         stopping=request.stopping,
     )
     jobs = tuple(
-        RequestJob(tag=f"n={nodes}", spec=spec)
+        ExperimentJob(tag=f"n={nodes}", spec=spec)
         for nodes, spec in zip(request.nodes, specs)
     )
 
@@ -540,13 +601,15 @@ def _compile_sweep(request: WorkRequest) -> CompiledPlan:
 
 
 def _compile_experiment(request: WorkRequest) -> CompiledPlan:
-    plan = experiment_plan(request)
-    jobs = tuple(RequestJob(tag=job.tag, spec=job.spec) for job in plan.jobs)
+    # Imported lazily: the registry loads the whole model zoo.
+    from repro.experiments.registry import get_experiment
+
+    plan = get_experiment(request.experiment_id).planner(request.scale, request.seed)
 
     def assemble(records: Mapping[str, dict]) -> dict:
         samples = {
             job.tag: list(map(int, records[job.tag]["flooding_times"]))
-            for job in jobs
+            for job in plan.jobs
         }
         report = plan.assemble(samples)
         return {
@@ -556,7 +619,7 @@ def _compile_experiment(request: WorkRequest) -> CompiledPlan:
             "report": report.as_dict(),
         }
 
-    return CompiledPlan(request=request, jobs=jobs, shard_mode="jobs", assemble=assemble)
+    return CompiledPlan(request=request, jobs=plan.jobs, shard_mode="jobs", assemble=assemble)
 
 
 def _compile_flood(request: WorkRequest) -> CompiledPlan:
@@ -569,7 +632,7 @@ def _compile_flood(request: WorkRequest) -> CompiledPlan:
         seed=request.seed,
         label=f"flood[{request.family}]",
     )
-    jobs = (RequestJob(tag="flood", spec=spec),)
+    jobs = (ExperimentJob(tag="flood", spec=spec),)
 
     def assemble(records: Mapping[str, dict]) -> dict:
         samples = list(map(int, records["flood"]["flooding_times"]))
@@ -605,17 +668,3 @@ def compile_request(request: WorkRequest) -> CompiledPlan:
         "flood": _compile_flood,
     }[request.kind](request)
 
-
-def experiment_plan(request: WorkRequest) -> ExperimentPlan:
-    """The underlying pipeline plan of an experiment request.
-
-    The CLI's ``repro experiment`` path needs the raw
-    :class:`~repro.experiments.pipeline.ExperimentPlan` (for sharded
-    execution and store-only assembly); it routes id/scale/seed validation
-    through the request facade and picks up the plan here.
-    """
-    if request.kind != "experiment":
-        raise SchemaError(f"expected an experiment request, got kind {request.kind!r}")
-    return compile_experiment(
-        request.experiment_id, scale=request.scale, seed=request.seed
-    )

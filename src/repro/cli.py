@@ -149,12 +149,6 @@ def _shard_argument(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(str(error))
 
 
-def _experiment_ids() -> list[str]:
-    from repro.experiments.registry import EXPERIMENTS
-
-    return sorted(EXPERIMENTS, key=lambda e: int(e[1:]))
-
-
 class _Subcommands(argparse._SubParsersAction):
     """A subparsers level that builds each child parser when it is looked up.
 
@@ -322,7 +316,9 @@ def _family_level(add_leaf):
 
 def _add_experiment_id(parser: argparse.ArgumentParser) -> None:
     """The experiment positional, with its ``--scale`` and ``--seed``."""
-    parser.add_argument("experiment_id", choices=_experiment_ids())
+    from repro.experiments import EXPERIMENT_IDS
+
+    parser.add_argument("experiment_id", choices=EXPERIMENT_IDS)
     parser.add_argument("--scale", choices=("small", "full"), default="small")
     parser.add_argument("--seed", type=int, default=0)
 
@@ -653,7 +649,7 @@ _add_fleet = _level("fleet_command", (
 
 def _add_serve(parser: argparse.ArgumentParser) -> None:
     from repro.engine.options import BACKENDS
-    from repro.serve.service import DEFAULT_MAX_QUEUE
+    from repro.serve import DEFAULT_MAX_QUEUE
 
     _add_observability_options(parser)
     parser.add_argument(
@@ -929,8 +925,7 @@ def _print_report(args: argparse.Namespace, report) -> None:
 def _run_experiments_list(args: argparse.Namespace) -> int:
     from repro.experiments.registry import EXPERIMENTS
 
-    for experiment_id in _experiment_ids():
-        experiment = EXPERIMENTS[experiment_id]
+    for experiment_id, experiment in EXPERIMENTS.items():
         print(f"{experiment_id}: {experiment.title}  [{experiment.paper_reference}]")
     return 0
 
@@ -945,13 +940,13 @@ def _run_experiments_run(args: argparse.Namespace) -> int:
 
 
 def _run_experiments_run_all(args: argparse.Namespace) -> int:
-    from repro.experiments.registry import run_experiment
+    from repro.experiments.registry import EXPERIMENTS, run_experiment
 
     if _outputs_unusable(args):
         return 2
     reports = [
         run_experiment(experiment_id, scale=args.scale, seed=args.seed)
-        for experiment_id in _experiment_ids()
+        for experiment_id in EXPERIMENTS
     ]
     output = "\n\n".join(map(_renderer(args), reports))
     if args.output:
@@ -965,10 +960,17 @@ def _run_experiments_run_all(args: argparse.Namespace) -> int:
     return 0
 
 
+def _experiment_report(plan, records):
+    """The report an experiment plan assembles from ``{job tag: record}``."""
+    from repro.experiments.report import ExperimentReport
+
+    return ExperimentReport(**plan.assemble(records)["report"])
+
+
 def _run_experiment_pipeline(args: argparse.Namespace) -> int:
-    from repro.api import experiment_plan, experiment_request
+    from repro.api import compile_request, experiment_request
     from repro.engine.store import MergeConflictError
-    from repro.experiments.pipeline import MissingRecordError, assemble_from_store, execute_plan
+    from repro.experiments.pipeline import MissingRecordError
 
     if args.shard is not None and args.merge is not None:
         print("error: --shard and --merge are mutually exclusive", file=sys.stderr)
@@ -983,7 +985,9 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
     if _outputs_unusable(args):
         return 2
     engine = _build_engine(args)
-    plan = experiment_plan(experiment_request(args.experiment_id, scale=args.scale, seed=args.seed))
+    plan = compile_request(
+        experiment_request(args.experiment_id, scale=args.scale, seed=args.seed)
+    )
 
     if args.merge is not None:
         store = engine.store
@@ -999,23 +1003,23 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
                 f"({merge_report.records} records, {merge_report.adopted} adopted)"
             )
         try:
-            report = assemble_from_store(plan, store)
+            records = plan.records(store)
         except MissingRecordError as error:
             print(f"assembly failed: {error}", file=sys.stderr)
             return 1
-        _print_report(args, report)
+        _print_report(args, _experiment_report(plan, records))
         return 0
 
-    run = execute_plan(plan, engine=engine, shard=args.shard)
+    batches = plan.run(engine, shard=args.shard)
     if args.shard is not None:
         index, count = args.shard
         print(
-            f"experiment {plan.experiment_id} (scale={plan.scale}, seed={plan.seed}), "
-            f"shard {index}/{count}: {len(run.batches)}/{len(plan.jobs)} jobs"
+            f"experiment {args.experiment_id} (scale={args.scale}, seed={args.seed}), "
+            f"shard {index}/{count}: {len(batches)}/{len(plan.jobs)} jobs"
         )
         print(f"engine: workers={engine.workers}, backend={engine.backend}, "
               f"results-dir={args.results_dir}")
-        for tag, batch in run.batches.items():
+        for tag, batch in batches.items():
             print(
                 f"  {tag:>16}  trials={batch.num_trials:>4}  mean {batch.mean:8.1f}"
                 + ("  [cached]" if batch.from_cache else "")
@@ -1024,9 +1028,9 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
             _write_json(
                 args.json_path,
                 {
-                    "experiment_id": plan.experiment_id,
-                    "scale": plan.scale,
-                    "seed": plan.seed,
+                    "experiment_id": args.experiment_id,
+                    "scale": args.scale,
+                    "seed": args.seed,
                     "shard": [index, count],
                     "jobs": [
                         {
@@ -1035,18 +1039,21 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
                             "flooding_times": list(batch.flooding_times),
                             "from_cache": batch.from_cache,
                         }
-                        for tag, batch in run.batches.items()
+                        for tag, batch in batches.items()
                     ],
                 },
             )
         return 0
 
-    assert run.report is not None
-    print(_renderer(args)(run.report))
-    if run.num_cached:
-        print(f"\n({run.num_cached}/{len(run.batches)} job(s) served from the result store)")
+    report = _experiment_report(
+        plan, {tag: batch.as_dict() for tag, batch in batches.items()}
+    )
+    print(_renderer(args)(report))
+    num_cached = sum(1 for batch in batches.values() if batch.from_cache)
+    if num_cached:
+        print(f"\n({num_cached}/{len(batches)} job(s) served from the result store)")
     if args.json_path:
-        _write_json(args.json_path, run.report.as_dict())
+        _write_json(args.json_path, report.as_dict())
     return 0
 
 
@@ -1111,7 +1118,7 @@ def _run_flood(args: argparse.Namespace) -> int:
 
     engine = _build_engine(args)
     estimator = estimator_description(sources, num_sources)
-    samples = list(engine.run(spec).flooding_times)
+    samples = list(plan.run(engine)["flood"].flooding_times)
     summary = summarize(samples)
     print(f"model:  {description}")
     print(f"engine: workers={engine.workers}, backend={engine.backend}"
@@ -1171,7 +1178,7 @@ def _measurement_line(measurement) -> str:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     from repro.api import RequestError, compile_request, estimator_description, sweep_request
-    from repro.experiments.runner import run_sweep_specs, sweep_as_dicts
+    from repro.experiments.runner import measurement_from_batch, sweep_as_dicts
     from repro.util.stats import halfwidth
 
     if args.shard is not None and args.shard[1] > args.trials:
@@ -1207,7 +1214,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
     except (RequestError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    measurements = run_sweep_specs([job.spec for job in plan.jobs], engine=engine, shard=args.shard)
+    batches = plan.run(engine, shard=args.shard)
+    measurements = [measurement_from_batch(job.spec, batches[job.tag]) for job in plan.jobs]
     shard_note = f", shard {args.shard[0]}/{args.shard[1]}" if args.shard else ""
     print(f"sweep:  {args.family} over n = {args.nodes}{shard_note}")
     print(f"engine: workers={engine.workers}, backend={engine.backend}"
@@ -1282,20 +1290,19 @@ def _run_worker(args: argparse.Namespace) -> int:
 
 
 def _run_fleet_run(args: argparse.Namespace) -> int:
-    from repro.api import estimator_description, experiment_request, sweep_request
+    from repro.api import compile_request, estimator_description, experiment_request, sweep_request
     from repro.engine.engine import Engine
     from repro.engine.store import MergeConflictError, ResultStore
-    from repro.experiments.runner import sweep_as_dicts
+    from repro.experiments.runner import measurement_from_record, sweep_as_dicts
     from repro.fleet.coordinator import (
         FleetError,
-        assemble_experiment_report,
         merge_fleet_stores,
         plan_variance_budgets,
         run_fleet,
-        sweep_results_from_store,
     )
     from repro.fleet.jobs import request_job_payloads
     from repro.fleet.queue import JobSpool
+    from repro.telemetry import core as telemetry
 
     if not args.results_dir:
         print(
@@ -1303,6 +1310,9 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
             "stores are merged into)",
             file=sys.stderr,
         )
+        return 2
+    telemetry_dir = _telemetry_dir(args)
+    if _outputs_unusable(args) or _profile_unusable(args, telemetry_dir):
         return 2
     try:
         sizing_report = None
@@ -1337,13 +1347,12 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
                     )
         else:
             request = experiment_request(args.experiment_id, scale=args.scale, seed=args.seed)
-        payloads = request_job_payloads(request, args.shards, engine=_engine_config(args))
-        telemetry_dir = _telemetry_dir(args)
-        if _profile_unusable(args, telemetry_dir):
-            return 2
+        plan = compile_request(request)
+        payloads = request_job_payloads(plan, args.shards, engine=_engine_config(args))
         spool = JobSpool(args.spool, lease_ttl=args.lease_ttl, max_attempts=args.max_attempts)
         outcome = run_fleet(
             spool,
+            plan,
             payloads,
             local_workers=args.local_workers,
             poll=args.poll,
@@ -1368,7 +1377,7 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
 
     destination = ResultStore.at(args.results_dir)
     try:
-        merge_report = merge_fleet_stores(spool, payloads, destination)
+        merge_report = merge_fleet_stores(spool, plan, payloads, destination)
     except (FleetError, MergeConflictError, FileNotFoundError) as error:
         print(f"fleet fan-in failed: {error}", file=sys.stderr)
         return 1
@@ -1388,7 +1397,10 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
     )
 
     if args.workload == "sweep":
-        measurements = sweep_results_from_store(payloads[0], destination)
+        records = plan.records(destination)
+        measurements = [
+            measurement_from_record(job.spec, records[job.tag]) for job in plan.jobs
+        ]
         estimator = estimator_description(*_source_options(args))
         print(f"sweep:  {args.family} over n = {args.nodes}  ({args.shards} fleet shards)")
         print(f"estimator: {estimator} per realization")
@@ -1412,7 +1424,9 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
             _write_json(args.json_path, payload)
         return 0
 
-    _print_report(args, assemble_experiment_report(payloads[0], destination))
+    with telemetry.span("fleet.assemble", experiment=args.experiment_id):
+        report = _experiment_report(plan, plan.records(destination))
+    _print_report(args, report)
     return 0
 
 

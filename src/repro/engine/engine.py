@@ -815,6 +815,14 @@ class Engine:
             run_span.add(cached=False)
             return result
 
-    def run_many(self, specs: Sequence[TrialSpec]) -> list[BatchResult]:
-        """Execute several specs in order (each with its own seed stream)."""
-        return [self.run(spec) for spec in specs]
+    def run_many(
+        self, specs: Sequence[TrialSpec], shard: Optional[tuple[int, int]] = None
+    ) -> list[BatchResult]:
+        """Execute several specs in order (each with its own seed stream).
+
+        With ``shard=(i, K)`` each spec runs only its shard ``i`` of ``K``
+        through :meth:`run_shard`.
+        """
+        if shard is None:
+            return [self.run(spec) for spec in specs]
+        return [self.run_shard(ShardSpec(spec, *shard)) for spec in specs]

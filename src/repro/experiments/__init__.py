@@ -9,29 +9,30 @@ reports them next to the corresponding bound formula and baselines.
 
 * :mod:`repro.experiments.runner` — generic sweep/measurement machinery;
 * :mod:`repro.experiments.registry` — the experiment definitions ``E1``–``E10``
-  as declarative plan builders (engine ``TrialSpec`` jobs + assembly);
-* :mod:`repro.experiments.pipeline` — compiles an experiment into an
-  :class:`~repro.experiments.pipeline.ExperimentPlan` and executes it through
-  :class:`repro.engine.Engine` (worker pools, shards, result-store caching,
-  store-only assembly);
+  as declarative plan builders (engine ``TrialSpec`` jobs + assembly), and
+  :func:`~repro.experiments.registry.run_experiment`;
+* :mod:`repro.experiments.pipeline` — the :class:`~repro.experiments.pipeline
+  .ExperimentPlan` a plan builder returns and the seed helpers the builders
+  share.  An experiment runs, shards and reads back from a store as a
+  :class:`repro.api.CompiledPlan`, like every other request;
 * :mod:`repro.experiments.report` — text/markdown table rendering used by the
   benchmarks and EXPERIMENTS.md.
 """
 
 from repro._lazy import lazy_exports
 
+#: The registered experiment ids, in order.  Kept here, apart from the
+#: registry, so the CLI lists them without importing NumPy.
+EXPERIMENT_IDS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10")
+
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
+        "repro.experiments": ("EXPERIMENT_IDS",),
         "repro.experiments.pipeline": (
             "ExperimentJob",
             "ExperimentPlan",
             "MissingRecordError",
-            "PipelineRun",
-            "assemble_from_store",
-            "compile_experiment",
-            "execute_plan",
-            "run_experiment_pipeline",
         ),
         "repro.experiments.registry": ("EXPERIMENTS", "get_experiment", "run_experiment"),
         "repro.experiments.report": ("ExperimentReport", "format_markdown", "format_table"),

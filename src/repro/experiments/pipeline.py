@@ -1,16 +1,13 @@
-"""Engine-routed execution pipeline for the registered experiments (E1-E10).
+"""The plans the registered experiments (E1-E10) compile into.
 
-Every registered experiment used to drive :func:`flooding_time_samples` and
-the sampling helpers directly from an ad-hoc loop, which kept the paper's
-headline figures outside the engine machinery the sweeps already enjoy.
-This module closes that gap: an experiment is *compiled* into an
-:class:`ExperimentPlan` — a batch of tagged, declarative
-:class:`~repro.engine.TrialSpec` jobs plus a pure assembly function — and
-*executed* through :class:`~repro.engine.Engine`, inheriting worker pools,
-kernel selection, ``--source-chunk`` and :class:`~repro.engine.ResultStore`
-caching for free.
-
-The contract mirrors the sweep sharding contract of :mod:`repro.engine.shard`:
+A registered experiment is *compiled* into an :class:`ExperimentPlan`: a
+batch of tagged, declarative :class:`~repro.engine.TrialSpec` jobs plus a
+pure assembly function from per-job samples to the
+:class:`~repro.experiments.report.ExperimentReport`.  The request facade
+wraps that plan in a :class:`repro.api.CompiledPlan`, which runs it through
+:class:`~repro.engine.Engine` (worker pools, kernel selection, result-store
+caching), shards it and reads it back from a store exactly as it does every
+sweep and flood.
 
 * **Determinism** — every job's seed is an explicitly reconstructed
   ``SeedSequence`` child (:func:`experiment_seed_sequence`), the exact child
@@ -18,11 +15,11 @@ The contract mirrors the sweep sharding contract of :mod:`repro.engine.shard`:
   assembled report is bit-identical to the historical direct-call numbers
   (pinned by the golden-value regression tests).
 * **Sharding** — shard ``i`` of ``K`` runs jobs ``i, i+K, i+2K, ...`` of the
-  compiled plan, each as a *full* batch record in the store.  ``K`` shard
-  stores merged with :meth:`ResultStore.merge
+  plan, each as a *full* batch record in the store.  ``K`` shard stores
+  merged with :meth:`ResultStore.merge
   <repro.engine.store.ResultStore.merge>` are byte-identical to the store an
-  unsharded run writes, and :func:`assemble_from_store` rebuilds the exact
-  report from the merged store without re-running anything.
+  unsharded run writes, and the report assembles from the merged store
+  without re-running anything.
 * **Resume / replay** — a partial run resumes from whatever records the
   attached store already holds (the engine serves them as cache hits), and a
   re-run against a warm store executes zero trials.
@@ -38,20 +35,19 @@ fixed trial counts so the golden-value regressions stay bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine import BatchResult, Engine, ResultStore, TrialSpec, batch_store_key
+from repro.engine import TrialSpec, batch_store_key
 from repro.experiments.report import ExperimentReport
-from repro.telemetry import core as telemetry
 
 #: The recognised experiment scales (seconds-fast vs. minutes-thorough).
 SCALES = ("small", "full")
 
 
 class MissingRecordError(LookupError):
-    """A store-only assembly found no record for one of the plan's jobs."""
+    """A store read-back found no record for one of a plan's jobs."""
 
 
 def experiment_seed_sequence(seed: int, *spawn_key: int) -> np.random.SeedSequence:
@@ -88,7 +84,11 @@ def advanced_rng(
 
 @dataclass(frozen=True)
 class ExperimentJob:
-    """One engine workload of an experiment: a uniquely tagged trial batch."""
+    """One uniquely tagged trial batch of a compiled plan.
+
+    The job type of every :class:`repro.api.CompiledPlan` (experiment, sweep
+    or flood), kept at this layer because :class:`ExperimentPlan` holds it.
+    """
 
     tag: str
     spec: TrialSpec
@@ -129,122 +129,3 @@ class ExperimentPlan:
         tags = [job.tag for job in self.jobs]
         if len(set(tags)) != len(tags):
             raise ValueError(f"job tags must be unique, got {tags}")
-
-    def shard_jobs(self, index: int, count: int) -> tuple[ExperimentJob, ...]:
-        """Jobs ``index, index+count, index+2*count, ...`` of this plan."""
-        if count < 1:
-            raise ValueError(f"shard count must be >= 1, got {count}")
-        if not 0 <= index < count:
-            raise ValueError(f"shard index must lie in [0, {count}), got {index}")
-        return self.jobs[index::count]
-
-
-@dataclass(frozen=True)
-class PipelineRun:
-    """Outcome of executing (part of) a plan through the engine.
-
-    ``report`` is ``None`` for sharded executions: a shard persists its full
-    batch records to the attached store and the report is assembled later,
-    from the merged stores, by :func:`assemble_from_store`.
-    """
-
-    plan: ExperimentPlan
-    batches: dict[str, BatchResult]
-    report: Optional[ExperimentReport]
-    shard: Optional[tuple[int, int]] = None
-
-    @property
-    def num_cached(self) -> int:
-        """How many of the executed jobs were served from the store."""
-        return sum(1 for batch in self.batches.values() if batch.from_cache)
-
-
-def compile_experiment(
-    experiment_id: str, scale: str = "small", seed: int = 0
-) -> ExperimentPlan:
-    """Compile a registered experiment id + scale + seed into a plan."""
-    # Imported lazily: the registry's plan builders use this module's types.
-    from repro.experiments.registry import get_experiment
-
-    return get_experiment(experiment_id).planner(scale, int(seed))
-
-
-def execute_plan(
-    plan: ExperimentPlan,
-    engine: Optional[Engine] = None,
-    shard: Optional[tuple[int, int]] = None,
-) -> PipelineRun:
-    """Run a compiled plan (or one shard of it) through an engine.
-
-    With ``shard=(i, K)`` only jobs ``i, i+K, ...`` execute; each persists
-    its *full* batch record to the engine's store (when one is attached), so
-    merging the ``K`` shard stores is a plain union that reproduces the
-    unsharded store byte-for-byte.  An empty shard still touches the store
-    file so every shard yields a mergeable artifact.
-    """
-    if engine is None:
-        engine = Engine()
-    with telemetry.span(
-        "experiment.plan",
-        experiment=plan.experiment_id,
-        scale=plan.scale,
-        shard=None if shard is None else f"{shard[0]}/{shard[1]}",
-    ) as plan_span:
-        if shard is None:
-            jobs = plan.jobs
-        else:
-            jobs = plan.shard_jobs(*shard)
-            if engine.store is not None:
-                engine.store.touch()
-        batches = {job.tag: engine.run(job.spec) for job in jobs}
-        plan_span.add(jobs=len(batches))
-        report = None
-        if shard is None:
-            report = plan.assemble(
-                {tag: list(batch.flooding_times) for tag, batch in batches.items()}
-            )
-        return PipelineRun(plan=plan, batches=batches, report=report, shard=shard)
-
-
-def run_experiment_pipeline(
-    experiment_id: str,
-    scale: str = "small",
-    seed: int = 0,
-    engine: Optional[Engine] = None,
-    shard: Optional[tuple[int, int]] = None,
-) -> PipelineRun:
-    """Compile and execute one experiment (the CLI's ``repro experiment`` path)."""
-    plan = compile_experiment(experiment_id, scale=scale, seed=seed)
-    return execute_plan(plan, engine=engine, shard=shard)
-
-
-def plan_store_keys(plan: ExperimentPlan) -> list[str]:
-    """The store keys of every job of a plan, in job order.
-
-    The fan-in side of fleet execution uses these as a completeness check: a
-    merged store that holds all of them can assemble the report offline; a
-    missing key names the job whose shard never ran or never merged.
-    """
-    return [job.store_key() for job in plan.jobs]
-
-
-def assemble_from_store(plan: ExperimentPlan, store: ResultStore) -> ExperimentReport:
-    """Assemble a plan's report purely from stored records (no execution).
-
-    This is the fan-in path: after ``K`` sharded runs were merged into one
-    store, the full report is rebuilt offline.  Raises
-    :class:`MissingRecordError` if any job's record is absent (e.g. a shard
-    was never run or never merged), naming the job so the operator knows
-    which shard to re-run.
-    """
-    samples: dict[str, list[int]] = {}
-    for job in plan.jobs:
-        record = store.get(job.store_key())
-        if record is None:
-            raise MissingRecordError(
-                f"store {store.path} holds no record for job {job.tag!r} of "
-                f"{plan.experiment_id} (scale={plan.scale}, seed={plan.seed}); "
-                f"run or merge the shard owning that job first"
-            )
-        samples[job.tag] = [int(time) for time in record["flooding_times"]]
-    return plan.assemble(samples)

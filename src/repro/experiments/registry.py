@@ -6,7 +6,7 @@ ExperimentPlan``: a batch of tagged, declarative
 workload) plus a pure assembly function that turns the per-job samples into
 the final :class:`~repro.experiments.report.ExperimentReport`.  Execution —
 serial, multi-worker, sharded across machines, or replayed from a warm
-result store — is owned entirely by :mod:`repro.experiments.pipeline`; the
+result store — is owned entirely by :class:`repro.api.CompiledPlan`; the
 builders here only *describe* work.
 
 ``scale`` is ``"small"`` (seconds — the configuration the test-suite and the
@@ -57,7 +57,6 @@ from repro.experiments.pipeline import (
     ExperimentJob,
     ExperimentPlan,
     advanced_rng,
-    execute_plan,
     experiment_seed_sequence,
 )
 from repro.experiments.report import ExperimentReport
@@ -90,19 +89,6 @@ class Experiment:
     title: str
     paper_reference: str
     planner: Callable[[str, int], ExperimentPlan]
-
-    @property
-    def runner(self) -> Callable[[str, int], ExperimentReport]:
-        """Legacy ``(scale, seed) -> ExperimentReport`` callable.
-
-        Compiles and executes the plan on a default serial engine — the
-        pre-pipeline behaviour, same numbers.
-        """
-
-        def run(scale: str = "small", seed: int = 0) -> ExperimentReport:
-            return _run_legacy(self.planner, scale, seed)
-
-        return run
 
 
 def _scales(scale: str, small, full):
@@ -923,7 +909,7 @@ def plan_stationarity(scale: str, seed: int) -> ExperimentPlan:
 
 
 # --------------------------------------------------------------------------- #
-# Registry and legacy runner entry points
+# Registry
 # --------------------------------------------------------------------------- #
 EXPERIMENTS: dict[str, Experiment] = {
     "E1": Experiment("E1", "Theorem 1 on a sparse edge-MEG", "Theorem 1", plan_theorem1),
@@ -965,72 +951,16 @@ def run_experiment(
     seed: int = 0,
     engine: Engine | None = None,
 ) -> ExperimentReport:
-    """Run a registered experiment through the pipeline and return its report.
+    """Run a registered experiment and return its report.
 
     ``engine`` configures execution (worker pool, kernel backend, attached
     result store); the default is a serial in-process engine.  The report is
     identical whatever the engine configuration — that is the pipeline's
     determinism contract.
     """
-    plan = get_experiment(experiment_id).planner(scale, int(seed))
-    report = execute_plan(plan, engine=engine).report
-    assert report is not None  # unsharded executions always assemble
-    return report
+    from repro.api import compile_request, experiment_request
 
-
-def _run_legacy(
-    planner: Callable[[str, int], ExperimentPlan], scale: str, seed: int
-) -> ExperimentReport:
-    report = execute_plan(planner(scale, seed)).report
-    assert report is not None
-    return report
-
-
-def run_theorem1(scale: str = "small", seed: int = 0) -> ExperimentReport:
-    """E1: flooding time vs n for a sparse edge-MEG against the Theorem-1 bound."""
-    return _run_legacy(plan_theorem1, scale, seed)
-
-
-def run_node_meg(scale: str = "small", seed: int = 0) -> ExperimentReport:
-    """E2: flooding time of a co-location node-MEG against the Theorem-3 bound."""
-    return _run_legacy(plan_node_meg, scale, seed)
-
-
-def run_random_waypoint(scale: str = "small", seed: int = 0) -> ExperimentReport:
-    """E3: sparse-regime random waypoint vs the paper's first waypoint bound."""
-    return _run_legacy(plan_random_waypoint, scale, seed)
-
-
-def run_random_walk(scale: str = "small", seed: int = 0) -> ExperimentReport:
-    """E4: random-walk mobility model on an m x m grid (sanity baseline)."""
-    return _run_legacy(plan_random_walk, scale, seed)
-
-
-def run_random_paths(scale: str = "small", seed: int = 0) -> ExperimentReport:
-    """E5: shortest-path random-path model on grids vs the Corollary-5 bound."""
-    return _run_legacy(plan_random_paths, scale, seed)
-
-
-def run_augmented_grid(scale: str = "small", seed: int = 0) -> ExperimentReport:
-    """E6: random walks on k-augmented grids — our bound vs the [15] baseline."""
-    return _run_legacy(plan_augmented_grid, scale, seed)
-
-
-def run_edge_meg(scale: str = "small", seed: int = 0) -> ExperimentReport:
-    """E7: classic edge-MEG sweep — our general bound vs the prior bound of [10]."""
-    return _run_legacy(plan_edge_meg, scale, seed)
-
-
-def run_gossip(scale: str = "small", seed: int = 0) -> ExperimentReport:
-    """E8: push-gossip variants on the same dynamic graphs as plain flooding."""
-    return _run_legacy(plan_gossip, scale, seed)
-
-
-def run_expansion(scale: str = "small", seed: int = 0) -> ExperimentReport:
-    """E9: empirical check of the expansion quantities used in Theorem 1's proof."""
-    return _run_legacy(plan_expansion, scale, seed)
-
-
-def run_stationarity(scale: str = "small", seed: int = 0) -> ExperimentReport:
-    """E10: density/independence conditions measured for the concrete models."""
-    return _run_legacy(plan_stationarity, scale, seed)
+    plan = compile_request(experiment_request(experiment_id, scale=scale, seed=seed))
+    batches = plan.run(Engine() if engine is None else engine)
+    payload = plan.assemble({tag: batch.as_dict() for tag, batch in batches.items()})
+    return ExperimentReport(**payload["report"])

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from repro.engine import Engine, ShardSpec, TrialSpec
+from repro.engine import BatchResult, Engine, TrialSpec
 from repro.meg.base import DynamicGraph
 from repro.stats.sequential import StoppingRule, summary_from_sketch, whp_from_sketch
 from repro.util.rng import RNGLike, spawn_seed_sequences
@@ -128,41 +128,19 @@ def sweep_trial_specs(
     ]
 
 
-def run_sweep_specs(
-    specs: Sequence[TrialSpec],
-    engine: Optional[Engine] = None,
-    shard: Optional[tuple[int, int]] = None,
-) -> list[SweepMeasurement]:
-    """Execute already-built sweep specs (or one shard of each) in order.
-
-    The execution half of :func:`measure_flooding_sweep`, split out so
-    callers that compile specs elsewhere — the :mod:`repro.api` request
-    facade, and the CLI routing through it — share the exact measurement
-    loop (identical engine calls, identical summaries) instead of a copy.
-    """
-    if engine is None:
-        engine = Engine()
-    shard_pair = None if shard is None else (int(shard[0]), int(shard[1]))
-    measurements = []
-    for spec in specs:
-        if shard_pair is None:
-            batch = engine.run(spec)
-        else:
-            batch = engine.run_shard(ShardSpec(spec, *shard_pair))
-        samples = list(batch.flooding_times)
-        summary, whp_value = summarize_with_whp(samples, batch.num_nodes)
-        measurements.append(
-            SweepMeasurement(
-                parameter=spec.args[0],
-                num_nodes=batch.num_nodes,
-                summary=summary,
-                whp_value=whp_value,
-                samples=tuple(samples),
-                from_cache=batch.from_cache,
-                stopped_early=batch.stopped_early,
-            )
-        )
-    return measurements
+def measurement_from_batch(spec: TrialSpec, batch: BatchResult) -> SweepMeasurement:
+    """A sweep point's measurement from the batch the engine returned for it."""
+    samples = list(batch.flooding_times)
+    summary, whp_value = summarize_with_whp(samples, batch.num_nodes)
+    return SweepMeasurement(
+        parameter=spec.args[0],
+        num_nodes=batch.num_nodes,
+        summary=summary,
+        whp_value=whp_value,
+        samples=tuple(samples),
+        from_cache=batch.from_cache,
+        stopped_early=batch.stopped_early,
+    )
 
 
 def measurement_from_record(spec: TrialSpec, record: dict) -> SweepMeasurement:
@@ -294,7 +272,8 @@ def measure_flooding_sweep(
         factory_kwargs=factory_kwargs,
         stopping=stopping,
     )
-    return run_sweep_specs(specs, engine=engine, shard=shard)
+    batches = engine.run_many(specs, shard=shard)
+    return [measurement_from_batch(spec, batch) for spec, batch in zip(specs, batches)]
 
 
 def sweep_as_dicts(measurements: Iterable[SweepMeasurement]) -> list[dict]:

@@ -9,18 +9,19 @@ those shards onto a fleet of workers automatically:
     claim-by-rename leases, heartbeat timestamps, lease-expiry requeue and
     a bounded retry budget.
 ``repro.fleet.jobs``
-    JSON job descriptors (one shard of a sweep/experiment workload) and the
-    worker-side execution hook that routes them through the engine's
-    existing shard paths.
+    JSON job descriptors (one shard of a compiled sweep/experiment/flood
+    plan) and the worker-side execution hook, which runs the descriptor's
+    shard with :meth:`repro.api.CompiledPlan.run`.
 ``repro.fleet.worker``
     The ``repro worker --spool DIR`` daemon loop: lease, execute,
     heartbeat, mark done/failed — and reclaim dead peers' leases while
     idle.
 ``repro.fleet.coordinator``
-    ``repro fleet run``: compile a workload into shard jobs, spawn local
+    ``repro fleet run``: shard one compiled plan into jobs, spawn local
     workers (or monitor an external fleet), requeue expired leases, then
-    fan in — merged stores and assembled reports byte-identical to a
-    one-shot run.
+    fan in — merged stores byte-identical to a one-shot run, checked
+    against the plan's store keys and read back with
+    :meth:`repro.api.CompiledPlan.records`.
 ``repro.fleet.status``
     ``repro fleet status``: progress and failure inspection of a spool.
 ``repro.fleet.top``
@@ -37,12 +38,10 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.fleet.coordinator": (
             "FleetError",
             "FleetOutcome",
-            "assemble_experiment_report",
             "merge_fleet_stores",
             "plan_variance_budgets",
             "run_fleet",
             "spawn_local_worker",
-            "sweep_results_from_store",
         ),
         "repro.fleet.jobs": (
             "DEFAULT_PRIORITY",
@@ -50,12 +49,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "PRIORITIES",
             "engine_from_config",
             "execute_job",
-            "expected_store_keys",
-            "experiment_job_payloads",
-            "job_expected_keys",
             "request_from_payload",
             "request_job_payloads",
-            "sweep_job_payloads",
         ),
         "repro.fleet.queue": ("DEFAULT_LEASE_TTL", "DEFAULT_MAX_ATTEMPTS", "Job", "JobSpool"),
         "repro.fleet.status": (

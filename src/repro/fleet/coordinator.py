@@ -10,7 +10,10 @@ per-job stores are unioned with :meth:`ResultStore.merge
 <repro.engine.store.ResultStore.merge>` (which reassembles the shard groups
 into full batch records), the merged store is checked for completeness
 against the workload's expected keys, and the sweep summary or experiment
-report is rebuilt purely from store records.
+report is rebuilt purely from store records
+(:meth:`CompiledPlan.records <repro.api.CompiledPlan.records>`).  The
+request is compiled once, by the caller, and that one plan feeds the job
+descriptors, the ``--resume`` check and the fan-in check.
 
 Because every execution path below the coordinator is the engine's existing
 shard machinery, a fleet run's merged store — and the report assembled from
@@ -40,21 +43,13 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from repro.api import WorkRequest, compile_request, experiment_plan
+from repro.api import CompiledPlan, WorkRequest, compile_request
 from repro.engine import Engine, MergeReport, ResultStore
-from repro.util.stats import z_score
-from repro.experiments.pipeline import assemble_from_store
-from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import SweepMeasurement, measurement_from_record
-from repro.fleet.jobs import (
-    expected_store_keys,
-    job_expected_keys,
-    request_from_payload,
-)
 from repro.fleet.queue import JobSpool
 from repro.telemetry import core as telemetry
 from repro.telemetry import trace as tracectx
 from repro.telemetry.log import get_logger
+from repro.util.stats import z_score
 
 _logger = get_logger("fleet")
 
@@ -129,17 +124,18 @@ def spawn_local_worker(
     return subprocess.Popen(command, env=env)
 
 
-def _job_store_complete(spool: JobSpool, payload: dict) -> bool:
+def _job_store_complete(spool: JobSpool, plan: CompiledPlan, payload: dict) -> bool:
     """Whether a done job's own store really holds every record it owes."""
     store_dir = spool.resolve(payload["store"])
     if not os.path.isdir(store_dir):
         return False
     store = ResultStore(store_dir)
-    return all(key in store for key in job_expected_keys(payload))
+    index, count = payload["shard"]
+    return all(key in store for key in plan.shard_keys(index, count))
 
 
 def _enqueue_payloads(
-    spool: JobSpool, payloads: Sequence[dict], resume: bool, log
+    spool: JobSpool, plan: CompiledPlan, payloads: Sequence[dict], resume: bool, log
 ) -> None:
     """Enqueue a workload, reusing a partially drained spool when resuming.
 
@@ -167,7 +163,7 @@ def _enqueue_payloads(
         enqueued = reused = resurrected = 0
         for payload in payloads:
             state = spool.state_of(payload["id"])
-            if state == "done" and _job_store_complete(spool, payload):
+            if state == "done" and _job_store_complete(spool, plan, payload):
                 reused += 1
             elif state in ("done", "failed"):
                 spool.resurrect(payload["id"], state)
@@ -185,6 +181,7 @@ def _enqueue_payloads(
 
 def run_fleet(
     spool: JobSpool,
+    plan: CompiledPlan,
     payloads: Sequence[dict],
     local_workers: int = 0,
     poll: float = 0.2,
@@ -203,8 +200,11 @@ def run_fleet(
     spool:
         The (configured) job spool; its lease/retry settings are persisted
         so external workers joining later agree on the clock.
+    plan:
+        The compiled workload; ``resume`` checks done jobs' stores against
+        its shard keys.
     payloads:
-        Job descriptors from :mod:`repro.fleet.jobs`.
+        The plan's job descriptors (:func:`repro.fleet.jobs.request_job_payloads`).
     local_workers:
         Drain-mode worker processes to spawn locally (0 = external fleet:
         the operator runs ``repro worker`` wherever the spool is mounted).
@@ -236,13 +236,14 @@ def run_fleet(
     trace_id = trace or tracectx.current_trace_id() or tracectx.mint_trace_id()
     with tracectx.attach_trace(trace_id):
         return _run_fleet_traced(
-            spool, payloads, local_workers, poll, max_wait, log,
+            spool, plan, payloads, local_workers, poll, max_wait, log,
             telemetry_dir, profile, log_level, resume, trace_id,
         )
 
 
 def _run_fleet_traced(
     spool: JobSpool,
+    plan: CompiledPlan,
     payloads: Sequence[dict],
     local_workers: int,
     poll: float,
@@ -263,7 +264,7 @@ def _run_fleet_traced(
             log_level=log_level,
         )
 
-    _enqueue_payloads(spool, payloads, resume, log)
+    _enqueue_payloads(spool, plan, payloads, resume, log)
 
     started = time.perf_counter()
     requeued: list[str] = []
@@ -323,18 +324,18 @@ def _run_fleet_traced(
 
 
 def merge_fleet_stores(
-    spool: JobSpool, payloads: Sequence[dict], destination: ResultStore
+    spool: JobSpool, plan: CompiledPlan, payloads: Sequence[dict], destination: ResultStore
 ) -> MergeReport:
     """Fan in: union every job's store into ``destination`` and verify it.
 
     Merging reassembles the shard groups into full batch records; the merged
-    store is then checked against the workload's expected parent keys, so an
-    incomplete fan-in fails loudly naming the missing slice instead of
-    yielding a silently partial store.
+    store is then checked against the plan's parent keys, so an incomplete
+    fan-in fails loudly naming the missing slice instead of yielding a
+    silently partial store.
     """
     with telemetry.span("fleet.merge", sources=len(payloads)) as merge_span:
         report = destination.merge(*[spool.resolve(p["store"]) for p in payloads])
-        missing = [key for key in expected_store_keys(payloads[0]) if key not in destination]
+        missing = [key for key in plan.store_keys if key not in destination]
         if missing:
             raise FleetError(
                 f"merged store {destination.path} is missing {len(missing)} expected "
@@ -342,35 +343,6 @@ def merge_fleet_stores(
             )
         merge_span.add(records=report.records, assembled=report.assembled)
         return report
-
-
-def sweep_results_from_store(payload: dict, store: ResultStore) -> list[SweepMeasurement]:
-    """Every sweep point's full sample set, read back from a merged store.
-
-    Returns the same :class:`~repro.experiments.runner.SweepMeasurement`
-    objects a live :func:`~repro.experiments.runner.measure_flooding_sweep`
-    produces (``from_cache=True``: these samples come from records, not
-    execution), so the CLI renders and serialises fleet and non-fleet sweeps
-    through one code path.
-    """
-    plan = compile_request(request_from_payload(payload))
-    results = []
-    for job in plan.jobs:
-        record = store.get(job.store_key())
-        if record is None:
-            raise FleetError(
-                f"store {store.path} holds no record for {job.spec.label} "
-                f"(was the fan-in merge run?)"
-            )
-        results.append(measurement_from_record(job.spec, record))
-    return results
-
-
-def assemble_experiment_report(payload: dict, store: ResultStore) -> ExperimentReport:
-    """The experiment report of a fleet workload, purely from store records."""
-    request = request_from_payload(payload)
-    with telemetry.span("fleet.assemble", experiment=request.experiment_id):
-        return assemble_from_store(experiment_plan(request), store)
 
 
 def plan_variance_budgets(

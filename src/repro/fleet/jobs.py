@@ -1,20 +1,16 @@
 """Fleet job descriptors: serializable shards of compiled work requests.
 
-A fleet job is one shard of a workload.  Since the :mod:`repro.api`
-redesign, the workload itself travels as an embedded, schema-versioned
-:class:`~repro.api.WorkRequest` payload — the same JSON the ``repro
-serve`` boundary accepts — and every executor recompiles it through
-:func:`repro.api.compile_request`, the single spec-construction seam.  Any
-worker that reads a descriptor therefore reconstructs exactly the
-:class:`~repro.engine.TrialSpec` batch (and exactly the per-trial
-``SeedSequence`` children and store keys) the equivalent local run would
-use:
-
-* ``shard_mode == "trials"`` (sweeps, floods): shard ``i/K`` runs trials
-  ``i, i+K, ...`` of *every* compiled job via :meth:`Engine.run_shard
-  <repro.engine.engine.Engine.run_shard>`;
-* ``shard_mode == "jobs"`` (experiments): shard ``i/K`` runs whole jobs
-  ``i, i+K, ...`` of the plan, persisting full batch records.
+A fleet job is one shard of a workload.  The workload itself travels as an
+embedded, schema-versioned :class:`~repro.api.WorkRequest` payload — the
+same JSON the ``repro serve`` boundary accepts.  The side that enqueues
+compiles the request once and derives the ``K`` descriptors from that plan
+(:func:`request_job_payloads`); the worker that executes one compiles it
+again through :func:`repro.api.compile_request` and runs its shard with
+:meth:`CompiledPlan.run <repro.api.CompiledPlan.run>`, so it reconstructs
+exactly the :class:`~repro.engine.TrialSpec` batch (and exactly the
+per-trial ``SeedSequence`` children and store keys) the equivalent local
+run would use.  Which trials or jobs shard ``i/K`` owns is decided there,
+in one place, for the CLI's ``--shard`` and the fleet alike.
 
 Job ids are deterministic — a priority prefix, the workload kind, a short
 digest of the canonical request and the shard coordinates — so
@@ -33,21 +29,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.api import (
+    CompiledPlan,
     InvalidParameterError,
     WorkRequest,
     compile_request,
     experiment_request,
     sweep_request,
 )
-from repro.engine import (
-    Engine,
-    ResultStore,
-    ShardSpec,
-    shard_store_key,
-)
+from repro.engine import Engine, ResultStore
 from repro.engine.store import jsonify
 from repro.fleet.queue import JobSpool
 from repro.telemetry import core as telemetry
@@ -115,13 +107,13 @@ def request_from_payload(payload: dict) -> WorkRequest:
 
 
 def request_job_payloads(
-    request: WorkRequest,
+    plan: CompiledPlan,
     shards: int,
     engine: Optional[dict] = None,
     priority: str = DEFAULT_PRIORITY,
     trace: Optional[dict] = None,
 ) -> list[dict]:
-    """The ``K`` job descriptors of a compiled request sharded ``K`` ways.
+    """The ``K`` job descriptors of a compiled plan sharded ``K`` ways.
 
     ``trace`` is an optional propagation carrier (``{"id", "parent"}``,
     see :func:`repro.telemetry.core.trace_carrier`) stamped onto each
@@ -133,7 +125,7 @@ def request_job_payloads(
         raise ValueError(f"shards must be >= 1, got {shards}")
     if priority not in PRIORITIES:
         raise ValueError(f"priority must be one of {PRIORITIES}, got {priority!r}")
-    plan = compile_request(request)  # validates before anything is spooled
+    request = plan.request
     if request.stopping is not None and shards > 1:
         raise InvalidParameterError(
             "a stopping-rule request cannot be trial-sharded (the stopping "
@@ -144,7 +136,7 @@ def request_job_payloads(
     min_trials = (
         min(request.trials) if isinstance(request.trials, tuple) else request.trials
     )
-    if plan.shard_mode == "trials" and shards > min_trials:
+    if request.kind != "experiment" and shards > min_trials:
         raise ValueError(
             f"shards ({shards}) exceeds trials ({min_trials}): "
             f"some shards would be empty"
@@ -169,83 +161,14 @@ def request_job_payloads(
     return payloads
 
 
-def sweep_job_payloads(
-    family: str,
-    nodes: Sequence[int],
-    trials: int,
-    seed: int,
-    shards: int,
-    sources: Optional[str] = None,
-    num_sources: Optional[int] = None,
-    factory_kwargs: Optional[dict] = None,
-    engine: Optional[dict] = None,
-    priority: str = DEFAULT_PRIORITY,
-) -> list[dict]:
-    """The ``K`` job descriptors of a sweep workload sharded ``K`` ways."""
-    request = sweep_request(
-        family=family,
-        nodes=nodes,
-        trials=trials,
-        seed=seed,
-        sources=sources,
-        num_sources=num_sources,
-        params=factory_kwargs,
-    )
-    return request_job_payloads(request, shards, engine=engine, priority=priority)
-
-
-def experiment_job_payloads(
-    experiment_id: str,
-    scale: str,
-    seed: int,
-    shards: int,
-    engine: Optional[dict] = None,
-    priority: str = DEFAULT_PRIORITY,
-) -> list[dict]:
-    """The ``K`` job descriptors of an experiment workload sharded ``K`` ways."""
-    request = experiment_request(experiment_id, scale=scale, seed=seed)
-    return request_job_payloads(request, shards, engine=engine, priority=priority)
-
-
-def expected_store_keys(payload: dict) -> list[str]:
-    """The parent-batch store keys a workload's fan-in merge must produce.
-
-    The coordinator checks these against the merged store after fan-in: all
-    present means every shard group assembled; a missing key names exactly
-    which workload slice never completed.
-    """
-    return compile_request(request_from_payload(payload)).store_keys
-
-
-def job_expected_keys(payload: dict) -> list[str]:
-    """The store keys *this one shard job's own store* holds when complete.
-
-    Unlike :func:`expected_store_keys` (the post-merge parent keys), these
-    are the per-shard record keys — what ``fleet run --resume`` verifies
-    before trusting a ``done/`` job from an earlier, interrupted run.
-    """
-    plan = compile_request(request_from_payload(payload))
-    index, count = (int(payload["shard"][0]), int(payload["shard"][1]))
-    if plan.shard_mode == "trials":
-        # A stopping-rule job only ever ships as the trivial 1-way shard,
-        # and the engine's run_shard delegation stores it under the parent
-        # batch key directly (no shard wrapper to reassemble).
-        if plan.request.stopping is not None:
-            return plan.store_keys
-        return [shard_store_key(key, index, count) for key in plan.store_keys]
-    return plan.store_keys[index::count]
-
-
 def execute_job(payload: dict, spool: JobSpool) -> dict:
     """Run one claimed job into its own result store; returns outcome stats.
 
     This is the worker's execution hook.  The descriptor's request compiles
-    through :func:`repro.api.compile_request` and everything routes through
-    the engine's existing shard paths — :meth:`Engine.run_shard
-    <repro.engine.engine.Engine.run_shard>` for trial-sharded workloads,
-    :meth:`Engine.run <repro.engine.engine.Engine.run>` over the job stride
-    for job-sharded ones — so a fleet-executed shard's store records are
-    byte-identical to the records the CLI's ``--shard i/K`` path writes.
+    through :func:`repro.api.compile_request` and its shard runs through
+    :meth:`CompiledPlan.run <repro.api.CompiledPlan.run>` — the same call
+    the CLI's ``--shard i/K`` path makes — so a fleet-executed shard's store
+    records are byte-identical to the records the CLI writes.
     """
     kind = payload.get("kind")
     if kind not in JOB_KINDS:
@@ -260,20 +183,11 @@ def execute_job(payload: dict, spool: JobSpool) -> dict:
     ):
         plan = compile_request(request_from_payload(payload))
         store = ResultStore(spool.resolve(payload["store"]))
-        store.touch()
         engine = engine_from_config(payload.get("engine"), store=store)
-        index, count = (int(payload["shard"][0]), int(payload["shard"][1]))
-
-        executed = trials = cached = 0
-        if plan.shard_mode == "trials":
-            batches = (
-                engine.run_shard(ShardSpec(job.spec, index, count))
-                for job in plan.jobs
-            )
-        else:
-            batches = (engine.run(job.spec) for job in plan.jobs[index::count])
-        for batch in batches:
-            executed += 1
-            trials += batch.num_trials
-            cached += 1 if batch.from_cache else 0
-        return {"jobs": executed, "trials": trials, "cached": cached}
+        shard = (int(payload["shard"][0]), int(payload["shard"][1]))
+        batches = plan.run(engine, shard=shard).values()
+        return {
+            "jobs": len(batches),
+            "trials": sum(batch.num_trials for batch in batches),
+            "cached": sum(1 for batch in batches if batch.from_cache),
+        }

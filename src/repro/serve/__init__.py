@@ -19,12 +19,16 @@ shared read-through result cache with the fleet as compute backend:
 
 from repro._lazy import lazy_exports
 
+#: Default bound on pending+active spool jobs before cold requests get 429.
+#: Kept here, apart from the service, so ``repro serve --help`` needs no NumPy.
+DEFAULT_MAX_QUEUE = 64
+
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
+        "repro.serve": ("DEFAULT_MAX_QUEUE",),
         "repro.serve.http": ("ServeHandler", "create_server"),
         "repro.serve.service": (
-            "DEFAULT_MAX_QUEUE",
             "ServeResult",
             "SimulationService",
             "plan_etag",

@@ -7,15 +7,16 @@ so the whole request lifecycle is unit-testable without sockets.
 
 The service is a read-through cache over the platform:
 
-* Every request compiles through :func:`repro.api.compile_request` at the
-  boundary; malformed requests die there as structured 400s.
+* Every request compiles once through :func:`repro.api.compile_request` at
+  the boundary; malformed requests die there as structured 400s.
 * **Warm** requests — every expected store key already present in the
   service's :class:`~repro.engine.ResultStore` — are answered by pure
-  assembly from records: zero simulation, ``serve.cache.hit``.  Because
+  assembly from :meth:`CompiledPlan.records
+  <repro.api.CompiledPlan.records>`: zero simulation, ``serve.cache.hit``.  Because
   store keys are content-addressed over the full request identity, the
   digest of the key list is a correct ETag: ``If-None-Match`` answers 304
   without even touching record bodies.
-* **Cold** requests compile into deterministic-id fleet jobs
+* **Cold** requests shard the same plan into deterministic-id fleet jobs
   (:func:`repro.fleet.jobs.request_job_payloads`) and land on the spool for
   whatever workers drain it; the caller gets a 202 with a ticket (a digest
   of the canonical request) and polls ``GET /v1/requests/<ticket>`` until
@@ -38,21 +39,21 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.api import (
+    CompiledPlan,
     InvalidParameterError,
     RequestError,
     WorkRequest,
     compile_request,
 )
 from repro.engine import MergeConflictError, ResultStore
+from repro.experiments.pipeline import MissingRecordError
 from repro.fleet.jobs import DEFAULT_PRIORITY, PRIORITIES, request_job_payloads
 from repro.fleet.queue import JobSpool
 from repro.fleet.status import spool_snapshot
+from repro.serve import DEFAULT_MAX_QUEUE
 from repro.telemetry import core as telemetry
 from repro.telemetry import trace as tracectx
 from repro.telemetry.timeseries import TelemetryTailer
-
-#: Default bound on pending+active spool jobs before cold requests get 429.
-DEFAULT_MAX_QUEUE = 64
 
 _TICKETS_DIR = "tickets"
 
@@ -193,7 +194,7 @@ class SimulationService:
                 telemetry.count("serve.cache.hit")
                 return ServeResult(200, payload, {"ETag": etag, "X-Cache": "hit"})
             telemetry.count("serve.cache.miss")
-            return self._enqueue_cold(request, shards, priority, etag, trace_id)
+            return self._enqueue_cold(plan, shards, priority, etag, trace_id)
 
     def poll(self, ticket: str, if_none_match: Optional[str] = None) -> ServeResult:
         """GET /v1/requests/<ticket> — 200 done, 202 pending, 500 failed."""
@@ -352,22 +353,20 @@ class SimulationService:
             )
         return WorkRequest.from_dict(data), shards, priority
 
-    def _assemble_if_warm(self, plan) -> Optional[dict]:
+    def _assemble_if_warm(self, plan: CompiledPlan) -> Optional[dict]:
         """The assembled result payload, or None if any record is missing."""
-        records = {}
-        for job, key in zip(plan.jobs, plan.store_keys):
-            record = self.store.get(key)
-            if record is None:
-                return None
-            records[job.tag] = record
-        return plan.assemble(records)
+        try:
+            return plan.assemble(plan.records(self.store))
+        except MissingRecordError:
+            return None
 
     def _enqueue_cold(
-        self, request, shards: int, priority: str, etag: str, trace_id: str
+        self, plan: CompiledPlan, shards: int, priority: str, etag: str, trace_id: str
     ) -> ServeResult:
+        request = plan.request
         try:
             payloads = request_job_payloads(
-                request, shards, engine=self.engine_config, priority=priority,
+                plan, shards, engine=self.engine_config, priority=priority,
                 trace=telemetry.trace_carrier(),
             )
         except ValueError as error:

@@ -32,7 +32,7 @@ from repro.engine import (
     TrialSpec,
     batch_store_key,
 )
-from repro.experiments.runner import measurement_from_record, run_sweep_specs
+from repro.experiments.runner import measurement_from_batch, measurement_from_record
 from repro.fleet import (
     JobSpool,
     execute_job,
@@ -191,9 +191,10 @@ class TestFleetAdaptive:
         request = sweep_request(
             "edge-meg", [16], 32, seed=7, stopping={"target_halfwidth": 0.5}
         )
+        plan = compile_request(request)
         with pytest.raises(InvalidParameterError, match="cannot be trial-sharded"):
-            request_job_payloads(request, 2)
-        assert len(request_job_payloads(request, 1)) == 1
+            request_job_payloads(plan, 2)
+        assert len(request_job_payloads(plan, 1)) == 1
 
     def test_plan_variance_budgets_derives_fixed_request(self):
         request = sweep_request("edge-meg", [16, 24], 64, seed=7)
@@ -220,16 +221,17 @@ class TestFleetAdaptive:
 
         # Reference: run the derived per-point budgets directly.
         plan = compile_request(derived)
-        reference = run_sweep_specs([job.spec for job in plan.jobs], engine=Engine())
+        batches = plan.run(Engine())
+        reference = [measurement_from_batch(job.spec, batches[job.tag]) for job in plan.jobs]
 
         # Fleet: shard the derived request, execute each job, fan in.
         spool = JobSpool(str(tmp_path / "spool"))
-        payloads = request_job_payloads(derived, 2)
+        payloads = request_job_payloads(plan, 2)
         for payload in payloads:
             spool.resolve(payload["store"])
             execute_job(payload, spool)
         destination = ResultStore(str(tmp_path / "merged"))
-        merge_fleet_stores(spool, payloads, destination)
+        merge_fleet_stores(spool, plan, payloads, destination)
 
         fleet_measurements = [
             measurement_from_record(job.spec, destination.get(batch_store_key(job.spec)))

@@ -28,14 +28,13 @@ from repro.api import (
     WorkRequest,
     compile_request,
     estimator_description,
-    experiment_plan,
     experiment_request,
     flood_request,
     sweep_request,
 )
 from repro.core.flooding import flooding_time_samples
 from repro.engine import Engine, ResultStore, batch_store_key
-from repro.experiments.pipeline import compile_experiment, plan_store_keys
+from repro.experiments.registry import get_experiment
 from repro.experiments.runner import measure_flooding_sweep
 from repro.sweeps import SWEEP_FAMILIES, SWEEP_FAMILY_DEFAULTS
 
@@ -189,11 +188,11 @@ class TestCompilationEquivalence:
     def test_experiment_plan_matches_pipeline_compilation(self):
         request = experiment_request("E1", scale="small", seed=3)
         plan = compile_request(request)
-        pipeline_plan = compile_experiment("E1", scale="small", seed=3)
+        pipeline_plan = get_experiment("E1").planner("small", 3)
         assert plan.shard_mode == "jobs"
-        assert plan.store_keys == plan_store_keys(pipeline_plan)
+        assert plan.store_keys == [job.store_key() for job in pipeline_plan.jobs]
         assert [job.tag for job in plan.jobs] == [job.tag for job in pipeline_plan.jobs]
-        assert experiment_plan(request).experiment_id == "E1"
+        assert plan.request.experiment_id == "E1"
 
     def test_flood_key_matches_library_helper(self, tmp_path):
         """The facade's flood spec hits the cache the library path populated."""
@@ -299,3 +298,112 @@ class TestCliEquivalence:
         )
         assert exit_code == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Every in-process ``compile_request`` call, under any imported name."""
+    import importlib
+    import sys
+
+    import repro.api
+
+    # Loaded first, so none of them binds the counting wrapper at import
+    # time, where the monkeypatch would not undo it.
+    for name in ("repro.cli", "repro.fleet.coordinator", "repro.serve.service"):
+        importlib.import_module(name)
+    calls = []
+    original = repro.api.compile_request
+
+    def counting(request):
+        calls.append(request)
+        return original(request)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" and module is not None:
+            for attribute, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attribute, counting)
+    return calls
+
+
+class TestCompileOnce:
+    """Each door compiles its request once, then runs or reads that one plan."""
+
+    FLEET = ["--local-workers", "1", "--max-wait", "300"]
+
+    def test_sweep_compiles_once(self, compiles, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["sweep", "edge-meg", "--nodes", "8,12", "--trials", "2"]
+        assert main([*argv, "--results-dir", str(tmp_path / "store")]) == 0
+        assert len(compiles) == 1
+
+    def test_fleet_sweep_compiles_once_and_resume_adds_none(
+        self, compiles, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        argv = [
+            "fleet", "run", "sweep", "edge-meg", "--nodes", "8,12", "--trials", "2",
+            "--shards", "2", *self.FLEET, "--spool", str(tmp_path / "spool"),
+            "--results-dir", str(tmp_path / "merged"),
+        ]
+        assert main(argv) == 0
+        assert len(compiles) == 1
+        compiles.clear()
+        assert main([*argv, "--resume"]) == 0
+        assert len(compiles) == 1
+
+    def test_fleet_experiment_builds_its_plan_once(
+        self, compiles, tmp_path, monkeypatch, capsys
+    ):
+        import dataclasses
+
+        from repro.cli import main
+        from repro.experiments.registry import EXPERIMENTS
+
+        built = []
+        experiment = EXPERIMENTS["E9"]
+
+        def planner(scale, seed):
+            built.append((scale, seed))
+            return experiment.planner(scale, seed)
+
+        monkeypatch.setitem(
+            EXPERIMENTS, "E9", dataclasses.replace(experiment, planner=planner)
+        )
+        argv = [
+            "fleet", "run", "experiment", "E9", "--shards", "2", *self.FLEET,
+            "--spool", str(tmp_path / "spool"), "--results-dir", str(tmp_path / "merged"),
+        ]
+        assert main(argv) == 0
+        assert built == [("small", 0)]
+        assert len(compiles) == 1
+
+    def test_cold_submit_compiles_once(self, compiles, tmp_path):
+        from repro.fleet.queue import JobSpool
+        from repro.serve.service import SimulationService
+
+        service = SimulationService(
+            ResultStore(str(tmp_path / "store")), JobSpool(str(tmp_path / "spool"))
+        )
+        body = {"kind": "sweep", "family": "edge-meg", "nodes": [8], "trials": 2}
+        assert service.submit(body).status == 202
+        assert len(compiles) == 1
+
+
+class TestPlanRecords:
+    def test_records_name_the_first_missing_job(self, tmp_path):
+        from repro.experiments.pipeline import MissingRecordError
+
+        plan = compile_request(sweep_request("edge-meg", [8, 12], 2, seed=7))
+        store = ResultStore(str(tmp_path / "store"))
+        with pytest.raises(MissingRecordError) as error:
+            plan.records(store)
+        assert str(error.value) == (
+            f"store {store.path} holds no record for job 'n=8' of the edge-meg "
+            f"sweep (seed=7); run or merge the shard owning that job first"
+        )
+        plan.run(Engine(store=store))
+        assert list(plan.records(store)) == ["n=8", "n=12"]

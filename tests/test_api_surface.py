@@ -280,6 +280,10 @@ class TestColdImports:
             ["sweep", "edge-meg", "--help"],
             ["flood", "waypoint", "--help"],
             ["fleet", "run", "sweep", "grid-walk", "--help"],
+            ["experiment", "--help"],
+            ["experiments", "run", "--help"],
+            ["fleet", "run", "experiment", "--help"],
+            ["serve", "--help"],
         ],
         ids=" ".join,
     )
@@ -291,6 +295,7 @@ class TestColdImports:
         [
             ["sweep", "edge-meg", "--backend", "bogus"],
             ["sweep", "waypoint", "--shard", "3/3"],
+            ["experiment", "E99"],
         ],
         ids=" ".join,
     )

@@ -244,6 +244,29 @@ class TestUnusableOutputPaths:
         self._assert_refused(capsys, code, "--results-dir")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["file"]
 
+    FLEET_SWEEP = ["fleet", "run", "sweep", "edge-meg", "--nodes", "8", "--trials", "2",
+                   "--shards", "1", "--local-workers", "1", "--max-wait", "120"]
+
+    def test_fleet_run_json_in_missing_directory(self, tmp_path, capsys):
+        code = main([*self.FLEET_SWEEP, "--spool", str(tmp_path / "spool"),
+                     "--results-dir", str(tmp_path / "merged"),
+                     "--json", str(tmp_path / "missing" / "x.json")])
+        self._assert_refused(capsys, code, "--json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fleet_run_profile_without_telemetry(self, tmp_path, capsys, monkeypatch):
+        """Refused before the pilot round runs, so no pilot table is printed."""
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        code = main([*self.FLEET_SWEEP, "--target-ci", "1", "--profile",
+                     "--spool", str(tmp_path / "spool"),
+                     "--results-dir", str(tmp_path / "merged")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --profile needs a telemetry directory")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "spool").exists()
+
     def test_run_all_output_in_missing_directory(self, tmp_path, capsys):
         code = main([*self.COMMANDS["experiments-run-all"],
                      "--output", str(tmp_path / "missing" / "report.md")])

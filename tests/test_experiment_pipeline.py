@@ -1,4 +1,8 @@
-"""Tests for the engine-routed experiments pipeline (repro.experiments.pipeline).
+"""Tests for the engine-routed experiments pipeline.
+
+An experiment compiles through :func:`repro.api.compile_request` like every
+request, and runs, shards and reads back with the compiled plan's ``run``
+and ``records``.
 
 Covers the three contracts the CI experiment fan-out matrix enforces:
 
@@ -20,15 +24,10 @@ import os
 
 import pytest
 
+from repro.api import compile_request, experiment_request
 from repro.cli import main
 from repro.engine import Engine, ResultStore, jsonify
-from repro.experiments.pipeline import (
-    MissingRecordError,
-    assemble_from_store,
-    compile_experiment,
-    execute_plan,
-    run_experiment_pipeline,
-)
+from repro.experiments.pipeline import MissingRecordError
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 GOLDEN_PATH = os.path.join(
@@ -62,6 +61,15 @@ def _approx_equal(actual, expected, rel=1e-9) -> bool:
     return actual == expected
 
 
+def _plan(experiment_id: str, scale: str = "small", seed: int = 0):
+    return compile_request(experiment_request(experiment_id, scale=scale, seed=seed))
+
+
+def _report(plan, batches) -> dict:
+    """The report dict a plan assembles from the batches ``run`` returned."""
+    return plan.assemble({tag: batch.as_dict() for tag, batch in batches.items()})["report"]
+
+
 def _store_lines(path: str) -> list[str]:
     with open(path, "r", encoding="utf-8") as handle:
         return sorted(line for line in handle if line.strip())
@@ -78,8 +86,8 @@ class TestGoldenValues:
 
 class TestCompile:
     def test_plans_have_tagged_jobs(self):
-        plan = compile_experiment("E1", scale="small", seed=0)
-        assert plan.experiment_id == "E1"
+        plan = _plan("E1")
+        assert plan.request.experiment_id == "E1"
         assert len(plan.jobs) == 3
         for job in plan.jobs:
             assert dict(job.spec.tags)["experiment"] == "E1"
@@ -87,29 +95,29 @@ class TestCompile:
 
     def test_proof_machinery_experiments_compile_to_zero_jobs(self):
         for experiment_id in ("E9", "E10"):
-            plan = compile_experiment(experiment_id, scale="small", seed=0)
+            plan = _plan(experiment_id)
             assert plan.jobs == ()
-            assert execute_plan(plan).report is not None
+            assert _report(plan, plan.run(Engine()))["experiment_id"] == experiment_id
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError, match="scale"):
-            compile_experiment("E1", scale="huge")
+            _plan("E1", scale="huge")
 
     def test_shard_jobs_stride(self):
-        plan = compile_experiment("E7", scale="small", seed=0)
-        tags = [job.tag for job in plan.jobs]
-        assert [j.tag for j in plan.shard_jobs(0, 2)] == tags[0::2]
-        assert [j.tag for j in plan.shard_jobs(1, 2)] == tags[1::2]
-        assert plan.shard_jobs(4, 5) == ()
+        plan = _plan("E7")
+        keys = plan.store_keys
+        assert plan.shard_keys(0, 2) == keys[0::2]
+        assert plan.shard_keys(1, 2) == keys[1::2]
+        assert plan.shard_keys(4, 5) == []
         with pytest.raises(ValueError):
-            plan.shard_jobs(2, 2)
+            plan.run(Engine(), shard=(2, 2))
 
     def test_store_keys_stable_across_compilations(self):
-        first = compile_experiment("E7", scale="small", seed=3)
-        second = compile_experiment("E7", scale="small", seed=3)
+        first = _plan("E7", seed=3)
+        second = _plan("E7", seed=3)
         assert [j.store_key() for j in first.jobs] == [j.store_key() for j in second.jobs]
         # and idempotent on one plan instance (keys must not drift per call)
-        assert [j.store_key() for j in first.jobs] == [j.store_key() for j in first.jobs]
+        assert [j.store_key() for j in first.jobs] == first.store_keys
 
 
 class TestExecutionInvariance:
@@ -119,23 +127,15 @@ class TestExecutionInvariance:
         assert jsonify(pooled.as_dict()) == jsonify(serial.as_dict())
 
     def test_sharded_stores_merge_byte_identical_and_assemble(self, tmp_path):
-        scale, seed = "small", 3
+        plan = _plan("E7", seed=3)
         reference_store = ResultStore(tmp_path / "reference")
-        reference = run_experiment_pipeline(
-            "E7", scale, seed, engine=Engine(store=reference_store)
-        )
-        assert reference.report is not None
+        reference = _report(plan, plan.run(Engine(store=reference_store)))
 
         shard_dirs = []
         for index in range(2):
             shard_dir = tmp_path / f"shard{index}"
-            run = run_experiment_pipeline(
-                "E7", scale, seed,
-                engine=Engine(store=ResultStore(shard_dir)),
-                shard=(index, 2),
-            )
-            assert run.report is None
-            assert len(run.batches) == 2  # E7 small has 4 jobs
+            batches = plan.run(Engine(store=ResultStore(shard_dir)), shard=(index, 2))
+            assert len(batches) == 2  # E7 small has 4 jobs
             shard_dirs.append(shard_dir)
 
         merged = ResultStore(tmp_path / "merged")
@@ -146,56 +146,57 @@ class TestExecutionInvariance:
         reference_store.compact()
         assert _store_lines(merged.path) == _store_lines(reference_store.path)
 
-        plan = compile_experiment("E7", scale, seed)
-        assembled = assemble_from_store(plan, merged)
-        assert jsonify(assembled.as_dict()) == jsonify(reference.report.as_dict())
+        assembled = plan.assemble(plan.records(merged))["report"]
+        assert jsonify(assembled) == jsonify(reference)
 
     def test_partial_run_resumes_from_store(self, tmp_path):
+        plan = _plan("E1")
         store = ResultStore(tmp_path / "store")
-        shard = run_experiment_pipeline(
-            "E1", "small", 0, engine=Engine(store=store), shard=(0, 2)
-        )
-        assert all(not batch.from_cache for batch in shard.batches.values())
+        shard = plan.run(Engine(store=store), shard=(0, 2))
+        assert all(not batch.from_cache for batch in shard.values())
 
-        full = run_experiment_pipeline("E1", "small", 0, engine=Engine(store=store))
-        assert full.report is not None
-        for tag, batch in full.batches.items():
-            assert batch.from_cache == (tag in shard.batches)
-        assert jsonify(full.report.as_dict()) == jsonify(
+        full = plan.run(Engine(store=store))
+        for tag, batch in full.items():
+            assert batch.from_cache == (tag in shard)
+        assert jsonify(_report(plan, full)) == jsonify(
             run_experiment("E1", scale="small", seed=0).as_dict()
         )
 
     def test_warm_store_rerun_is_pure_replay(self, tmp_path):
+        plan = _plan("E7")
         store = ResultStore(tmp_path / "store")
-        cold = run_experiment_pipeline("E7", "small", 0, engine=Engine(store=store))
-        assert cold.num_cached == 0
-        warm = run_experiment_pipeline("E7", "small", 0, engine=Engine(store=store))
-        assert warm.num_cached == len(warm.plan.jobs)
-        assert jsonify(warm.report.as_dict()) == jsonify(cold.report.as_dict())
+        cold = plan.run(Engine(store=store))
+        assert not any(batch.from_cache for batch in cold.values())
+        warm = plan.run(Engine(store=store))
+        assert all(batch.from_cache for batch in warm.values())
+        assert len(warm) == len(plan.jobs)
+        assert jsonify(_report(plan, warm)) == jsonify(_report(plan, cold))
 
 
 class TestStoreRecords:
     def test_records_carry_experiment_tags(self, tmp_path):
+        plan = _plan("E1")
         store = ResultStore(tmp_path / "store")
-        run = run_experiment_pipeline("E1", "small", 0, engine=Engine(store=store))
-        assert run.report is not None
-        for job in run.plan.jobs:
+        plan.run(Engine(store=store))
+        for job in plan.jobs:
             record = store.get(job.store_key())
             assert record is not None
             assert record["tags"]["experiment"] == "E1"
             assert record["tags"]["point"] == job.tag
 
     def test_missing_record_raises_with_job_name(self, tmp_path):
-        plan = compile_experiment("E1", "small", 0)
-        with pytest.raises(MissingRecordError, match="n=50"):
-            assemble_from_store(plan, ResultStore(tmp_path / "empty"))
+        plan = _plan("E1")
+        store = ResultStore(tmp_path / "empty")
+        with pytest.raises(MissingRecordError, match="n=50") as error:
+            plan.records(store)
+        assert str(error.value) == (
+            f"store {store.path} holds no record for job 'n=50' of E1 "
+            f"(scale=small, seed=0); run or merge the shard owning that job first"
+        )
 
     def test_empty_shard_still_touches_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        run = run_experiment_pipeline(
-            "E1", "small", 0, engine=Engine(store=store), shard=(4, 5)
-        )
-        assert run.batches == {}
+        assert _plan("E1").run(Engine(store=store), shard=(4, 5)) == {}
         assert os.path.exists(store.path)
         # and an empty store file is a legal merge source
         merged = ResultStore(tmp_path / "merged")

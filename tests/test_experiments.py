@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import EXPERIMENT_IDS
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 from repro.experiments.report import (
     ExperimentReport,
@@ -108,7 +109,9 @@ class TestRegistry:
     def test_get_experiment(self):
         experiment = get_experiment("E1")
         assert experiment.experiment_id == "E1"
-        assert callable(experiment.runner)
+
+    def test_ids_listed_without_the_registry_match_it(self):
+        assert tuple(EXPERIMENTS) == EXPERIMENT_IDS
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError, match="unknown experiment"):

@@ -12,20 +12,19 @@ import json
 
 import pytest
 
+from repro.api import compile_request, experiment_request, sweep_request
 from repro.cli import main
 from repro.engine import Engine, ResultStore
-from repro.experiments.pipeline import compile_experiment, execute_plan
 from repro.experiments.runner import measure_flooding_sweep
 from repro.fleet import (
     FleetError,
     JobSpool,
-    experiment_job_payloads,
     format_status,
     merge_fleet_stores,
+    request_job_payloads,
     run_fleet,
     run_worker,
     spool_status,
-    sweep_job_payloads,
 )
 from repro.sweeps import SWEEP_FAMILIES
 
@@ -51,10 +50,12 @@ def _reference_store(directory) -> ResultStore:
     return store
 
 
+def _sweep_plan():
+    return compile_request(sweep_request(FAMILY, NODES, TRIALS, seed=SEED, params=KWARGS))
+
+
 def _sweep_payloads(shards: int) -> list[dict]:
-    return sweep_job_payloads(
-        FAMILY, NODES, TRIALS, SEED, shards, factory_kwargs=KWARGS
-    )
+    return request_job_payloads(_sweep_plan(), shards)
 
 
 def _store_bytes(store: ResultStore) -> bytes:
@@ -68,13 +69,14 @@ class TestFleetSweepByteIdentity:
         payloads = _sweep_payloads(shards=3)
         spool = JobSpool(tmp_path / "spool", lease_ttl=30.0)
         outcome = run_fleet(
-            spool, payloads, local_workers=2, poll=0.1, max_wait=300.0, log=lambda *_: None
+            spool, _sweep_plan(), payloads, local_workers=2, poll=0.1, max_wait=300.0,
+            log=lambda *_: None,
         )
         assert outcome.ok
         assert sorted(outcome.done) == sorted(p["id"] for p in payloads)
 
         merged = ResultStore(str(tmp_path / "merged"))
-        report = merge_fleet_stores(spool, payloads, merged)
+        report = merge_fleet_stores(spool, _sweep_plan(), payloads, merged)
         assert report.assembled == len(NODES)
         assert report.pending_shards == 0
 
@@ -86,7 +88,8 @@ class TestFleetSweepByteIdentity:
         payloads = _sweep_payloads(shards=6)
         spool = JobSpool(tmp_path / "spool", lease_ttl=30.0)
         outcome = run_fleet(
-            spool, payloads, local_workers=2, poll=0.1, max_wait=300.0, log=lambda *_: None
+            spool, _sweep_plan(), payloads, local_workers=2, poll=0.1, max_wait=300.0,
+            log=lambda *_: None,
         )
         assert outcome.ok
         executors = {}
@@ -138,7 +141,7 @@ class TestCrashRecovery:
         assert recovered["outcome"]["worker"] == "survivor"
 
         merged = ResultStore(str(tmp_path / "merged"))
-        merge_fleet_stores(spool, payloads, merged)
+        merge_fleet_stores(spool, _sweep_plan(), payloads, merged)
         reference = _reference_store(tmp_path / "reference")
         assert _store_bytes(merged) == _store_bytes(reference)
 
@@ -172,9 +175,14 @@ class TestCrashRecovery:
         assert "no-such-family" in descriptor["last_error"]
 
 
+def _e7_plan():
+    return compile_request(experiment_request("E7", scale="small", seed=3))
+
+
 class TestFleetExperiment:
     def test_fleet_experiment_report_matches_unsharded_run(self, tmp_path):
-        payloads = experiment_job_payloads("E7", "small", 3, shards=2)
+        plan = _e7_plan()
+        payloads = request_job_payloads(plan, 2)
         spool = JobSpool(tmp_path / "spool", lease_ttl=30.0)
         spool.write_config()
         for payload in payloads:
@@ -188,21 +196,20 @@ class TestFleetExperiment:
             == 0
         )
         merged = ResultStore(str(tmp_path / "merged"))
-        merge_fleet_stores(spool, payloads, merged)
+        merge_fleet_stores(spool, plan, payloads, merged)
 
         reference = ResultStore(str(tmp_path / "reference"))
-        plan = compile_experiment("E7", scale="small", seed=3)
-        run = execute_plan(plan, engine=Engine(store=reference))
+        batches = plan.run(Engine(store=reference))
         reference.compact()
         assert _store_bytes(merged) == _store_bytes(reference)
 
-        from repro.fleet import assemble_experiment_report
-
-        assembled = assemble_experiment_report(payloads[0], merged)
-        assert assembled.as_dict() == run.report.as_dict()
+        assembled = plan.assemble(plan.records(merged))
+        live = {tag: batch.as_dict() for tag, batch in batches.items()}
+        assert assembled == plan.assemble(live)
 
     def test_merge_without_all_shards_raises(self, tmp_path):
-        payloads = experiment_job_payloads("E7", "small", 3, shards=2)
+        plan = _e7_plan()
+        payloads = request_job_payloads(plan, 2)
         spool = JobSpool(tmp_path / "spool")
         for payload in payloads:
             spool.enqueue(payload)
@@ -215,7 +222,7 @@ class TestFleetExperiment:
         ResultStore(str(spool.resolve(payloads[1]["store"]))).touch()
         merged = ResultStore(str(tmp_path / "merged"))
         with pytest.raises(FleetError, match="missing"):
-            merge_fleet_stores(spool, payloads, merged)
+            merge_fleet_stores(spool, plan, payloads, merged)
 
 
 class TestFleetCli:
@@ -257,7 +264,7 @@ class TestFleetCli:
         with pytest.raises(FleetError, match="max_wait"):
             # No workers anywhere: the monitor must give up, not spin.
             run_fleet(
-                spool, payloads, local_workers=0, poll=0.05, max_wait=0.3,
+                spool, _sweep_plan(), payloads, local_workers=0, poll=0.05, max_wait=0.3,
                 log=lambda *_: None,
             )
         # The spool survives for forensics.
@@ -381,7 +388,7 @@ class TestFleetResume:
         )
 
         outcome = run_fleet(
-            spool, payloads, local_workers=1, poll=0.1, max_wait=300.0,
+            spool, _sweep_plan(), payloads, local_workers=1, poll=0.1, max_wait=300.0,
             log=lambda *_: None, resume=True,
         )
         assert outcome.ok
@@ -390,7 +397,7 @@ class TestFleetResume:
         assert spool.read_job("done", payloads[0]["id"])["outcome"]["worker"] == "first-run"
 
         merged = ResultStore(str(tmp_path / "merged"))
-        merge_fleet_stores(spool, payloads, merged)
+        merge_fleet_stores(spool, _sweep_plan(), payloads, merged)
         reference = _reference_store(tmp_path / "reference")
         assert _store_bytes(merged) == _store_bytes(reference)
 
@@ -405,14 +412,14 @@ class TestFleetResume:
         assert spool.failed_ids() == [payloads[0]["id"]]
 
         outcome = run_fleet(
-            spool, payloads, local_workers=1, poll=0.1, max_wait=300.0,
+            spool, _sweep_plan(), payloads, local_workers=1, poll=0.1, max_wait=300.0,
             log=lambda *_: None, resume=True,
         )
         assert outcome.ok
         assert spool.failed_ids() == []
 
         merged = ResultStore(str(tmp_path / "merged"))
-        merge_fleet_stores(spool, payloads, merged)
+        merge_fleet_stores(spool, _sweep_plan(), payloads, merged)
         reference = _reference_store(tmp_path / "reference")
         assert _store_bytes(merged) == _store_bytes(reference)
 
@@ -433,12 +440,12 @@ class TestFleetResume:
         shutil.rmtree(spool.resolve(payloads[0]["store"]))
 
         outcome = run_fleet(
-            spool, payloads, local_workers=1, poll=0.1, max_wait=300.0,
+            spool, _sweep_plan(), payloads, local_workers=1, poll=0.1, max_wait=300.0,
             log=lambda *_: None, resume=True,
         )
         assert outcome.ok
         merged = ResultStore(str(tmp_path / "merged"))
-        merge_fleet_stores(spool, payloads, merged)
+        merge_fleet_stores(spool, _sweep_plan(), payloads, merged)
         reference = _reference_store(tmp_path / "reference")
         assert _store_bytes(merged) == _store_bytes(reference)
 

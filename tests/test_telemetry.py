@@ -21,9 +21,10 @@ import os
 
 import pytest
 
+from repro.api import compile_request, sweep_request
 from repro.cli import main
 from repro.engine import Engine, ResultStore, TrialSpec
-from repro.fleet import JobSpool, run_worker, sweep_job_payloads
+from repro.fleet import JobSpool, request_job_payloads, run_worker
 from repro.meg.edge_meg import EdgeMEG
 from repro.telemetry import core as telemetry
 from repro.telemetry.log import (
@@ -301,7 +302,8 @@ class TestEngineInstrumentation:
 class TestWorkerInstrumentation:
     def _spool(self, tmp_path, **kwargs):
         spool = JobSpool(str(tmp_path / "spool"), **kwargs)
-        payloads = sweep_job_payloads("edge-meg", [16], 2, 7, 1)
+        plan = compile_request(sweep_request("edge-meg", [16], 2, seed=7))
+        payloads = request_job_payloads(plan, 1)
         for payload in payloads:
             spool.enqueue(payload)
         return spool

@@ -16,7 +16,8 @@ import json
 
 import pytest
 
-from repro.fleet import JobSpool, run_worker, sweep_job_payloads
+from repro.api import compile_request, sweep_request
+from repro.fleet import JobSpool, request_job_payloads, run_worker
 from repro.fleet.top import gather_frame
 from repro.telemetry import core as telemetry
 from repro.telemetry.report import load_events, summarize_events
@@ -35,7 +36,8 @@ def _no_leaked_telemetry():
 @pytest.fixture
 def fleet_run(tmp_path):
     """A spool drained by two traced workers; the second job is a store hit."""
-    (payload,) = sweep_job_payloads("edge-meg", [16], 2, 7, 1)
+    plan = compile_request(sweep_request("edge-meg", [16], 2, seed=7))
+    (payload,) = request_job_payloads(plan, 1)
     spool = JobSpool(str(tmp_path / "spool"))
     for job_id in ("job-miss", "job-hit"):
         spool.enqueue({**payload, "id": job_id, "store": "stores/shared"})
