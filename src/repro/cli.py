@@ -1289,7 +1289,37 @@ def _run_worker(args: argparse.Namespace) -> int:
         return 130
 
 
+def _missing_root(path: str) -> Optional[str]:
+    """The outermost directory on ``path`` that does not exist yet (None if none)."""
+    path, root = os.path.abspath(path), None
+    while not os.path.exists(path):
+        path, root = os.path.dirname(path), path
+    return root
+
+
 def _run_fleet_run(args: argparse.Namespace) -> int:
+    if not args.results_dir:
+        print(
+            "error: fleet run needs --results-dir (the destination the job "
+            "stores are merged into)",
+            file=sys.stderr,
+        )
+        return 2
+    created, status = _missing_root(args.results_dir), 1
+    try:
+        status = _fleet_run(args)
+    finally:
+        # A failed run leaves behind no results directory that it made (nor
+        # removes the spool its error message points to).
+        spool = os.path.abspath(args.spool)
+        if status and created is not None and os.path.commonpath([spool, created]) != created:
+            import shutil
+
+            shutil.rmtree(created, ignore_errors=True)
+    return status
+
+
+def _fleet_run(args: argparse.Namespace) -> int:
     from repro.api import compile_request, estimator_description, experiment_request, sweep_request
     from repro.engine.engine import Engine
     from repro.engine.store import MergeConflictError, ResultStore
@@ -1304,13 +1334,6 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
     from repro.fleet.queue import JobSpool
     from repro.telemetry import core as telemetry
 
-    if not args.results_dir:
-        print(
-            "error: fleet run needs --results-dir (the destination the job "
-            "stores are merged into)",
-            file=sys.stderr,
-        )
-        return 2
     telemetry_dir = _telemetry_dir(args)
     if _outputs_unusable(args) or _profile_unusable(args, telemetry_dir):
         return 2

@@ -82,7 +82,47 @@ def default_max_steps(num_nodes: int) -> int:
     return max(200, 20 * num_nodes * max(1, int(np.log2(max(num_nodes, 2)))))
 
 
-_default_max_steps = default_max_steps
+def prepare_flood(
+    process: DynamicGraph,
+    sources: Sequence[int],
+    rng: RNGLike,
+    max_steps: Optional[int],
+    reset: bool,
+    batch: bool = False,
+) -> int:
+    """The prologue every flooding loop shares; returns the step cap.
+
+    Checks that ``sources`` is a non-empty list of nodes of ``process`` (a
+    ``batch`` reports an out-of-range source for the batch as a whole,
+    otherwise the first one is named) and that ``max_steps`` (default
+    :func:`default_max_steps`) is non-negative, then resets ``process``
+    with ``rng`` when ``reset`` is true.
+    """
+    n = process.num_nodes
+    if not len(sources):
+        raise ValueError("at least one source is required")
+    if min(sources) < 0 or max(sources) >= n:
+        if batch:
+            raise ValueError(f"sources out of range for {n} nodes")
+        source = next(source for source in sources if not 0 <= source < n)
+        raise ValueError(f"source {source} out of range for {n} nodes")
+    if max_steps is None:
+        max_steps = default_max_steps(n)
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+    if reset:
+        process.reset(rng)
+    return max_steps
+
+
+def completed_flooding_time(result: FloodingResult) -> int:
+    """``result.flooding_time``; raises if the run hit its step limit first."""
+    if result.flooding_time is None:
+        raise RuntimeError(
+            f"flooding did not complete within the step limit "
+            f"({result.final_informed}/{result.num_nodes} nodes informed)"
+        )
+    return result.flooding_time
 
 
 def flood(
@@ -111,31 +151,7 @@ def flood(
         Whether to reset the process before flooding.  Pass ``False`` to
         flood over an already-running process from its current snapshot.
     """
-    n = process.num_nodes
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} nodes")
-    if max_steps is None:
-        max_steps = _default_max_steps(n)
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    if reset:
-        process.reset(rng)
-
-    informed: set[int] = {source}
-    history = [1]
-    if n == 1:
-        return FloodingResult(source, n, tuple(history), 0)
-
-    flooding_time_value: Optional[int] = None
-    for t in range(max_steps):
-        newly_reached = process.neighbors_of_set(informed)
-        informed |= newly_reached
-        history.append(len(informed))
-        process.step()
-        if len(informed) == n:
-            flooding_time_value = t + 1
-            break
-    return FloodingResult(source, n, tuple(history), flooding_time_value)
+    return multi_source_flood(process, [source], rng=rng, max_steps=max_steps, reset=reset)
 
 
 def multi_source_flood(
@@ -157,19 +173,8 @@ def multi_source_flood(
     field and starts its history at ``|S|``.
     """
     source_list = sorted(set(int(s) for s in sources))
-    if not source_list:
-        raise ValueError("at least one source is required")
+    max_steps = prepare_flood(process, source_list, rng, max_steps, reset)
     n = process.num_nodes
-    for source in source_list:
-        if not 0 <= source < n:
-            raise ValueError(f"source {source} out of range for {n} nodes")
-    if max_steps is None:
-        max_steps = _default_max_steps(n)
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    if reset:
-        process.reset(rng)
-
     informed: set[int] = set(source_list)
     history = [len(informed)]
     if len(informed) == n:
@@ -202,19 +207,8 @@ def flood_sources_set(
     at set-based-loop speed — the cross-backend parity baseline.
     """
     source_list = [int(s) for s in sources]
-    if not source_list:
-        raise ValueError("at least one source is required")
+    max_steps = prepare_flood(process, source_list, rng, max_steps, reset, batch=True)
     n = process.num_nodes
-    for source in source_list:
-        if not 0 <= source < n:
-            raise ValueError(f"sources out of range for {n} nodes")
-    if max_steps is None:
-        max_steps = _default_max_steps(n)
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    if reset:
-        process.reset(rng)
-
     batch = len(source_list)
     if n == 1:
         return [0] * batch
@@ -330,13 +324,9 @@ def flooding_time(
     max_steps: Optional[int] = None,
 ) -> int:
     """Flooding time of a single trial; raises if the cap is hit first."""
-    result = flood(process, source=source, rng=rng, max_steps=max_steps)
-    if result.flooding_time is None:
-        raise RuntimeError(
-            f"flooding did not complete within the step limit "
-            f"({result.final_informed}/{result.num_nodes} nodes informed)"
-        )
-    return result.flooding_time
+    return completed_flooding_time(
+        flood(process, source=source, rng=rng, max_steps=max_steps)
+    )
 
 
 def flooding_time_samples(

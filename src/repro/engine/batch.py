@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.flooding import FloodingResult, default_max_steps
+from repro.core.flooding import FloodingResult, prepare_flood
 from repro.meg.base import DynamicGraph
 from repro.telemetry import core as telemetry
 
@@ -56,13 +56,9 @@ def flood_trials_batch(
     Each seed is passed to ``np.random.default_rng``, so anything that
     function accepts (ints, ``SeedSequence`` objects, ``None``) works.
     """
+    # The runner resets its own stacked realizations; ``process`` is never reset.
+    max_steps = prepare_flood(process, [source], None, max_steps, reset=False)
     n = process.num_nodes
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} nodes")
-    if max_steps is None:
-        max_steps = default_max_steps(n)
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     seeds = list(seeds)
     batch = len(seeds)
     if batch == 0:

@@ -1,35 +1,31 @@
 """The Monte-Carlo execution engine.
 
 :class:`Engine` is the single place where batches of independent flooding
-trials get executed.  It owns three orthogonal decisions:
+trials get executed.  :meth:`Engine.run` (a whole batch) and
+:meth:`Engine.run_shard` (trials ``i, i+K, ...`` of one) share one
+lifecycle: derive the batch's content key, serve it from an attached
+:class:`~repro.engine.store.ResultStore` when stored (a shard also from its
+stored parent, sliced), otherwise select the seeds, build the model once,
+execute and store the record.  Around that lifecycle the engine owns:
 
 * **scheduling** — trials run serially in-process (``workers=1``) or fan out
-  over a ``concurrent.futures`` pool (``workers>1``): a
-  ``ProcessPoolExecutor`` by default, or a ``ThreadPoolExecutor`` with
-  ``executor="thread"`` (cheaper start-up, shared memory; useful for
-  IO-bound models and models that release the GIL in NumPy kernels).  Every
-  trial's seed is a ``SeedSequence`` child spawned *before* scheduling, so
-  the samples are bit-identical regardless of worker count, executor kind or
-  scheduling order;
-* **kernel** — the set-based loop of :func:`repro.core.flooding.flood` or
-  the vectorized kernel of :func:`repro.engine.kernel.flood_vectorized`.
-  ``backend="auto"`` selects the vectorized kernel exactly when the model
-  overrides :meth:`~repro.meg.base.DynamicGraph.adjacency_matrix` with a
-  fast array implementation.  Both kernels produce identical samples, so the
-  choice never changes results;
-* **caching** — with a :class:`~repro.engine.store.ResultStore` attached,
-  a batch whose content key (model + trial parameters + seeds) is already
-  stored is returned from the store without simulating.
-
-Two statistical extensions ride on the chunk loop (see
-:mod:`repro.stats.sequential`): specs carrying a
-:class:`~repro.stats.sequential.StoppingRule` are evaluated between
-rule-sized trial chunks and stop once the running confidence interval is
-narrow enough — the realized trial count depends only on the (worker-
-invariant) samples, so stopped runs stay bit-identical at any worker count
-— and engines constructed with ``sketch=True`` embed mergeable
-moment/quantile sketches in stored records so the store can aggregate
-sharded batches without materializing every sample.
+  over a ``ProcessPoolExecutor`` (default) or ``ThreadPoolExecutor``
+  (``executor="thread"``).  Every trial's seed is a ``SeedSequence`` child
+  spawned *before* scheduling, so the samples are bit-identical regardless
+  of worker count, executor kind or scheduling order;
+* **kernel** — :func:`resolve_backend` picks, for ``backend="auto"``, the
+  realization-batch kernel (:mod:`repro.engine.batch`) for wide
+  single-source batches on small models with a trial-batch runner, the
+  set-based loop for models without a fast adjacency, the sparse CSR kernel
+  for large sparse models and the dense vectorized kernel otherwise
+  (:mod:`repro.engine.kernel`).  Every kernel produces identical samples,
+  so the choice never changes results;
+* **statistics** — specs carrying a
+  :class:`~repro.stats.sequential.StoppingRule` stop between rule-sized
+  chunks once the running confidence interval is narrow enough (the realized
+  count depends only on the worker-invariant samples), and engines built
+  with ``sketch=True`` embed mergeable moment/quantile sketches in stored
+  records.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.flooding import flood, flood_sources_set
+from repro.core.flooding import completed_flooding_time, flood, flood_sources_set
 from repro.engine.batch import flood_trials_batch
 from repro.engine.kernel import flood_sources_batch, flood_sparse, flood_vectorized
 from repro.engine.options import BACKENDS as BACKENDS, EXECUTORS as EXECUTORS
@@ -256,12 +252,7 @@ def _run_single_trial(
     source_batch = _trial_sources(model, sources, num_sources, rng)
     if source_batch is None:
         result = _KERNELS[resolved](model, source=source, rng=rng, max_steps=max_steps)
-        if result.flooding_time is None:
-            raise RuntimeError(
-                f"flooding did not complete within the step limit "
-                f"({result.final_informed}/{result.num_nodes} nodes informed)"
-            )
-        return result.flooding_time, result.num_nodes
+        return completed_flooding_time(result), result.num_nodes
     times = run_source_batch(model, source_batch, rng, max_steps, resolved, source_chunk)
     return max(times), model.num_nodes
 
@@ -305,13 +296,7 @@ def _run_trial_chunk(
     for start in range(0, len(seeds), BATCH_TRIAL_CHUNK):
         group = list(seeds[start : start + BATCH_TRIAL_CHUNK])
         results = flood_trials_batch(model, group, source=source, max_steps=max_steps)
-        for result in results:
-            if result.flooding_time is None:
-                raise RuntimeError(
-                    f"flooding did not complete within the step limit "
-                    f"({result.final_informed}/{result.num_nodes} nodes informed)"
-                )
-            outcomes.append((result.flooding_time, result.num_nodes))
+        outcomes.extend((completed_flooding_time(r), r.num_nodes) for r in results)
     return outcomes
 
 
@@ -336,18 +321,7 @@ def _execute_chunk(payload) -> tuple[list[tuple[int, int]], float, Optional[dict
     serve request's tree), or through the shared registry in a pool thread
     — stamped with the trace id and parented on the engine's run span.
     """
-    (
-        model,
-        seeds,
-        source,
-        sources,
-        num_sources,
-        max_steps,
-        backend,
-        source_chunk,
-        collect,
-        context,
-    ) = payload
+    model, seeds, *trial, collect, context = payload
     started = time.perf_counter()
     child = None
     inherited = telemetry.active()
@@ -357,9 +331,7 @@ def _execute_chunk(payload) -> tuple[list[tuple[int, int]], float, Optional[dict
     if collect and foreign:
         child = telemetry.activate(telemetry.Telemetry(directory=None))
     try:
-        outcomes = _run_trial_chunk(
-            model, seeds, source, sources, num_sources, max_steps, backend, source_chunk
-        )
+        outcomes = _run_trial_chunk(model, seeds, *trial)
     finally:
         if child is not None:
             telemetry.deactivate(child)
@@ -393,18 +365,15 @@ def _chunk_writer(directory: Optional[str]):
 
 
 def _store_payload(
-    result: BatchResult,
-    spec: TrialSpec,
-    salt: Optional[int] = None,
-    start: int = 0,
-    stride: int = 1,
+    result: BatchResult, spec: TrialSpec, salt: Optional[int], start: int, stride: int
 ) -> dict:
     """The persisted form of a batch result (plus the spec's provenance tags).
 
     ``salt`` (derived from the *full* batch's seed token) switches on the
-    embedded sketch; a shard passes its ``start``/``stride`` so its entries
-    carry the exact reservoir priorities the unsharded stream assigns them,
-    making shard-merged sketches byte-identical to unsharded ones.
+    embedded sketch; ``start``/``stride`` are a shard's interleave
+    coordinates (``0, 1`` for a whole batch), so its entries carry the exact
+    reservoir priorities the unsharded stream assigns them, making
+    shard-merged sketches byte-identical to unsharded ones.
     """
     payload = {
         "label": result.label,
@@ -535,17 +504,12 @@ class Engine:
         self, spec: TrialSpec, model: DynamicGraph, seeds: Sequence
     ) -> list[tuple[int, int]]:
         """Run one trial per seed (serially or on the pool), in seed order."""
+        trial = (
+            spec.source, spec.sources, spec.num_sources, spec.max_steps,
+            self.backend, self.source_chunk,
+        )
         if self.workers == 1 or len(seeds) == 1:
-            return _run_trial_chunk(
-                model,
-                seeds,
-                spec.source,
-                spec.sources,
-                spec.num_sources,
-                spec.max_steps,
-                self.backend,
-                self.source_chunk,
-            )
+            return _run_trial_chunk(model, seeds, *trial)
         # Imported here: a serial run loads no ``multiprocessing``.
         from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -569,18 +533,7 @@ class Engine:
             if carrier is not None:
                 context["trace"] = carrier
         payloads = [
-            (
-                chunk_model,
-                chunk,
-                spec.source,
-                spec.sources,
-                spec.num_sources,
-                spec.max_steps,
-                self.backend,
-                self.source_chunk,
-                tel is not None,
-                context,
-            )
+            (chunk_model, chunk, *trial, tel is not None, context)
             for chunk_model, chunk in zip(models, chunks)
         ]
         with pool_type(max_workers=self.workers) as pool:
@@ -670,58 +623,7 @@ class Engine:
 
     def run(self, spec: TrialSpec) -> BatchResult:
         """Execute (or fetch from the store) one batch of trials."""
-        with telemetry.span(
-            "engine.run",
-            label=spec.label,
-            trials=spec.num_trials,
-            workers=self.workers,
-            executor=self.executor,
-        ) as run_span:
-            started = time.perf_counter()
-            key_material = key_seeds(spec)
-
-            key = None
-            if self.store is not None:
-                key = batch_store_key(spec, key_material)
-                record = self.store.get(key)
-                if record is not None:
-                    telemetry.count("engine.store.hit")
-                    run_span.add(cached=True)
-                    return self._cached_result(record, spec, started)
-                telemetry.count("engine.store.miss")
-
-            seeds = trial_seeds(spec, key_material)
-            # Built exactly once per run, whatever the worker count: a
-            # stochastic factory then contributes one realization shared by
-            # every trial, so serial and parallel runs sample the same
-            # process.
-            model = _run_model(spec)
-            if spec.stopping is not None:
-                outcomes, stopped_early = self._execute_adaptive(spec, model, seeds)
-            else:
-                outcomes = self._execute_trials(spec, model, seeds)
-                stopped_early = False
-
-            flooding_times = tuple(t for t, _ in outcomes)
-            num_nodes = outcomes[0][1]
-            result = BatchResult(
-                label=spec.label,
-                num_nodes=num_nodes,
-                flooding_times=flooding_times,
-                backend=self.backend,
-                workers=self.workers,
-                from_cache=False,
-                elapsed_seconds=time.perf_counter() - started,
-                stopped_early=stopped_early,
-            )
-            if self.store is not None and key is not None:
-                salt = None
-                if self.sketch or spec.stopping is not None:
-                    salt = batch_salt(key_material)
-                self.store.put(key, _store_payload(result, spec, salt=salt))
-                telemetry.count("engine.store.put")
-            run_span.add(cached=False, realized_trials=result.num_trials)
-            return result
+        return self._run_batch(spec, None)
 
     def run_shard(self, shard: ShardSpec) -> BatchResult:
         """Execute (or fetch from the store) one shard of a batch.
@@ -755,43 +657,60 @@ class Engine:
                     "pilot round (fleet --target-ci)"
                 )
             return self.run(shard.spec)
+        return self._run_batch(shard.spec, shard)
+
+    def _run_batch(self, spec: TrialSpec, shard: Optional[ShardSpec]) -> BatchResult:
+        """The one batch lifecycle behind :meth:`run` and :meth:`run_shard`.
+
+        A shard (``shard`` not ``None``) differs from the full batch only in
+        its store key (derived from the parent's), a stored parent record
+        that serves it sliced, its stride of the batch's seeds and the
+        self-describing record it writes.
+        """
+        if shard is None:
+            name, fields = "engine.run", {"trials": spec.num_trials}
+        else:
+            name, fields = "engine.run_shard", {"shard": f"{shard.index}/{shard.count}"}
         with telemetry.span(
-            "engine.run_shard",
-            label=shard.spec.label,
-            shard=f"{shard.index}/{shard.count}",
-            workers=self.workers,
-            executor=self.executor,
+            name, label=spec.label, workers=self.workers, executor=self.executor, **fields
         ) as run_span:
             started = time.perf_counter()
-            spec = shard.spec
             key_material = key_seeds(spec)
 
             key = parent_key = None
             if self.store is not None:
-                parent_key = batch_store_key(spec, key_material)
-                key = shard_store_key(parent_key, shard.index, shard.count)
+                key = parent_key = batch_store_key(spec, key_material)
+                if shard is not None:
+                    key = shard_store_key(parent_key, shard.index, shard.count)
                 record = self.store.get(key)
+                if record is None and shard is not None:
+                    record = self.store.get(parent_key)
+                    if record is not None:
+                        record = dict(record)
+                        # The full batch's sketch covers all trials, not this slice.
+                        record.pop("sketch", None)
+                        record["flooding_times"] = record["flooding_times"][
+                            shard.index :: shard.count
+                        ]
                 if record is not None:
                     telemetry.count("engine.store.hit")
                     run_span.add(cached=True)
                     return self._cached_result(record, spec, started)
-                full_record = self.store.get(parent_key)
-                if full_record is not None:
-                    telemetry.count("engine.store.hit")
-                    run_span.add(cached=True)
-                    sliced = dict(full_record)
-                    sliced["flooding_times"] = list(
-                        full_record["flooding_times"][shard.index :: shard.count]
-                    )
-                    # The full batch's sketch covers all trials, not this slice.
-                    sliced.pop("sketch", None)
-                    return self._cached_result(sliced, spec, started)
                 telemetry.count("engine.store.miss")
 
-            all_seeds = trial_seeds(spec, key_material)
-            shard_seeds = [all_seeds[i] for i in shard.trial_indices]
+            seeds = trial_seeds(spec, key_material)
+            if shard is not None:
+                seeds = [seeds[i] for i in shard.trial_indices]
+            # Built exactly once per run, whatever the worker count: a
+            # stochastic factory then contributes one realization shared by
+            # every trial, so serial and parallel runs sample the same
+            # process.
             model = _run_model(spec)
-            outcomes = self._execute_trials(spec, model, shard_seeds) if shard_seeds else []
+            stopped_early = False
+            if spec.stopping is not None:
+                outcomes, stopped_early = self._execute_adaptive(spec, model, seeds)
+            else:
+                outcomes = self._execute_trials(spec, model, seeds) if seeds else []
             result = BatchResult(
                 label=spec.label,
                 num_nodes=outcomes[0][1] if outcomes else model.num_nodes,
@@ -800,19 +719,25 @@ class Engine:
                 workers=self.workers,
                 from_cache=False,
                 elapsed_seconds=time.perf_counter() - started,
+                stopped_early=stopped_early,
             )
-            if self.store is not None and key is not None and parent_key is not None:
-                # The salt comes from the *parent* seed token and the shard's
-                # (start, stride) are its interleave coordinates, so the
-                # shard's sketch entries are exactly the ones the unsharded
-                # run would assign those trials — merge is byte-identical.
-                salt = batch_salt(key_material) if self.sketch else None
-                payload = _store_payload(
-                    result, spec, salt=salt, start=shard.index, stride=shard.count
-                )
-                self.store.put(key, shard.store_record(payload, parent_key))
+            if key is not None:
+                # The salt comes from the *parent* seed token and a shard's
+                # (start, stride) are its interleave coordinates, so a shard's
+                # sketch entries are exactly the ones the unsharded run assigns
+                # those trials — merge is byte-identical.
+                salt = None
+                if self.sketch or spec.stopping is not None:
+                    salt = batch_salt(key_material)
+                start, stride = (0, 1) if shard is None else (shard.index, shard.count)
+                payload = _store_payload(result, spec, salt, start, stride)
+                if shard is not None:
+                    payload = shard.store_record(payload, parent_key)
+                self.store.put(key, payload)
                 telemetry.count("engine.store.put")
             run_span.add(cached=False)
+            if shard is None:
+                run_span.add(realized_trials=result.num_trials)
             return result
 
     def run_many(

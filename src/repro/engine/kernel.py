@@ -13,25 +13,28 @@ All kernels are *exact*: given the same model and the same seed they produce
 bit-identical flooding times and informed-count histories as the set-based
 loop, because the informed-set update is deterministic given the snapshot and
 the model consumes its random stream identically either way.  The engine
-therefore treats the kernel purely as a speed choice (``backend="auto"``
-picks a vectorized kernel whenever the model overrides
-:meth:`~repro.meg.base.DynamicGraph.adjacency_matrix` with a fast array
-implementation, and upgrades to the sparse kernel on large, sparse models).
+therefore treats the kernel purely as a speed choice (see
+:func:`repro.engine.engine.resolve_backend`).  Every loop starts with
+:func:`repro.core.flooding.prepare_flood` and differs only in its per-round
+reach step.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.flooding import FloodingResult, default_max_steps
+from repro.core.flooding import FloodingResult, prepare_flood
 from repro.meg.base import DynamicGraph, overrides
 from repro.telemetry import core as telemetry
 from repro.util.rng import RNGLike
 
 if TYPE_CHECKING:
     import scipy.sparse
+
+#: One round's reach step: the nodes the informed array reaches this round.
+Reach = Callable[[np.ndarray], np.ndarray]
 
 
 def _record_flood(kernel: str, history: Sequence[int]) -> None:
@@ -68,6 +71,58 @@ def _as_count_csr(matrix) -> scipy.sparse.csr_matrix:
     return matrix
 
 
+def _csr_reach(process: DynamicGraph, shape) -> Reach:
+    """The sparse reach step: one CSR matvec against the informed ``shape`` array.
+
+    One ``intp`` count array is hoisted out of the round loop (the per-round
+    ``astype`` allocations used to dominate small-model rounds), and the CSR
+    conversion is memoized by the identity of the returned matrix, so models
+    serving a cached snapshot convert once, not once per round.
+    """
+    counts = np.empty(shape, dtype=np.intp)
+    cached = [None, None]
+
+    def reach(informed: np.ndarray) -> np.ndarray:
+        raw = process.sparse_adjacency()
+        if raw is not cached[0]:
+            cached[:] = raw, _as_count_csr(raw)
+        np.copyto(counts, informed)
+        return (cached[1] @ counts) != 0
+
+    return reach
+
+
+def _flood_vector(
+    process: DynamicGraph,
+    source: int,
+    rng: RNGLike,
+    max_steps: Optional[int],
+    reset: bool,
+    kernel: str,
+    reach: Reach,
+) -> FloodingResult:
+    """The boolean-vector flooding loop; ``reach`` is the per-round step."""
+    max_steps = prepare_flood(process, [source], rng, max_steps, reset)
+    n = process.num_nodes
+    history = [1]
+    if n == 1:
+        return FloodingResult(source, n, tuple(history), 0)
+
+    informed = np.zeros(n, dtype=bool)
+    informed[source] = True
+    flooding_time_value: Optional[int] = None
+    for t in range(max_steps):
+        informed |= reach(informed)
+        count = int(informed.sum())
+        history.append(count)
+        process.step()
+        if count == n:
+            flooding_time_value = t + 1
+            break
+    _record_flood(kernel, history)
+    return FloodingResult(source, n, tuple(history), flooding_time_value)
+
+
 def flood_vectorized(
     process: DynamicGraph,
     source: int = 0,
@@ -84,33 +139,7 @@ def flood_vectorized(
     state-induced families (node-MEGs, graph mobility models) with an update
     that never touches the dense matrix.
     """
-    n = process.num_nodes
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} nodes")
-    if max_steps is None:
-        max_steps = default_max_steps(n)
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    if reset:
-        process.reset(rng)
-
-    history = [1]
-    if n == 1:
-        return FloodingResult(source, n, tuple(history), 0)
-
-    informed = np.zeros(n, dtype=bool)
-    informed[source] = True
-    flooding_time_value: Optional[int] = None
-    for t in range(max_steps):
-        informed |= process.reach_mask(informed)
-        count = int(informed.sum())
-        history.append(count)
-        process.step()
-        if count == n:
-            flooding_time_value = t + 1
-            break
-    _record_flood("vectorized", history)
-    return FloodingResult(source, n, tuple(history), flooding_time_value)
+    return _flood_vector(process, source, rng, max_steps, reset, "vectorized", process.reach_mask)
 
 
 def flood_sparse(
@@ -126,44 +155,8 @@ def flood_sparse(
     multiplies the snapshot's CSR adjacency against the informed vector —
     ``O(m)`` work per step — instead of touching the dense ``n x n`` matrix.
     """
-    n = process.num_nodes
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} nodes")
-    if max_steps is None:
-        max_steps = default_max_steps(n)
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    if reset:
-        process.reset(rng)
-
-    history = [1]
-    if n == 1:
-        return FloodingResult(source, n, tuple(history), 0)
-
-    informed = np.zeros(n, dtype=bool)
-    informed[source] = True
-    flooding_time_value: Optional[int] = None
-    # One intp count vector hoisted out of the round loop (the per-round
-    # ``informed.astype`` allocations used to dominate small-model rounds).
-    # The CSR conversion is memoized by the identity of the returned matrix,
-    # so models serving a cached snapshot convert once, not once per round.
-    count_scratch = np.empty(n, dtype=np.intp)
-    raw_cached = matrix = None
-    for t in range(max_steps):
-        raw = process.sparse_adjacency()
-        if raw is not raw_cached:
-            matrix = _as_count_csr(raw)
-            raw_cached = raw
-        np.copyto(count_scratch, informed)
-        informed |= (matrix @ count_scratch) != 0
-        count = int(informed.sum())
-        history.append(count)
-        process.step()
-        if count == n:
-            flooding_time_value = t + 1
-            break
-    _record_flood("sparse", history)
-    return FloodingResult(source, n, tuple(history), flooding_time_value)
+    reach = _csr_reach(process, process.num_nodes)
+    return _flood_vector(process, source, rng, max_steps, reset, "sparse", reach)
 
 
 def flood_sources_batch(
@@ -201,85 +194,53 @@ def flood_sources_batch(
     """
     if backend not in ("dense", "sparse"):
         raise ValueError(f"backend must be 'dense' or 'sparse', got {backend!r}")
-    n = process.num_nodes
-    source_array = np.asarray(list(sources), dtype=int)
-    if source_array.size == 0:
-        raise ValueError("at least one source is required")
-    if source_array.min() < 0 or source_array.max() >= n:
-        raise ValueError(f"sources out of range for {n} nodes")
-    if max_steps is None:
-        max_steps = default_max_steps(n)
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if chunk_size is not None and source_array.size > chunk_size:
+    source_list = [int(s) for s in sources]
+    chunked = chunk_size is not None and len(source_list) > chunk_size
+    if chunked:
         from repro.engine.replay import SnapshotReplay
 
-        replay = process if isinstance(process, SnapshotReplay) else SnapshotReplay(process)
-        if reset:
-            replay.reset(rng)
+        if not isinstance(process, SnapshotReplay):
+            process = SnapshotReplay(process)
+    max_steps = prepare_flood(process, source_list, rng, max_steps, reset, batch=True)
+    if chunked:
         # Every chunk must flood the same realization window, which starts at
         # the replay's position *now* — frame 0 only after a reset, but a
         # caller may hand over a replay mid-playback.
-        origin = replay.cursor
+        origin = process.cursor
         times: list[Optional[int]] = []
-        for start in range(0, source_array.size, chunk_size):
+        for start in range(0, len(source_list), chunk_size):
             if start:
-                replay.rewind(origin)
+                process.rewind(origin)
             times.extend(
                 flood_sources_batch(
-                    replay,
-                    source_array[start : start + chunk_size].tolist(),
+                    process,
+                    source_list[start : start + chunk_size],
                     max_steps=max_steps,
                     reset=False,
                     backend=backend,
                 )
             )
         return times
-    if reset:
-        process.reset(rng)
 
-    batch = source_array.size
+    n = process.num_nodes
+    batch = len(source_list)
     if n == 1:
         return [0] * batch
 
     informed = np.zeros((n, batch), dtype=bool)
-    informed[source_array, np.arange(batch)] = True
+    informed[source_list, np.arange(batch)] = True
     times = np.full(batch, -1, dtype=int)
-    # The accumulator must hold neighbour counts up to n exactly: a uint8
-    # product would wrap when a node has a multiple of 256 informed
-    # neighbours and silently drop the update.  float32 holds every integer
-    # below 2**24 exactly and rides the BLAS matmul; huge graphs fall back
-    # to the (slower, unbounded) intp product.
-    accumulator = np.float32 if n < 2**24 else np.intp
-    # Models with a state-level batched reach skip the dense product
-    # entirely; for the rest, every per-round buffer is hoisted here (the
-    # astype allocations used to dominate small-model rounds).
-    state_batch = backend == "dense" and overrides(process, "reach_mask_batch")
     if backend == "sparse":
-        count_buffer = np.empty((n, batch), dtype=np.intp)
-        raw_cached = matrix = None
-    elif not state_batch:
-        matrix_buffer = np.empty((n, n), dtype=accumulator)
-        informed_buffer = np.empty((n, batch), dtype=accumulator)
-        product_buffer = np.empty((n, batch), dtype=accumulator)
+        reach = _csr_reach(process, (n, batch))
+    elif overrides(process, "reach_mask_batch"):
+        # Models with a state-level batched reach skip the dense product.
+        reach = process.reach_mask_batch
+    else:
+        reach = _dense_batch_reach(process, n, batch)
     for t in range(max_steps):
-        if backend == "sparse":
-            raw = process.sparse_adjacency()
-            if raw is not raw_cached:
-                matrix = _as_count_csr(raw)
-                raw_cached = raw
-            np.copyto(count_buffer, informed)
-            reached = (matrix @ count_buffer) != 0
-        elif state_batch:
-            reached = process.reach_mask_batch(informed)
-        else:
-            np.copyto(matrix_buffer, process.adjacency_matrix())
-            np.copyto(informed_buffer, informed)
-            np.matmul(matrix_buffer, informed_buffer, out=product_buffer)
-            reached = product_buffer != 0
-        informed |= reached
+        informed |= reach(informed)
         process.step()
         counts = informed.sum(axis=0)
         newly_complete = (counts == n) & (times < 0)
@@ -294,3 +255,27 @@ def flood_sources_batch(
         if finished.size:
             tel.timing("kernel.rounds", int(finished.max()))
     return [int(t) if t >= 0 else None for t in times]
+
+
+def _dense_batch_reach(process: DynamicGraph, n: int, batch: int) -> Reach:
+    """The dense reach step of a source batch: one BLAS product per round.
+
+    The accumulator must hold neighbour counts up to n exactly: a uint8
+    product would wrap when a node has a multiple of 256 informed
+    neighbours and silently drop the update.  float32 holds every integer
+    below 2**24 exactly and rides the BLAS matmul; huge graphs fall back to
+    the (slower, unbounded) intp product.  Every per-round buffer is hoisted
+    here (the ``astype`` allocations used to dominate small-model rounds).
+    """
+    accumulator = np.float32 if n < 2**24 else np.intp
+    matrix = np.empty((n, n), dtype=accumulator)
+    counts = np.empty((n, batch), dtype=accumulator)
+    product = np.empty((n, batch), dtype=accumulator)
+
+    def reach(informed: np.ndarray) -> np.ndarray:
+        np.copyto(matrix, process.adjacency_matrix())
+        np.copyto(counts, informed)
+        np.matmul(matrix, counts, out=product)
+        return product != 0
+
+    return reach

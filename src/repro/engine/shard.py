@@ -147,16 +147,6 @@ class ShardSpec:
         """Number of trials this shard executes."""
         return len(self.trial_indices)
 
-    def spawn_seeds(self) -> tuple[list, list]:
-        """``(all_seeds, shard_seeds)`` for the batch and this shard's slice.
-
-        The full list is always spawned — that is the determinism contract:
-        the shard's seeds are *selected from* the unsharded spawn, never
-        derived independently.
-        """
-        all_seeds = spawn_seed_sequences(self.spec.seed, self.spec.num_trials)
-        return all_seeds, [all_seeds[i] for i in self.trial_indices]
-
     def store_record(self, result_payload: dict, parent_key: str) -> dict:
         """The self-describing shard payload persisted to a result store."""
         return {

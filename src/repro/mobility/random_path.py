@@ -25,7 +25,7 @@ from typing import Hashable, Optional
 import networkx as nx
 import numpy as np
 
-from repro.graphs.grid import hop_ball_matrix, nodes_within_hops
+from repro.graphs.grid import hop_ball_matrix
 from repro.graphs.paths import PathFamily, edge_paths
 from repro.markov.chain import MarkovChain
 from repro.meg.base import StateInducedGraph
@@ -103,19 +103,10 @@ class RandomPathModel(StateInducedGraph):
         for path_index, path in enumerate(self._paths):
             self._entry_states[path[0]].append(self._state_index[(path_index, 1)])
 
-        # Communication neighbourhoods of points, in hops of H.
+        # Array form of the chain and the communication neighbourhoods of
+        # points (in hops of H), for the vectorized whole-population step, the
+        # one-gather snapshot adjacency and the connection probabilities.
         graph = family.graph
-        self._point_ball: dict[Point, frozenset] = {}
-        for point in graph.nodes():
-            if radius_hops == 0:
-                self._point_ball[point] = frozenset((point,))
-            else:
-                self._point_ball[point] = frozenset(
-                    nodes_within_hops(graph, point, radius_hops)
-                )
-
-        # Array form of the chain and the ball relation, for the vectorized
-        # whole-population step and the one-gather snapshot adjacency.
         self._point_list = list(graph.nodes())
         point_index = {point: i for i, point in enumerate(self._point_list)}
         self._state_point_index = np.array(
@@ -235,13 +226,10 @@ class RandomPathModel(StateInducedGraph):
 
     def _state_connection_probabilities(self, pi: np.ndarray) -> np.ndarray:
         """``q(x)`` — probability a stationary agent connects to one in state ``x``."""
-        occupancy: dict[Point, float] = defaultdict(float)
-        for probability, point in zip(pi, self._state_point):
-            occupancy[point] += float(probability)
-        q = np.zeros(len(self._states))
-        for i, point in enumerate(self._state_point):
-            q[i] = sum(occupancy.get(other, 0.0) for other in self._point_ball[point])
-        return q
+        occupancy = np.bincount(
+            self._state_point_index, weights=pi, minlength=len(self._point_list)
+        )
+        return (self._point_ball_matrix @ occupancy)[self._state_point_index]
 
     # ------------------------------------------------------------------ #
     # process

@@ -267,6 +267,27 @@ class TestUnusableOutputPaths:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "spool").exists()
 
+    def test_failed_fleet_run_leaves_no_new_results_dir(self, tmp_path, capsys):
+        """A fleet run that fails after its usage checks removes what it created."""
+        too_many_shards = [*self.FLEET_SWEEP[:-6], "--shards", "5", "--max-wait", "120"]
+        for results_dir in (tmp_path / "merged", tmp_path / "new" / "parents" / "merged"):
+            code = main([*too_many_shards, "--spool", str(tmp_path / "spool"),
+                         "--results-dir", str(results_dir)])
+            assert code == 1
+            assert "shards (5) exceeds trials (2)" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        code = main([*too_many_shards, "--spool", str(tmp_path / "spool"),
+                     "--results-dir", str(existing)])
+        assert code == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["existing"]
+        # A spool inside the new results directory is kept for inspection.
+        code = main([*too_many_shards, "--spool", str(tmp_path / "merged" / "spool"),
+                     "--results-dir", str(tmp_path / "merged")])
+        assert code == 1
+        assert (tmp_path / "merged").is_dir()
+
     def test_run_all_output_in_missing_directory(self, tmp_path, capsys):
         code = main([*self.COMMANDS["experiments-run-all"],
                      "--output", str(tmp_path / "missing" / "report.md")])

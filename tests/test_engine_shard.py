@@ -23,6 +23,7 @@ from repro.engine import (
     shard_specs,
     shard_store_key,
 )
+from repro.engine.shard import key_seeds, trial_seeds
 from repro.experiments.runner import measure_flooding_sweep
 from repro.graphs.grid import augmented_grid_graph, grid_graph
 from repro.markov.builders import random_walk_on_graph
@@ -81,7 +82,8 @@ class TestShardSpec:
     def test_shard_seeds_match_unsharded_spawn(self):
         spec = TrialSpec.from_model(EdgeMEG(10, p=0.2, q=0.4), num_trials=9, seed=5)
         shard = ShardSpec(spec, index=2, count=4)
-        all_seeds, shard_seeds = shard.spawn_seeds()
+        all_seeds = trial_seeds(spec, key_seeds(spec))
+        shard_seeds = [all_seeds[i] for i in shard.trial_indices]
         assert [s.spawn_key for s in shard_seeds] == [
             all_seeds[i].spawn_key for i in [2, 6]
         ]
