@@ -48,7 +48,12 @@ from repro.experiments.runner import (
     sweep_trial_specs,
 )
 from repro.stats.sequential import StoppingRule
-from repro.sweeps import SWEEP_FAMILY_DEFAULTS, resolve_family
+# The flood table is re-exported here, next to the requests it canonicalizes.
+from repro.sweeps import (
+    FLOOD_FAMILY_DEFAULTS as FLOOD_FAMILY_DEFAULTS,
+    SWEEP_FAMILY_DEFAULTS,
+    resolve_family,
+)
 from repro.telemetry import core as telemetry
 from repro.util.stats import summarize
 
@@ -57,15 +62,6 @@ SCHEMA_VERSION = 1
 
 #: The request kinds this facade compiles.
 REQUEST_KINDS = ("sweep", "experiment", "flood")
-
-#: Canonical parameters (and defaults) of a flood request per family.  These
-#: mirror the ``repro flood`` CLI defaults; sweep families use
-#: :data:`repro.sweeps.SWEEP_FAMILY_DEFAULTS`.
-FLOOD_FAMILY_DEFAULTS: dict[str, dict] = {
-    "edge-meg": {"nodes": 100, "p": 0.01, "q": 0.5},
-    "waypoint": {"nodes": 100, "side": 10.0, "radius": 1.0, "speed": 1.0},
-    "grid-walk": {"nodes": 64, "grid_side": 8, "augment_k": 1},
-}
 
 _KIND_FIELDS = {
     "sweep": (

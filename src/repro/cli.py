@@ -86,9 +86,12 @@ with its help, which is all help pages, usage lines and "invalid choice"
 errors show, and builds a child's parser only when argparse reaches it, so
 a call builds just the parsers on its argv's path.  Every leaf registers
 its handler with ``set_defaults(handler=...)``, and :func:`main` calls
-``args.handler(args)``.  Handlers import what they need in their own body,
-so ``import repro.cli``, ``repro --version`` and the sweep and flood help
-pages load no NumPy, and each command loads only what it reaches.
+``args.handler(args)``.  The run leaves' handlers get their
+:class:`~repro.api.WorkRequest` from one function, :func:`_request`, and
+the model flags it reads are generated from :mod:`repro.sweeps`' family
+tables.  Handlers import what they need in their own body, so ``import
+repro.cli``, ``repro --version`` and the sweep and flood help pages load
+no NumPy, and each command loads only what it reaches.
 """
 
 from __future__ import annotations
@@ -107,6 +110,7 @@ from typing import Optional, Sequence
 # the redundant ``as`` aliases are explicit re-exports keeping the historical
 # ``repro.cli`` names importable.
 from repro.sweeps import (
+    FLOOD_FAMILY_DEFAULTS,
     SWEEP_FAMILIES as SWEEP_FAMILIES,
     SWEEP_FAMILY_DEFAULTS,
     sweep_edge_meg_model as sweep_edge_meg_model,
@@ -288,21 +292,20 @@ _FAMILY_HELP = {
     "grid-walk": "random walks over a fixed augmented grid",
 }
 
-#: help of the family parameters that have one
+#: help of the sweep family parameters that have one
 _PARAMETER_HELP = {"q": "edge death rate", "avg_degree": "expected stationary degree"}
 
 
-def _add_family_parameters(parser: argparse.ArgumentParser, family: str) -> None:
-    """The family's model parameters, shared by `sweep` and `fleet run sweep`.
+def _add_parameters(parser: argparse.ArgumentParser, defaults: dict, helps: dict) -> None:
+    """A ``--name`` flag per parameter in a family's ``defaults`` (type and default).
 
-    Flags, types and defaults are generated from SWEEP_FAMILY_DEFAULTS — the
-    same table the request facade canonicalizes against — so the CLI can
-    never drift from what `repro serve` and the fleet accept.
+    ``defaults`` is a row of the tables the request facade canonicalizes
+    against, so the CLI can never drift from what `repro serve` accepts.
     """
-    for name, default in SWEEP_FAMILY_DEFAULTS[family].items():
+    for name, default in defaults.items():
         parser.add_argument(
             "--" + name.replace("_", "-"), type=type(default), default=default,
-            help=_PARAMETER_HELP.get(name),
+            help=helps.get(name),
         )
 
 
@@ -378,21 +381,18 @@ def _add_experiment(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(handler=_run_experiment_pipeline)
 
 
-#: each flood model: its help, its --trials default and its request params
-#: as ``(name, type, default, help)``, one ``--name`` flag each
+#: each flood model: its help, its --trials default and the help of the
+#: parameters that have one (the parameters are FLOOD_FAMILY_DEFAULTS's)
 _FLOOD_MODELS = {
-    "edge-meg": ("classic edge-MEG with birth/death rates", 10, (
-        ("nodes", int, 100, None), ("p", float, 0.01, "edge birth rate"),
-        ("q", float, 0.5, "edge death rate"),
-    )),
-    "waypoint": ("random waypoint over a square", 5, (
-        ("nodes", int, 100, None), ("side", float, 10.0, None),
-        ("radius", float, 1.0, None), ("speed", float, 1.0, None),
-    )),
-    "grid-walk": ("random walks over a grid mobility graph", 5, (
-        ("nodes", int, 64, None), ("grid_side", int, 8, None),
-        ("augment_k", int, 1, "k-augmentation of the grid"),
-    )),
+    "edge-meg": (
+        "classic edge-MEG with birth/death rates", 10,
+        {"p": "edge birth rate", "q": "edge death rate"},
+    ),
+    "waypoint": ("random waypoint over a square", 5, {}),
+    "grid-walk": (
+        "random walks over a grid mobility graph", 5,
+        {"augment_k": "k-augmentation of the grid"},
+    ),
 }
 
 
@@ -400,11 +400,8 @@ def _add_flood_model(parser: argparse.ArgumentParser, model: str) -> None:
     _add_engine_options(parser)
     _add_source_options(parser)
     _add_observability_options(parser)
-    _, trials, parameters = _FLOOD_MODELS[model]
-    for name, kind, default, help_text in parameters:
-        parser.add_argument(
-            "--" + name.replace("_", "-"), type=kind, default=default, help=help_text
-        )
+    _, trials, helps = _FLOOD_MODELS[model]
+    _add_parameters(parser, FLOOD_FAMILY_DEFAULTS[model], helps)
     parser.add_argument("--trials", type=int, default=trials)
     parser.add_argument("--seed", type=int, default=0)
     parser.set_defaults(handler=_run_flood)
@@ -445,7 +442,7 @@ def _add_sweep_family(parser: argparse.ArgumentParser, family: str) -> None:
         help="evaluate the stopping rule every N trials (default 16)",
     )
     _add_observability_options(parser)
-    _add_family_parameters(parser, family)
+    _add_parameters(parser, SWEEP_FAMILY_DEFAULTS[family], _PARAMETER_HELP)
     parser.set_defaults(handler=_run_sweep)
 
 
@@ -564,7 +561,7 @@ def _add_fleet_sweep_family(parser: argparse.ArgumentParser, family: str) -> Non
              "(default 16; also the per-point budget floor)",
     )
     _add_observability_options(parser)
-    _add_family_parameters(parser, family)
+    _add_parameters(parser, SWEEP_FAMILY_DEFAULTS[family], _PARAMETER_HELP)
     parser.set_defaults(handler=_run_fleet_run)
 
 
@@ -960,6 +957,38 @@ def _run_experiments_run_all(args: argparse.Namespace) -> int:
     return 0
 
 
+def _request(args: argparse.Namespace):
+    """The ``WorkRequest`` of a ``sweep``, ``flood``, ``experiment`` or ``fleet run`` argv.
+
+    Only ``repro sweep`` has the stopping-rule flags: ``fleet run sweep
+    --target-ci`` sizes a fixed budget from a pilot round instead.  Raises
+    ``ValueError`` on values argparse let through.
+    """
+    from repro.api import experiment_request, flood_request, sweep_request
+
+    if hasattr(args, "experiment_id"):
+        return experiment_request(args.experiment_id, scale=args.scale, seed=args.seed)
+    sources = {"sources": "all" if args.all_sources else None, "num_sources": args.source_sample}
+    if hasattr(args, "model"):
+        params = {name: getattr(args, name) for name in FLOOD_FAMILY_DEFAULTS[args.model]}
+        return flood_request(args.model, args.trials, seed=args.seed, params=params, **sources)
+    stopping = None
+    if hasattr(args, "check_every") and args.target_ci is not None:
+        from repro.stats.sequential import StoppingRule
+
+        stopping = StoppingRule(
+            target_halfwidth=args.target_ci,
+            confidence=args.ci_confidence,
+            min_trials=args.min_trials,
+            check_every=args.check_every,
+        )
+    params = {name: getattr(args, name) for name in SWEEP_FAMILY_DEFAULTS[args.family]}
+    return sweep_request(
+        args.family, args.nodes, args.trials, seed=args.seed, params=params,
+        stopping=stopping, **sources,
+    )
+
+
 def _experiment_report(plan, records):
     """The report an experiment plan assembles from ``{job tag: record}``."""
     from repro.experiments.report import ExperimentReport
@@ -968,7 +997,7 @@ def _experiment_report(plan, records):
 
 
 def _run_experiment_pipeline(args: argparse.Namespace) -> int:
-    from repro.api import compile_request, experiment_request
+    from repro.api import compile_request
     from repro.engine.store import MergeConflictError
     from repro.experiments.pipeline import MissingRecordError
 
@@ -985,9 +1014,7 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
     if _outputs_unusable(args):
         return 2
     engine = _build_engine(args)
-    plan = compile_request(
-        experiment_request(args.experiment_id, scale=args.scale, seed=args.seed)
-    )
+    plan = compile_request(_request(args))
 
     if args.merge is not None:
         store = engine.store
@@ -1057,35 +1084,15 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _flood_params(args: argparse.Namespace) -> dict:
-    """The chosen flood model's parameters as a request params mapping."""
-    return {name: getattr(args, name) for name, _, _, _ in _FLOOD_MODELS[args.model][2]}
-
-
-def _source_options(args: argparse.Namespace) -> tuple[Optional[str], Optional[int]]:
-    """The (sources, num_sources) pair of the shared estimator flags."""
-    if args.all_sources:
-        return "all", None
-    if args.source_sample is not None:
-        return None, args.source_sample
-    return None, None
-
-
 def _run_flood(args: argparse.Namespace) -> int:
-    from repro.api import RequestError, compile_request, estimator_description, flood_request
+    from repro.api import RequestError, compile_request, estimator_description
     from repro.core.bounds import classic_edge_meg_bound, corollary6_bound, waypoint_flooding_bound
     from repro.util.stats import summarize
 
     if _outputs_unusable(args):
         return 2
-    sources, num_sources = _source_options(args)
     try:
-        plan = compile_request(
-            flood_request(
-                args.model, args.trials, seed=args.seed, sources=sources,
-                num_sources=num_sources, params=_flood_params(args),
-            )
-        )
+        plan = compile_request(_request(args))
     except RequestError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -1117,7 +1124,7 @@ def _run_flood(args: argparse.Namespace) -> int:
         )
 
     engine = _build_engine(args)
-    estimator = estimator_description(sources, num_sources)
+    estimator = estimator_description(plan.request.sources, plan.request.num_sources)
     samples = list(plan.run(engine)["flood"].flooding_times)
     summary = summarize(samples)
     print(f"model:  {description}")
@@ -1147,25 +1154,6 @@ def _run_flood(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_factory_kwargs(args: argparse.Namespace) -> dict:
-    """The chosen family's fixed parameters, as passed to its factory."""
-    return {name: getattr(args, name) for name in SWEEP_FAMILY_DEFAULTS[args.family]}
-
-
-def _sweep_stopping(args: argparse.Namespace):
-    """The stopping rule a ``--target-ci`` sweep invocation asks for, or None."""
-    if getattr(args, "target_ci", None) is None:
-        return None
-    from repro.stats.sequential import StoppingRule
-
-    return StoppingRule(
-        target_halfwidth=args.target_ci,
-        confidence=args.ci_confidence,
-        min_trials=args.min_trials,
-        check_every=args.check_every,
-    )
-
-
 def _measurement_line(measurement) -> str:
     """A sweep point's printed row: node count, trials, mean, median and max."""
     summary = measurement.summary
@@ -1177,7 +1165,7 @@ def _measurement_line(measurement) -> str:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    from repro.api import RequestError, compile_request, estimator_description, sweep_request
+    from repro.api import compile_request, estimator_description
     from repro.experiments.runner import measurement_from_batch, sweep_as_dicts
     from repro.util.stats import halfwidth
 
@@ -1199,21 +1187,14 @@ def _run_sweep(args: argparse.Namespace) -> int:
     if _outputs_unusable(args):
         return 2
     engine = _build_engine(args)
-    factory_kwargs = _sweep_factory_kwargs(args)
-    sources, num_sources = _source_options(args)
-    estimator = estimator_description(sources, num_sources)
     try:
-        stopping = _sweep_stopping(args)
-        plan = compile_request(
-            sweep_request(
-                args.family, args.nodes, args.trials, seed=args.seed,
-                sources=sources, num_sources=num_sources, params=factory_kwargs,
-                stopping=stopping,
-            )
-        )
-    except (RequestError, ValueError) as error:
+        request = _request(args)
+        plan = compile_request(request)
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    stopping = request.stopping
+    estimator = estimator_description(request.sources, request.num_sources)
     batches = plan.run(engine, shard=args.shard)
     measurements = [measurement_from_batch(job.spec, batches[job.tag]) for job in plan.jobs]
     shard_note = f", shard {args.shard[0]}/{args.shard[1]}" if args.shard else ""
@@ -1243,7 +1224,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "shard": list(args.shard) if args.shard else None,
             "estimator": estimator,
-            "factory_kwargs": factory_kwargs,
+            "factory_kwargs": request.params,
             "engine": {"workers": engine.workers, "backend": engine.backend},
             "measurements": sweep_as_dicts(measurements),
         }
@@ -1320,7 +1301,7 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
 
 
 def _fleet_run(args: argparse.Namespace) -> int:
-    from repro.api import compile_request, estimator_description, experiment_request, sweep_request
+    from repro.api import compile_request, estimator_description
     from repro.engine.engine import Engine
     from repro.engine.store import MergeConflictError, ResultStore
     from repro.experiments.runner import measurement_from_record, sweep_as_dicts
@@ -1339,37 +1320,30 @@ def _fleet_run(args: argparse.Namespace) -> int:
         return 2
     try:
         sizing_report = None
-        if args.workload == "sweep":
-            sources, num_sources = _source_options(args)
-            request = sweep_request(
-                args.family, args.nodes, args.trials, seed=args.seed, sources=sources,
-                num_sources=num_sources, params=_sweep_factory_kwargs(args),
+        request = _request(args)
+        if args.workload == "sweep" and args.target_ci is not None:
+            # Variance-aware sizing: a store-less local pilot round per
+            # sweep point, then the fleet shards the derived fixed budgets
+            # through the normal byte-identical machinery.
+            request, sizing_report = plan_variance_budgets(
+                request,
+                args.target_ci,
+                engine=Engine(**_engine_config(args)),
+                pilot_trials=args.pilot_trials,
+                confidence=args.ci_confidence,
             )
-            if args.target_ci is not None:
-                # Variance-aware sizing: a store-less local pilot round per
-                # sweep point, then the fleet shards the derived fixed
-                # budgets through the normal byte-identical machinery.
-                request, sizing_report = plan_variance_budgets(
-                    request,
-                    args.target_ci,
-                    engine=Engine(**_engine_config(args)),
-                    pilot_trials=args.pilot_trials,
-                    confidence=args.ci_confidence,
-                )
+            print(
+                f"pilot: {args.pilot_trials} trials/point, target CI "
+                f"±{args.target_ci:g} at {args.ci_confidence:.0%} -> "
+                f"{sizing_report['total_budget']} trials total "
+                f"(fixed budget would be {sizing_report['fixed_total']})"
+            )
+            for point in sizing_report["points"]:
                 print(
-                    f"pilot: {args.pilot_trials} trials/point, target CI "
-                    f"±{args.target_ci:g} at {args.ci_confidence:.0%} -> "
-                    f"{sizing_report['total_budget']} trials total "
-                    f"(fixed budget would be {sizing_report['fixed_total']})"
+                    f"  {point['tag']:<24} pilot std {point['pilot_std']:8.2f}"
+                    f"  required {point['required_trials']:>6}"
+                    f"  budget {point['budget']:>6} (cap {point['cap']})"
                 )
-                for point in sizing_report["points"]:
-                    print(
-                        f"  {point['tag']:<24} pilot std {point['pilot_std']:8.2f}"
-                        f"  required {point['required_trials']:>6}"
-                        f"  budget {point['budget']:>6} (cap {point['cap']})"
-                    )
-        else:
-            request = experiment_request(args.experiment_id, scale=args.scale, seed=args.seed)
         plan = compile_request(request)
         payloads = request_job_payloads(plan, args.shards, engine=_engine_config(args))
         spool = JobSpool(args.spool, lease_ttl=args.lease_ttl, max_attempts=args.max_attempts)
@@ -1424,7 +1398,7 @@ def _fleet_run(args: argparse.Namespace) -> int:
         measurements = [
             measurement_from_record(job.spec, records[job.tag]) for job in plan.jobs
         ]
-        estimator = estimator_description(*_source_options(args))
+        estimator = estimator_description(request.sources, request.num_sources)
         print(f"sweep:  {args.family} over n = {args.nodes}  ({args.shards} fleet shards)")
         print(f"estimator: {estimator} per realization")
         for measurement in measurements:
@@ -1437,7 +1411,7 @@ def _fleet_run(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "shards": args.shards,
                 "estimator": estimator,
-                "factory_kwargs": _sweep_factory_kwargs(args),
+                "factory_kwargs": request.params,
                 "measurements": sweep_as_dicts(measurements),
             }
             if sizing_report is not None:

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.flooding import default_max_steps, prepare_flood
 from repro.meg.base import DynamicGraph
 from repro.util.rng import RNGLike, ensure_rng
 from repro.util.validation import require_probability
@@ -58,10 +59,6 @@ class SpreadingResult:
         return None
 
 
-def _default_max_steps(num_nodes: int) -> int:
-    return max(400, 40 * num_nodes * max(1, int(np.log2(max(num_nodes, 2)))))
-
-
 def _spread(
     process: DynamicGraph,
     source: int,
@@ -71,13 +68,10 @@ def _spread(
     transmit,
 ) -> SpreadingResult:
     n = process.num_nodes
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} nodes")
     generator = ensure_rng(rng)
-    if max_steps is None:
-        max_steps = _default_max_steps(n)
-    if reset:
-        process.reset(generator)
+    # Flooding's prologue; a randomised protocol gets twice flooding's cap.
+    cap = 2 * default_max_steps(n) if max_steps is None else max_steps
+    max_steps = prepare_flood(process, [source], generator, cap, reset)
 
     informed: set[int] = {source}
     history = [1]
@@ -171,13 +165,10 @@ def push_pull_spread(
     per node.
     """
     n = process.num_nodes
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} nodes")
     generator = ensure_rng(rng)
-    if max_steps is None:
-        max_steps = _default_max_steps(n)
-    if reset:
-        process.reset(generator)
+    # Flooding's prologue; a randomised protocol gets twice flooding's cap.
+    cap = 2 * default_max_steps(n) if max_steps is None else max_steps
+    max_steps = prepare_flood(process, [source], generator, cap, reset)
 
     informed: set[int] = {source}
     history = [1]

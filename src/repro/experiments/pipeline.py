@@ -102,26 +102,25 @@ class ExperimentJob:
 class ExperimentPlan:
     """A compiled experiment: declarative jobs plus a pure assembly function.
 
+    What a plan builder ``(scale, seed) -> ExperimentPlan`` returns; the
+    experiment id, scale and seed it was built from travel on the
+    compiled :class:`repro.api.WorkRequest`, not here.  Building again from
+    the same inputs yields an equivalent plan (same specs, same store keys).
+
     Attributes
     ----------
-    experiment_id / scale / seed:
-        The compilation inputs (re-compiling with the same inputs yields an
-        equivalent plan — same specs, same store keys).
     jobs:
         The engine workloads, in deterministic order.  Sharding partitions
         this tuple by stride.
     assemble:
         Maps ``{job tag: flooding-time samples}`` to the final
         :class:`~repro.experiments.report.ExperimentReport`.  Pure given the
-        compilation inputs: bounds, mixing times and the non-engine
+        builder's inputs: bounds, mixing times and the non-engine
         Monte-Carlo quantities are derived deterministically from
         ``(scale, seed)``, so assembly from live results and assembly from
         store records produce identical reports.
     """
 
-    experiment_id: str
-    scale: str
-    seed: int
     jobs: tuple[ExperimentJob, ...]
     assemble: Callable[[Mapping[str, Sequence[int]]], ExperimentReport]
 

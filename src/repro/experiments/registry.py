@@ -99,9 +99,29 @@ def _scales(scale: str, small, full):
     raise ValueError(f"scale must be 'small' or 'full', got {scale!r}")
 
 
-def _tags(experiment_id: str, scale: str, point: str) -> tuple[tuple[str, str], ...]:
-    """Provenance tags stamped on every job spec (and its store records)."""
-    return (("experiment", experiment_id), ("scale", scale), ("point", point))
+def _point_jobs(
+    experiment_id: str, scale: str, seed: int, name: str, values, factory, args, trials: int
+) -> tuple[ExperimentJob, ...]:
+    """One job per sweep point ``name=value``: what E1-E7 run on the engine.
+
+    Point ``index`` floods ``factory(*args(value))`` for ``trials`` trials,
+    seeded with ``experiment_seed_sequence(seed, index)``.  Its tag is
+    ``name=value``, its label ``<experiment_id>[name=value]``, and its
+    provenance tags (experiment, scale, point) ride into its store records.
+    """
+    jobs = []
+    for index, value in enumerate(values):
+        point = f"{name}={value}"
+        spec = TrialSpec(
+            factory=factory,
+            args=args(value),
+            num_trials=trials,
+            seed=experiment_seed_sequence(seed, index),
+            label=f"{experiment_id}[{point}]",
+            tags=(("experiment", experiment_id), ("scale", scale), ("point", point)),
+        )
+        jobs.append(ExperimentJob(tag=point, spec=spec))
+    return tuple(jobs)
 
 
 # --------------------------------------------------------------------------- #
@@ -166,19 +186,8 @@ def plan_theorem1(scale: str, seed: int) -> ExperimentPlan:
     """E1: flooding time vs n for a sparse edge-MEG against the Theorem-1 bound."""
     sizes, trials = _scales(scale, ([50, 100, 200], 5), ([100, 200, 400, 800], 10))
     q = 0.5
-    jobs = tuple(
-        ExperimentJob(
-            tag=f"n={n}",
-            spec=TrialSpec(
-                factory=edge_meg_model,
-                args=(n, 1.0 / (2.0 * n), q),
-                num_trials=trials,
-                seed=experiment_seed_sequence(seed, index),
-                label=f"E1[n={n}]",
-                tags=_tags("E1", scale, f"n={n}"),
-            ),
-        )
-        for index, n in enumerate(sizes)
+    jobs = _point_jobs(
+        "E1", scale, seed, "n", sizes, edge_meg_model, lambda n: (n, 1.0 / (2.0 * n), q), trials
     )
 
     def assemble(samples) -> ExperimentReport:
@@ -225,7 +234,7 @@ def plan_theorem1(scale: str, seed: int) -> ExperimentPlan:
             )
         return report
 
-    return ExperimentPlan("E1", scale, seed, jobs, assemble)
+    return ExperimentPlan(jobs, assemble)
 
 
 # --------------------------------------------------------------------------- #
@@ -236,19 +245,8 @@ def plan_node_meg(scale: str, seed: int) -> ExperimentPlan:
     sizes, trials, num_states = _scales(
         scale, ([40, 80, 160], 5, 16), ([80, 160, 320, 640], 10, 24)
     )
-    jobs = tuple(
-        ExperimentJob(
-            tag=f"n={n}",
-            spec=TrialSpec(
-                factory=colocation_node_meg_model,
-                args=(n, num_states),
-                num_trials=trials,
-                seed=experiment_seed_sequence(seed, index),
-                label=f"E2[n={n}]",
-                tags=_tags("E2", scale, f"n={n}"),
-            ),
-        )
-        for index, n in enumerate(sizes)
+    jobs = _point_jobs(
+        "E2", scale, seed, "n", sizes, colocation_node_meg_model, lambda n: (n, num_states), trials
     )
 
     def assemble(samples) -> ExperimentReport:
@@ -290,7 +288,7 @@ def plan_node_meg(scale: str, seed: int) -> ExperimentPlan:
         )
         return report
 
-    return ExperimentPlan("E2", scale, seed, jobs, assemble)
+    return ExperimentPlan(jobs, assemble)
 
 
 # --------------------------------------------------------------------------- #
@@ -301,19 +299,9 @@ def plan_random_waypoint(scale: str, seed: int) -> ExperimentPlan:
     sizes, trials = _scales(scale, ([30, 60, 120], 3), ([60, 120, 240, 480], 6))
     radius = 1.0
     speed = 1.0
-    jobs = tuple(
-        ExperimentJob(
-            tag=f"n={n}",
-            spec=TrialSpec(
-                factory=waypoint_model,
-                args=(n, math.sqrt(n), radius, speed),
-                num_trials=trials,
-                seed=experiment_seed_sequence(seed, index),
-                label=f"E3[n={n}]",
-                tags=_tags("E3", scale, f"n={n}"),
-            ),
-        )
-        for index, n in enumerate(sizes)
+    jobs = _point_jobs(
+        "E3", scale, seed, "n", sizes, waypoint_model,
+        lambda n: (n, math.sqrt(n), radius, speed), trials,
     )
 
     def assemble(samples) -> ExperimentReport:
@@ -359,7 +347,7 @@ def plan_random_waypoint(scale: str, seed: int) -> ExperimentPlan:
             )
         return report
 
-    return ExperimentPlan("E3", scale, seed, jobs, assemble)
+    return ExperimentPlan(jobs, assemble)
 
 
 # --------------------------------------------------------------------------- #
@@ -369,19 +357,9 @@ def plan_random_walk(scale: str, seed: int) -> ExperimentPlan:
     """E4: random-walk mobility model on an m x m grid (sanity baseline)."""
     sizes, trials = _scales(scale, ([36, 64, 100], 3), ([64, 144, 256, 400], 6))
     radius = 1.0
-    jobs = tuple(
-        ExperimentJob(
-            tag=f"n={n}",
-            spec=TrialSpec(
-                factory=grid_walk_model,
-                args=(n, int(round(math.sqrt(n)))),
-                num_trials=trials,
-                seed=experiment_seed_sequence(seed, index),
-                label=f"E4[n={n}]",
-                tags=_tags("E4", scale, f"n={n}"),
-            ),
-        )
-        for index, n in enumerate(sizes)
+    jobs = _point_jobs(
+        "E4", scale, seed, "n", sizes, grid_walk_model,
+        lambda n: (n, int(round(math.sqrt(n)))), trials,
     )
 
     def assemble(samples) -> ExperimentReport:
@@ -407,7 +385,7 @@ def plan_random_walk(scale: str, seed: int) -> ExperimentPlan:
         )
         return report
 
-    return ExperimentPlan("E4", scale, seed, jobs, assemble)
+    return ExperimentPlan(jobs, assemble)
 
 
 # --------------------------------------------------------------------------- #
@@ -418,19 +396,9 @@ def plan_random_paths(scale: str, seed: int) -> ExperimentPlan:
     sides, trials, agents_per_point = _scales(
         scale, ([3, 4, 5], 3, 2), ([4, 5, 6, 7], 6, 3)
     )
-    jobs = tuple(
-        ExperimentJob(
-            tag=f"side={side}",
-            spec=TrialSpec(
-                factory=grid_path_model,
-                args=(side, agents_per_point),
-                num_trials=trials,
-                seed=experiment_seed_sequence(seed, index),
-                label=f"E5[side={side}]",
-                tags=_tags("E5", scale, f"side={side}"),
-            ),
-        )
-        for index, side in enumerate(sides)
+    jobs = _point_jobs(
+        "E5", scale, seed, "side", sides, grid_path_model,
+        lambda side: (side, agents_per_point), trials,
     )
 
     def assemble(samples) -> ExperimentReport:
@@ -482,7 +450,7 @@ def plan_random_paths(scale: str, seed: int) -> ExperimentPlan:
             )
         return report
 
-    return ExperimentPlan("E5", scale, seed, jobs, assemble)
+    return ExperimentPlan(jobs, assemble)
 
 
 # --------------------------------------------------------------------------- #
@@ -493,19 +461,8 @@ def plan_augmented_grid(scale: str, seed: int) -> ExperimentPlan:
     (side, ks, trials, meeting_trials) = _scales(
         scale, (6, [1, 2, 3], 3, 60), (10, [1, 2, 3, 4, 5], 6, 200)
     )
-    jobs = tuple(
-        ExperimentJob(
-            tag=f"k={k}",
-            spec=TrialSpec(
-                factory=augmented_grid_walk_model,
-                args=(side, k),
-                num_trials=trials,
-                seed=experiment_seed_sequence(seed, index),
-                label=f"E6[k={k}]",
-                tags=_tags("E6", scale, f"k={k}"),
-            ),
-        )
-        for index, k in enumerate(ks)
+    jobs = _point_jobs(
+        "E6", scale, seed, "k", ks, augmented_grid_walk_model, lambda k: (side, k), trials
     )
 
     def assemble(samples) -> ExperimentReport:
@@ -571,7 +528,7 @@ def plan_augmented_grid(scale: str, seed: int) -> ExperimentPlan:
             )
         return report
 
-    return ExperimentPlan("E6", scale, seed, jobs, assemble)
+    return ExperimentPlan(jobs, assemble)
 
 
 # --------------------------------------------------------------------------- #
@@ -583,19 +540,9 @@ def plan_edge_meg(scale: str, seed: int) -> ExperimentPlan:
         scale, (100, [0.5, 1.0, 4.0, 16.0], 5), (300, [0.25, 0.5, 1.0, 4.0, 16.0, 64.0], 10)
     )
     q = 0.5
-    jobs = tuple(
-        ExperimentJob(
-            tag=f"np={multiplier}",
-            spec=TrialSpec(
-                factory=edge_meg_model,
-                args=(n, multiplier / n, q),
-                num_trials=trials,
-                seed=experiment_seed_sequence(seed, index),
-                label=f"E7[np={multiplier}]",
-                tags=_tags("E7", scale, f"np={multiplier}"),
-            ),
-        )
-        for index, multiplier in enumerate(p_multipliers)
+    jobs = _point_jobs(
+        "E7", scale, seed, "np", p_multipliers, edge_meg_model,
+        lambda multiplier: (n, multiplier / n, q), trials,
     )
 
     def assemble(samples) -> ExperimentReport:
@@ -633,7 +580,7 @@ def plan_edge_meg(scale: str, seed: int) -> ExperimentPlan:
         )
         return report
 
-    return ExperimentPlan("E7", scale, seed, jobs, assemble)
+    return ExperimentPlan(jobs, assemble)
 
 
 # --------------------------------------------------------------------------- #
@@ -666,7 +613,7 @@ def plan_gossip(scale: str, seed: int) -> ExperimentPlan:
                 num_trials=1,
                 seed=experiment_seed_sequence(seed, 0, trial),
                 label=f"E8[flooding/{trial}]",
-                tags=_tags("E8", scale, f"flooding/{trial}"),
+                tags=(("experiment", "E8"), ("scale", scale), ("point", f"flooding/{trial}")),
             ),
         )
         for trial in range(trials)
@@ -722,7 +669,7 @@ def plan_gossip(scale: str, seed: int) -> ExperimentPlan:
         )
         return report
 
-    return ExperimentPlan("E8", scale, seed, jobs, assemble)
+    return ExperimentPlan(jobs, assemble)
 
 
 # --------------------------------------------------------------------------- #
@@ -800,7 +747,7 @@ def plan_expansion(scale: str, seed: int) -> ExperimentPlan:
         )
         return report
 
-    return ExperimentPlan("E9", scale, seed, (), assemble)
+    return ExperimentPlan((), assemble)
 
 
 # --------------------------------------------------------------------------- #
@@ -905,7 +852,7 @@ def plan_stationarity(scale: str, seed: int) -> ExperimentPlan:
         )
         return report
 
-    return ExperimentPlan("E10", scale, seed, (), assemble)
+    return ExperimentPlan((), assemble)
 
 
 # --------------------------------------------------------------------------- #

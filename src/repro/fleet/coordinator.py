@@ -234,27 +234,7 @@ def run_fleet(
     if log is None:
         log = _logger.info
     trace_id = trace or tracectx.current_trace_id() or tracectx.mint_trace_id()
-    with tracectx.attach_trace(trace_id):
-        return _run_fleet_traced(
-            spool, plan, payloads, local_workers, poll, max_wait, log,
-            telemetry_dir, profile, log_level, resume, trace_id,
-        )
 
-
-def _run_fleet_traced(
-    spool: JobSpool,
-    plan: CompiledPlan,
-    payloads: Sequence[dict],
-    local_workers: int,
-    poll: float,
-    max_wait: Optional[float],
-    log,
-    telemetry_dir: Optional[str],
-    profile: bool,
-    log_level: Optional[str],
-    resume: bool,
-    trace_id: str,
-) -> FleetOutcome:
     def _spawn() -> subprocess.Popen:
         return spawn_local_worker(
             spool.root,
@@ -264,63 +244,64 @@ def _run_fleet_traced(
             log_level=log_level,
         )
 
-    _enqueue_payloads(spool, plan, payloads, resume, log)
+    with tracectx.attach_trace(trace_id):
+        _enqueue_payloads(spool, plan, payloads, resume, log)
 
-    started = time.perf_counter()
-    requeued: list[str] = []
-    workers: list[subprocess.Popen] = []
-    # Crashed local workers are replaced (a drain-mode worker only exits
-    # voluntarily once the spool is drained); the overall retry budget bounds
-    # how much work replacements can possibly redo.
-    respawn_budget = max(1, len(payloads)) * spool.max_attempts
-    try:
-        with telemetry.span(
-            "fleet.drain", jobs=len(payloads), local_workers=local_workers
-        ) as drain_span:
-            workers = [_spawn() for _ in range(local_workers)]
-            while not spool.is_drained():
-                requeued.extend(spool.requeue_expired())
-                if local_workers:
-                    alive = [proc for proc in workers if proc.poll() is None]
-                    if not alive and not spool.is_drained():
-                        if respawn_budget <= 0:
-                            raise FleetError(
-                                f"all local workers exited with jobs outstanding in "
-                                f"{spool.root} and the respawn budget is exhausted"
-                            )
-                        respawn_budget -= 1
-                        log("fleet: all local workers exited early; spawning a replacement")
-                        workers.append(_spawn())
-                if max_wait is not None and time.perf_counter() - started > max_wait:
-                    raise FleetError(
-                        f"fleet run exceeded max_wait={max_wait}s with "
-                        f"{spool.counts()} — inspect with: repro fleet status {spool.root}"
-                    )
-                time.sleep(poll)
-            drain_span.add(requeued=len(requeued))
-    finally:
-        for proc in workers:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in workers:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover - defensive
-                proc.kill()
+        started = time.perf_counter()
+        requeued: list[str] = []
+        workers: list[subprocess.Popen] = []
+        # Crashed local workers are replaced (a drain-mode worker only exits
+        # voluntarily once the spool is drained); the overall retry budget
+        # bounds how much work replacements can possibly redo.
+        respawn_budget = max(1, len(payloads)) * spool.max_attempts
+        try:
+            with telemetry.span(
+                "fleet.drain", jobs=len(payloads), local_workers=local_workers
+            ) as drain_span:
+                workers = [_spawn() for _ in range(local_workers)]
+                while not spool.is_drained():
+                    requeued.extend(spool.requeue_expired())
+                    if local_workers:
+                        alive = [proc for proc in workers if proc.poll() is None]
+                        if not alive and not spool.is_drained():
+                            if respawn_budget <= 0:
+                                raise FleetError(
+                                    f"all local workers exited with jobs outstanding in "
+                                    f"{spool.root} and the respawn budget is exhausted"
+                                )
+                            respawn_budget -= 1
+                            log("fleet: all local workers exited early; spawning a replacement")
+                            workers.append(_spawn())
+                    if max_wait is not None and time.perf_counter() - started > max_wait:
+                        raise FleetError(
+                            f"fleet run exceeded max_wait={max_wait}s with "
+                            f"{spool.counts()} — inspect with: repro fleet status {spool.root}"
+                        )
+                    time.sleep(poll)
+                drain_span.add(requeued=len(requeued))
+        finally:
+            for proc in workers:
+                if proc.poll() is None:
+                    proc.terminate()
+            for proc in workers:
+                try:
+                    proc.wait(timeout=10)
+                except subprocess.TimeoutExpired:  # pragma: no cover - defensive
+                    proc.kill()
 
-    failed = spool.failed_ids()
-    errors = {}
-    for job_id in failed:
-        descriptor = spool.read_job("failed", job_id)
-        errors[job_id] = str(descriptor.get("last_error", "unknown error"))
-    return FleetOutcome(
-        done=tuple(spool.done_ids()),
-        failed=tuple(failed),
-        requeued=tuple(requeued),
-        elapsed_seconds=time.perf_counter() - started,
-        errors=errors,
-        trace=trace_id,
-    )
+        failed = spool.failed_ids()
+        errors = {}
+        for job_id in failed:
+            descriptor = spool.read_job("failed", job_id)
+            errors[job_id] = str(descriptor.get("last_error", "unknown error"))
+        return FleetOutcome(
+            done=tuple(spool.done_ids()),
+            failed=tuple(failed),
+            requeued=tuple(requeued),
+            elapsed_seconds=time.perf_counter() - started,
+            errors=errors,
+            trace=trace_id,
+        )
 
 
 def merge_fleet_stores(

@@ -169,90 +169,43 @@ class SimulationService:
             telemetry.count("serve.request.invalid")
             return _error(400, error)
         trace_id = trace_id or tracectx.mint_trace_id()
-        with tracectx.attach_trace(trace_id):
-            result = self._submit_traced(data, if_none_match, trace_id)
-        result.headers.setdefault("X-Trace-Id", trace_id)
-        return result
-
-    def _submit_traced(
-        self, body: object, if_none_match: Optional[str], trace_id: str
-    ) -> ServeResult:
-        with telemetry.span("serve.request", endpoint="submit"):
+        with tracectx.attach_trace(trace_id), telemetry.span(
+            "serve.request", endpoint="submit"
+        ):
             telemetry.count("serve.requests")
             try:
-                request, shards, priority = self._parse_submission(body)
+                request, shards, priority = self._parse_submission(data)
                 plan = compile_request(request)
             except RequestError as error:
                 telemetry.count("serve.request.invalid")
-                return _error(400, error)
-            etag = plan_etag(plan)
-            if _etag_matches(if_none_match, etag):
-                telemetry.count("serve.cache.hit")
-                return ServeResult(304, None, {"ETag": etag})
-            payload = self._assemble_if_warm(plan)
-            if payload is not None:
-                telemetry.count("serve.cache.hit")
-                return ServeResult(200, payload, {"ETag": etag, "X-Cache": "hit"})
-            telemetry.count("serve.cache.miss")
-            return self._enqueue_cold(plan, shards, priority, etag, trace_id)
+                result = _error(400, error)
+            else:
+                etag = plan_etag(plan)
+                result = self._cached_answer(plan, etag, if_none_match)
+                if result is None:
+                    telemetry.count("serve.cache.miss")
+                    result = self._enqueue_cold(plan, shards, priority, etag, trace_id)
+        result.headers.setdefault("X-Trace-Id", trace_id)
+        return result
 
     def poll(self, ticket: str, if_none_match: Optional[str] = None) -> ServeResult:
         """GET /v1/requests/<ticket> — 200 done, 202 pending, 500 failed."""
         record = self._read_ticket(ticket)
         trace_id = (record or {}).get("trace")
-        with tracectx.attach_trace(trace_id):
-            result = self._poll_traced(ticket, record, if_none_match)
+        with tracectx.attach_trace(trace_id), telemetry.span(
+            "serve.request", endpoint="poll"
+        ):
+            if record is None:
+                result = _error(404, f"unknown ticket {ticket!r}")
+            else:
+                plan = compile_request(WorkRequest.from_dict(record["request"]))
+                etag = plan_etag(plan)
+                result = self._cached_answer(plan, etag, if_none_match)
+                if result is None:
+                    result = self._ticket_progress(ticket, record, plan, etag)
         if trace_id:
             result.headers.setdefault("X-Trace-Id", trace_id)
         return result
-
-    def _poll_traced(
-        self, ticket: str, record: Optional[dict], if_none_match: Optional[str]
-    ) -> ServeResult:
-        with telemetry.span("serve.request", endpoint="poll"):
-            if record is None:
-                return _error(404, f"unknown ticket {ticket!r}")
-            plan = compile_request(WorkRequest.from_dict(record["request"]))
-            etag = plan_etag(plan)
-            if _etag_matches(if_none_match, etag):
-                telemetry.count("serve.cache.hit")
-                return ServeResult(304, None, {"ETag": etag})
-            payload = self._assemble_if_warm(plan)
-            if payload is not None:
-                telemetry.count("serve.cache.hit")
-                return ServeResult(200, payload, {"ETag": etag, "X-Cache": "hit"})
-
-            states: dict[str, list[str]] = {}
-            for job_id in record["jobs"]:
-                state = self.spool.state_of(job_id) or "missing"
-                states.setdefault(state, []).append(job_id)
-            if states.get("failed"):
-                errors = {
-                    job_id: str(
-                        self.spool.read_job("failed", job_id).get(
-                            "last_error", "unknown error"
-                        )
-                    )
-                    for job_id in states["failed"]
-                }
-                return ServeResult(
-                    500, {"status": "failed", "ticket": ticket, "errors": errors}
-                )
-            if states.get("done") and not states.get("jobs") and not states.get("active"):
-                self._merge_job_stores(record)
-                payload = self._assemble_if_warm(plan)
-                if payload is not None:
-                    telemetry.count("serve.cache.fill")
-                    return ServeResult(200, payload, {"ETag": etag, "X-Cache": "fill"})
-            return ServeResult(
-                202,
-                {
-                    "status": "pending",
-                    "ticket": ticket,
-                    "jobs": {state: len(ids) for state, ids in sorted(states.items())},
-                },
-                {"ETag": etag},
-            )
 
     def status(self) -> ServeResult:
         """GET /v1/status — spool progress, store size, queue occupancy."""
@@ -359,6 +312,54 @@ class SimulationService:
             return plan.assemble(plan.records(self.store))
         except MissingRecordError:
             return None
+
+    def _cached_answer(
+        self, plan: CompiledPlan, etag: str, if_none_match: Optional[str]
+    ) -> Optional[ServeResult]:
+        """A 304 for a matching ETag or a warm 200 from the store; None when cold.
+
+        The one cache answer of both :meth:`submit` and :meth:`poll`.
+        """
+        if _etag_matches(if_none_match, etag):
+            telemetry.count("serve.cache.hit")
+            return ServeResult(304, None, {"ETag": etag})
+        payload = self._assemble_if_warm(plan)
+        if payload is None:
+            return None
+        telemetry.count("serve.cache.hit")
+        return ServeResult(200, payload, {"ETag": etag, "X-Cache": "hit"})
+
+    def _ticket_progress(
+        self, ticket: str, record: dict, plan: CompiledPlan, etag: str
+    ) -> ServeResult:
+        """A cold ticket's answer: 500 failed, 200 fill once its jobs are done, else 202."""
+        states: dict[str, list[str]] = {}
+        for job_id in record["jobs"]:
+            state = self.spool.state_of(job_id) or "missing"
+            states.setdefault(state, []).append(job_id)
+        if states.get("failed"):
+            errors = {
+                job_id: str(
+                    self.spool.read_job("failed", job_id).get("last_error", "unknown error")
+                )
+                for job_id in states["failed"]
+            }
+            return ServeResult(500, {"status": "failed", "ticket": ticket, "errors": errors})
+        if states.get("done") and not states.get("jobs") and not states.get("active"):
+            self._merge_job_stores(record)
+            payload = self._assemble_if_warm(plan)
+            if payload is not None:
+                telemetry.count("serve.cache.fill")
+                return ServeResult(200, payload, {"ETag": etag, "X-Cache": "fill"})
+        return ServeResult(
+            202,
+            {
+                "status": "pending",
+                "ticket": ticket,
+                "jobs": {state: len(ids) for state, ids in sorted(states.items())},
+            },
+            {"ETag": etag},
+        )
 
     def _enqueue_cold(
         self, plan: CompiledPlan, shards: int, priority: str, etag: str, trace_id: str

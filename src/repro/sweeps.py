@@ -50,15 +50,21 @@ SWEEP_FAMILIES = {
     "grid-walk": sweep_grid_walk_model,
 }
 
-#: Canonical fixed parameters (and defaults) of each family's factory —
-#: mirroring the keyword defaults above.  The single source of truth shared
-#: by the CLI's per-family flags and the :mod:`repro.api` request facade,
-#: which fills omitted parameters from this table so equal workloads always
-#: canonicalize to equal factory kwargs (and therefore equal store keys).
+#: Each family's parameters and their defaults: the fixed keyword arguments
+#: of the sweep factories above, and the model parameters of one flood.  The
+#: CLI generates each ``repro sweep``/``repro flood`` family's flags (type
+#: and default) from these tables, and the :mod:`repro.api` request facade
+#: fills omitted parameters from them, so equal workloads canonicalize to
+#: equal parameters (and equal store keys) whichever door they come through.
 SWEEP_FAMILY_DEFAULTS: dict[str, dict] = {
     "edge-meg": {"q": 0.5, "avg_degree": 4.0},
     "waypoint": {"side": 6.0, "radius": 1.2, "speed": 1.0},
     "grid-walk": {"grid_side": 6, "augment_k": 1},
+}
+FLOOD_FAMILY_DEFAULTS: dict[str, dict] = {
+    "edge-meg": {"nodes": 100, "p": 0.01, "q": 0.5},
+    "waypoint": {"nodes": 100, "side": 10.0, "radius": 1.0, "speed": 1.0},
+    "grid-walk": {"nodes": 64, "grid_side": 8, "augment_k": 1},
 }
 
 

@@ -14,6 +14,7 @@ these tests pin its three contracts:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -407,3 +408,77 @@ class TestPlanRecords:
         )
         plan.run(Engine(store=store))
         assert list(plan.records(store)) == ["n=8", "n=12"]
+
+
+#: every run leaf's argv form pinned below (``{spool}``/``{store}`` are
+#: filled with per-test paths), one case per estimator and parameter shape
+_SWEEP_POINTS = ["--nodes", "8,12", "--trials", "8", "--seed", "3"]
+_NON_DEFAULT_PARAMS = {
+    "edge-meg": ["--q", "0.25", "--avg-degree", "3"],
+    "waypoint": ["--side", "5", "--radius", "1.5", "--speed", "2"],
+    "grid-walk": ["--grid-side", "4", "--augment-k", "2"],
+}
+_FLOOD_PARAMS = {
+    "edge-meg": ["--nodes", "12", "--p", "0.2", "--q", "0.4"],
+    "waypoint": ["--nodes", "10", "--side", "4", "--radius", "1.5", "--speed", "2"],
+    "grid-walk": ["--nodes", "9", "--grid-side", "3", "--augment-k", "2"],
+}
+_FLEET = ["--shards", "2", "--spool", "{spool}", "--results-dir", "{store}"]
+ARGV_CASES = {
+    **{
+        f"sweep {family} {case}": ["sweep", family, *_SWEEP_POINTS, *extra]
+        for family in SWEEP_FAMILIES
+        for case, extra in (
+            ("default", []),
+            ("params", _NON_DEFAULT_PARAMS[family]),
+            ("all-sources", ["--all-sources"]),
+            ("source-sample", ["--source-sample", "3"]),
+            ("target-ci", ["--target-ci", "2", "--min-trials", "4", "--check-every", "4"]),
+        )
+    },
+    **{
+        f"flood {family} params": [
+            "flood", family, *_FLOOD_PARAMS[family], "--trials", "2", "--seed", "4",
+        ]
+        for family in SWEEP_FAMILIES
+    },
+    "experiment E3": ["experiment", "E3", "--seed", "5"],
+    "fleet run sweep": [
+        "fleet", "run", "sweep", "waypoint", *_SWEEP_POINTS, "--side", "5",
+        "--all-sources", *_FLEET,
+    ],
+    "fleet run sweep target-ci": [
+        "fleet", "run", "sweep", "edge-meg", *_SWEEP_POINTS, "--q", "0.25",
+        "--source-sample", "2", "--target-ci", "2", "--pilot-trials", "3", *_FLEET,
+    ],
+    "fleet run experiment": ["fleet", "run", "experiment", "E3", "--seed", "4", *_FLEET],
+}
+
+#: case -> the payload of every request its argv compiles, in order (a
+#: ``fleet run sweep --target-ci`` compiles its pilot, then the sized run)
+REQUESTS_GOLDEN = Path(__file__).parent / "data" / "argv_requests_golden.json"
+
+
+class TestArgvRequests:
+    """Each run leaf's argv compiles to the same requests it always has."""
+
+    @pytest.mark.parametrize("case", sorted(ARGV_CASES))
+    def test_argv_compiles_its_pinned_requests(
+        self, case, compiles, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.fleet import coordinator
+
+        def no_fleet(*args, **kwargs):
+            # Stop a fleet run after it compiled its plan; nothing is spooled.
+            raise coordinator.FleetError("stopped before the fleet drains")
+
+        monkeypatch.setattr(coordinator, "run_fleet", no_fleet)
+        paths = {"spool": str(tmp_path / "spool"), "store": str(tmp_path / "store")}
+        argv = [part.format(**paths) for part in ARGV_CASES[case]]
+        assert main(argv) == (1 if argv[0] == "fleet" else 0)
+        pinned = json.loads(REQUESTS_GOLDEN.read_text(encoding="utf-8"))[case]
+        # Compared as canonical text, so an int that turns float shows too.
+        assert [request.to_json() for request in compiles] == [
+            json.dumps(payload, sort_keys=True, separators=(",", ":")) for payload in pinned
+        ]

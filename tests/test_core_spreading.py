@@ -6,8 +6,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.flooding import flood
-from repro.core.spreading import SpreadingResult, gossip_spread, si_epidemic
+from repro.core.flooding import default_max_steps, flood
+from repro.core.spreading import SpreadingResult, gossip_spread, push_pull_spread, si_epidemic
 from repro.meg.base import StaticGraphProcess
 from repro.meg.edge_meg import EdgeMEG
 
@@ -34,6 +34,36 @@ class TestGossipArguments:
     def test_si_invalid_probability(self, small_edge_meg):
         with pytest.raises(ValueError):
             si_epidemic(small_edge_meg, infection_probability=-0.1)
+
+
+#: every randomised protocol, run with keyword arguments added to these
+PROTOCOLS = {
+    "gossip": lambda process, **kw: gossip_spread(process, transmission_probability=0.5, **kw),
+    "si": lambda process, **kw: si_epidemic(process, infection_probability=0.5, **kw),
+    "push-pull": push_pull_spread,
+}
+
+
+class TestFloodingPrologue:
+    """The protocols start the way flooding does (one prologue, one check order)."""
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_negative_max_steps_is_rejected(self, protocol, small_edge_meg):
+        with pytest.raises(ValueError, match="max_steps must be non-negative, got -1"):
+            PROTOCOLS[protocol](small_edge_meg, rng=0, max_steps=-1)
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_source_out_of_range_is_named(self, protocol, small_edge_meg):
+        with pytest.raises(ValueError, match="source 40 out of range for 40 nodes"):
+            PROTOCOLS[protocol](small_edge_meg, source=40, rng=0)
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_default_cap_is_twice_floodings(self, protocol):
+        # Two isolated nodes: no run completes, so it stops at the cap.
+        graph = nx.empty_graph(2)
+        result = PROTOCOLS[protocol](StaticGraphProcess(graph), rng=0)
+        assert not result.completed
+        assert len(result.informed_history) == 2 * default_max_steps(2) + 1 == 401
 
 
 class TestGossipBehaviour:
