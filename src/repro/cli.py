@@ -1022,6 +1022,7 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
         if args.merge:
             try:
                 merge_report = store.merge(*args.merge)
+                store.compact()
             except (MergeConflictError, FileNotFoundError) as error:
                 print(f"merge failed: {error}", file=sys.stderr)
                 return 1
@@ -1486,6 +1487,9 @@ def _run_serve(args: argparse.Namespace) -> int:
         print("repro serve: shutting down", file=sys.stderr)
     finally:
         server.server_close()
+        # Fills append to the store; leave it in canonical form.
+        if os.path.exists(store.path):
+            store.compact()
     return 0
 
 
@@ -1628,6 +1632,7 @@ def _run_merge(args: argparse.Namespace) -> int:
     destination = ResultStore.at(args.output)
     try:
         report = destination.merge(*args.sources)
+        destination.compact()
     except (MergeConflictError, FileNotFoundError) as error:
         print(f"merge failed: {error}", file=sys.stderr)
         return 1

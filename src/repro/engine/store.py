@@ -18,8 +18,9 @@ wins, which doubles as a crude update mechanism.
 
 The file is scanned exactly once, lazily, on the first lookup — every later
 ``get``/``put`` is an in-memory dictionary operation — and
-:meth:`ResultStore.compact` rewrites the file with one line per live key,
-dropping superseded duplicates and corrupt/truncated lines.
+:meth:`ResultStore.compact` rewrites the file with one line per live key in
+sorted-key order (its canonical form), dropping superseded duplicates and
+corrupt/truncated lines.
 
 Concurrency
 -----------
@@ -38,7 +39,12 @@ Because the keys are content hashes of the full spec (location-independent),
 stores written on different machines can be unioned mechanically;
 :meth:`ResultStore.merge` does exactly that, reassembling sharded partial
 batches (see :mod:`repro.engine.shard`) and refusing to merge conflicting
-payloads for the same key.
+payloads for the same key.  A merge costs what it adds, not what the store
+holds: under the lock it reads only the bytes appended since this handle
+last read the file (the file stays open, so a compaction by another handle,
+which replaces the file, shows as a new inode and gets a full rescan), and
+it appends its new records instead of rewriting the file whenever no line
+already in the file has to go.
 """
 
 from __future__ import annotations
@@ -48,9 +54,10 @@ import hashlib
 import json
 import os
 import time
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -200,6 +207,46 @@ def _is_shard_record(record) -> bool:
     return True
 
 
+#: marks a key absent from a mapping (a stored record may itself be ``null``)
+_ABSENT = object()
+
+
+def _line(key: str, record) -> str:
+    """The store line of one record."""
+    return json.dumps({"key": key, "record": record}, sort_keys=True) + "\n"
+
+
+def _track(partials: dict, key: str, record) -> None:
+    """Keep ``partials`` equal to the shard partials among an index's records."""
+    if _is_shard_record(record):
+        partials[key] = record
+    elif partials:
+        partials.pop(key, None)
+
+
+def _parse(lines: list[bytes], index: dict, partials: dict) -> tuple[int, int]:
+    """Parse store lines into ``index`` (last write wins): ``(non-empty, corrupt)``.
+
+    A run killed mid-append can leave a truncated line; unreadable lines are
+    treated as absent entries (they will simply be recomputed) instead of
+    refusing to load the store.
+    """
+    count = corrupt = 0
+    for line in lines:
+        if not line.strip():
+            continue
+        count += 1
+        try:
+            entry = json.loads(line)
+            key, record = entry["key"], entry["record"]
+            index[key] = record
+        except (ValueError, KeyError, TypeError):
+            corrupt += 1
+            continue
+        _track(partials, key, record)
+    return count, corrupt
+
+
 class ResultStore:
     """JSONL-backed map from spec content hashes to result payloads.
 
@@ -218,6 +265,15 @@ class ResultStore:
         self._lock_path = self._path + ".lock"
         # Built lazily on the first lookup; None means "not scanned yet".
         self._index: Optional[dict[str, dict]] = None
+        # The shard partials among the index's records: what a merge assembles.
+        self._partials: dict[str, dict] = {}
+        # The file the index was read from, held open so that no other file
+        # can reuse its inode, and the offset just past its last line read.
+        self._file = None
+        self._close_file: Optional[weakref.finalize] = None
+        self._offset = 0
+        # Whether a read met corrupt lines, which only a rewrite drops.
+        self._damaged = False
 
     @classmethod
     def at(cls, path: Union[str, os.PathLike]) -> "ResultStore":
@@ -309,36 +365,81 @@ class ResultStore:
     def _ensure_index(self) -> dict[str, dict]:
         """Scan the file into the in-memory key index (once, on first use)."""
         if self._index is None:
-            self._index, _ = self._scan()
+            self._scan()
         return self._index
 
-    def _scan(self) -> tuple[dict[str, dict], int]:
-        """Parse the file from disk: ``(key -> record, non-empty lines)``."""
-        index: dict[str, dict] = {}
-        lines = corrupt = 0
-        if not os.path.exists(self._path):
-            return index, 0
-        with open(self._path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                lines += 1
-                # A run killed mid-append can leave a truncated last line;
-                # treat unreadable lines as absent entries (they will simply
-                # be recomputed) instead of refusing to load the store.
-                try:
-                    entry = json.loads(line)
-                    index[entry["key"]] = entry["record"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    corrupt += 1
+    def _hold(self, handle) -> None:
+        """Keep ``handle`` open as the file the index is read from."""
+        if self._close_file is not None:
+            self._close_file()
+        self._file = handle
+        self._close_file = None if handle is None else weakref.finalize(self, handle.close)
+
+    def _read(self, data: bytes, tail: bool) -> tuple[int, bool]:
+        """Parse ``data``, read at ``self._offset``, into the index.
+
+        Returns ``(non-empty lines, whether data ends in a torn line)``.  The
+        offset advances past complete lines only: the bytes after the last
+        newline may be a line another process is still appending, so they
+        are read again once complete.  ``tail`` parses them as a line too,
+        but an unreadable tail does not count as damage: it may be in flight.
+        """
+        lines = data.split(b"\n")
+        torn = lines.pop()
+        self._offset += len(data) - len(torn)
+        count, corrupt = _parse(lines, self._index, self._partials)
+        self._damaged = self._damaged or corrupt > 0
+        if tail and torn:
+            more, unreadable = _parse([torn], self._index, self._partials)
+            count, corrupt = count + more, corrupt + unreadable
         if corrupt:
             telemetry.count("store.scan.corrupt", corrupt)
-        return index, lines
+        return count, bool(torn)
+
+    def _scan(self) -> tuple[int, bool]:
+        """Read the whole file into a fresh index: ``(non-empty lines, torn)``.
+
+        The file stays open for :meth:`_catch_up`.
+        """
+        self._index, self._partials = {}, {}
+        self._offset, self._damaged = 0, False
+        try:
+            handle = open(self._path, "rb")
+        except FileNotFoundError:
+            self._hold(None)
+            return 0, False
+        self._hold(handle)
+        return self._read(handle.read(), tail=True)
+
+    def _catch_up(self) -> bool:
+        """Bring the index up to date with the file; the caller holds the lock.
+
+        Reads only the bytes appended since this handle last read the file.
+        Rescans in full when there is no index yet, or the file was replaced
+        (another handle compacted it: the held file's inode is no longer
+        the path's) or shrank.  Returns whether the file ends in a torn
+        line: no append is in flight under the lock, so those bytes are the
+        remains of a writer that crashed mid-line.
+        """
+        if self._index is not None and self._file is not None:
+            try:
+                current = os.stat(self._path)
+            except FileNotFoundError:
+                current = None
+            held = os.fstat(self._file.fileno())
+            if (
+                current is not None
+                and (current.st_dev, current.st_ino) == (held.st_dev, held.st_ino)
+                and current.st_size >= self._offset
+            ):
+                self._file.seek(self._offset)
+                return self._read(self._file.read(), tail=False)[1]
+        return self._scan()[1]
 
     def refresh(self) -> None:
         """Drop the in-memory index; the next lookup re-scans the file."""
         self._index = None
+        self._hold(None)
 
     @property
     def path(self) -> str:
@@ -361,6 +462,21 @@ class ResultStore:
         """The stored record for ``key``, or ``None`` on a cache miss."""
         return self._ensure_index().get(key)
 
+    def _append(self, text: str) -> tuple[int, int]:
+        """Append complete lines (the caller holds the lock): their byte span.
+
+        A file that does not end in a newline (a writer crashed mid-line)
+        gets one first, so the torn line stays one corrupt line instead of
+        swallowing the first appended record.
+        """
+        data = text.encode("utf-8")
+        with open(self._path, "ab+") as handle:
+            start = handle.seek(0, os.SEEK_END)
+            if start and os.pread(handle.fileno(), 1, start - 1) != b"\n":
+                data = b"\n" + data
+            handle.write(data)
+        return start, start + len(data)
+
     def put(self, key: str, record: dict) -> None:
         """Store ``record`` under ``key`` (appended durably, last write wins).
 
@@ -369,49 +485,55 @@ class ResultStore:
         partial lines and never append to a just-compacted stale inode.
         """
         record = jsonify(record)
-        line = json.dumps({"key": key, "record": record}, sort_keys=True) + "\n"
+        line = _line(key, record)
         # The index is read and updated under the lock that ``merge`` and
         # ``compact`` swap it under, so the record never lands in a replaced
         # dict.
         with self._locked():
             index = self._ensure_index()
-            with open(self._path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
+            self._append(line)
             index[key] = record
+            _track(self._partials, key, record)
 
-    def _rewrite(self, index: dict[str, dict]) -> None:
+    def _rewrite(self, index: dict[str, dict], partials: dict[str, dict]) -> None:
         """Atomically replace the file with one line per ``index`` entry.
 
         Records are written in sorted-key order, so the on-disk form of a
         given record set is deterministic (merged stores can be compared
         byte-for-byte against reference runs after sorting their lines).
-        Callers must hold the store lock.
+        ``index`` (with its shard ``partials``) becomes this handle's index,
+        read from the new file from now on.  Callers must hold the store
+        lock.
         """
         temp_path = self._path + ".compact"
         with open(temp_path, "w", encoding="utf-8") as handle:
             for key in sorted(index):
-                handle.write(
-                    json.dumps({"key": key, "record": index[key]}, sort_keys=True) + "\n"
-                )
+                handle.write(_line(key, index[key]))
         os.replace(temp_path, self._path)
+        self._hold(open(self._path, "rb"))
+        self._index, self._partials = index, partials
+        self._offset, self._damaged = os.fstat(self._file.fileno()).st_size, False
 
     def compact(self) -> int:
-        """Rewrite the file with one line per live key; returns lines dropped.
+        """Rewrite the file in canonical form; returns the lines dropped.
 
-        Superseded duplicates (older writes to the same key) and
-        corrupt/truncated lines are removed.  The file is re-scanned from
-        disk under the store lock — not served from the lazy in-memory index
-        — so records appended by *other* processes since this instance's
-        index was built survive the compaction.  The rewrite goes through a
-        temporary file and an atomic replace, so a crash mid-compaction
-        leaves the original file intact.
+        The canonical form is one line per live key, in sorted-key order:
+        superseded duplicates (older writes to the same key) and
+        corrupt/truncated lines are removed.  :meth:`merge` appends where it
+        can, so this is the step that gives a merged store its canonical
+        bytes (``repro merge-results``, ``repro experiment --merge``, fleet
+        fan-in and ``repro serve``'s shutdown call it).  The file is
+        re-scanned from disk under the store lock — not served from the lazy
+        in-memory index — so records appended by *other* processes since
+        this instance's index was built survive the compaction.  The rewrite
+        goes through a temporary file and an atomic replace, so a crash
+        mid-compaction leaves the original file intact.
         """
         with self._locked():
-            index, lines = self._scan()
-            self._rewrite(index)
-            self._index = index
-        return lines - len(index)
+            lines, _ = self._scan()
+            dropped = lines - len(self._index)
+            self._rewrite(self._index, self._partials)
+        return dropped
 
     # ------------------------------------------------------------------ #
     # merging
@@ -428,8 +550,17 @@ class ResultStore:
         of one parent batch, see :mod:`repro.engine.shard`) are reassembled
         into the full batch record under the parent key, and the partials are
         dropped; incomplete groups are kept verbatim so a later merge can
-        finish the job.  The merged store is compacted (rewritten with one
-        sorted line per live key) before returning.
+        finish the job.
+
+        The merge costs what it adds.  It reads only what was appended to
+        this store since this handle last read it, checks conflicts against
+        the index, and assembles only the groups of the incoming partials and
+        of the partials this store already holds.  Its new records are
+        appended in sorted-key order, so a merge into an empty store writes
+        canonical bytes.  The file is rewritten compacted instead when lines
+        already in it must go: partials that this merge assembles, or
+        corrupt and torn lines.  Otherwise the file is not canonical after a
+        merge into a non-empty store; :meth:`compact` makes it so.
         """
         resolved = [
             source if isinstance(source, ResultStore) else ResultStore._existing_source(source)
@@ -443,38 +574,62 @@ class ResultStore:
         snapshots = []
         for store in resolved:
             with store._locked():
-                incoming, _ = store._scan()
-            snapshots.append((store, incoming))
-        # One lock span for scan -> union -> rewrite: a concurrent put into
-        # this store cannot land between the scan and the rewrite and be
+                store._scan()
+                snapshots.append((store, dict(store._index)))
+        # One lock span for catch-up -> union -> write: a concurrent put into
+        # this store cannot land between the read and the write and be
         # clobbered.
         with self._locked():
-            merged, _ = self._scan()
-            before = len(merged)
-            for store, incoming in snapshots:
-                for key, record in incoming.items():
-                    if key in merged and merged[key] != record:
+            torn = self._catch_up()
+            index = self._index
+            incoming: dict[str, dict] = {}
+            for store, records in snapshots:
+                for key, record in records.items():
+                    current = incoming[key] if key in incoming else index.get(key, _ABSENT)
+                    if current is not _ABSENT and current != record:
                         raise MergeConflictError(
                             f"conflicting payloads for key {key} while merging "
                             f"{store.path} into {self.path}"
                         )
-                    merged[key] = record
-            adopted = len(merged) - before
-            assembled, pending = _assemble_shard_groups(merged)
-            self._rewrite(merged)
-            self._index = merged
+                    incoming[key] = record
+            adopted = sum(key not in index for key in incoming)
+            partials = dict(self._partials)
+            for key, record in incoming.items():
+                _track(partials, key, record)
+            parents, consumed, assembled, pending = _assemble_shard_groups(
+                partials, lambda key: incoming.get(key, index.get(key, _ABSENT))
+            )
+            changes = {**incoming, **parents, **dict.fromkeys(consumed, _ABSENT)}
+            if torn or self._damaged or any(key in index for key in consumed):
+                merged, kept = dict(index), dict(self._partials)
+                _apply(changes, merged, kept)
+                self._rewrite(merged, kept)
+                telemetry.count("store.merge.rewrites")
+            else:
+                added = sorted(
+                    key for key, record in changes.items()
+                    if record is not _ABSENT and key not in index
+                )
+                if added:
+                    start, stop = self._append("".join(_line(k, changes[k]) for k in added))
+                    if self._file is None:  # the append created the file
+                        self._hold(open(self._path, "rb"))
+                    if start == self._offset:
+                        self._offset = stop
+                _apply(changes, index, self._partials)
+            records = len(self._index)
         telemetry.count("store.merges")
         telemetry.event(
             "store.merge",
             path=self._path,
             sources=len(resolved),
-            records=len(merged),
+            records=records,
             adopted=adopted,
             assembled=assembled,
             pending_shards=pending,
         )
         return MergeReport(
-            records=len(merged),
+            records=records,
             adopted=adopted,
             assembled=assembled,
             pending_shards=pending,
@@ -491,25 +646,42 @@ class ResultStore:
         return iter(self._ensure_index())
 
 
-def _assemble_shard_groups(merged: dict[str, dict]) -> tuple[int, int]:
-    """Reassemble complete shard groups in ``merged`` (mutated in place).
+def _apply(changes: dict, index: dict, partials: dict) -> None:
+    """Write a merge's ``changes`` (``_ABSENT`` deletes a key) into an index."""
+    for key, record in changes.items():
+        if record is _ABSENT:
+            index.pop(key, None)
+            partials.pop(key, None)
+        else:
+            index[key] = record
+            _track(partials, key, record)
 
-    Returns ``(assembled_batches, pending_shard_records)``.  A group is the
-    set of shard partials sharing one ``(parent_key, count)`` pair; it is
-    complete when all ``count`` shard indices are present with consistent
-    metadata and trial counts.  Assembly interleaves the partial
+
+def _assemble_shard_groups(
+    partials: dict[str, dict], lookup: Callable[[str], object]
+) -> tuple[dict[str, dict], list[str], int, int]:
+    """Reassemble the complete groups among the shard ``partials``.
+
+    Returns ``(parents, consumed, assembled_batches, pending_shard_records)``:
+    the full batch records by parent key, the keys of the partials they
+    consumed, the number of groups assembled and the number of partials left
+    in incomplete groups.  ``lookup(key)`` is the merged store's record under
+    ``key`` (``_ABSENT`` when none); an assembled batch that differs from it
+    is a conflict.  A group is the set of shard partials sharing one
+    ``(parent_key, count)`` pair; it is complete when all ``count`` shard
+    indices are present with consistent metadata and trial counts.  Assembly interleaves the partial
     ``flooding_times`` back into trial order (shard ``i`` of ``K`` holds
     trials ``i, i+K, i+2K, ...``), producing a record bit-identical to what
     an unsharded run of the same spec would have stored.
     """
     groups: dict[tuple[str, int], dict[int, tuple[str, dict]]] = {}
-    for key, record in merged.items():
-        if not _is_shard_record(record):
-            continue
+    for key, record in partials.items():
         shard = record["shard"]
         index, count = int(shard["index"]), int(shard["count"])
         groups.setdefault((record["parent_key"], count), {})[index] = (key, record)
 
+    parents: dict[str, dict] = {}
+    consumed: list[str] = []
     assembled = 0
     pending = 0
     for (parent_key, count), members in groups.items():
@@ -564,13 +736,13 @@ def _assemble_shard_groups(merged: dict[str, dict]) -> tuple[int, int]:
         sketches = [rec.get("sketch") for _, (_, rec) in sorted(members.items())]
         if all(s is not None for s in sketches):
             parent_record["sketch"] = merge_sketch_payloads(sketches)
-        if parent_key in merged and merged[parent_key] != parent_record:
+        current = parents[parent_key] if parent_key in parents else lookup(parent_key)
+        if current is not _ABSENT and current != parent_record:
             raise MergeConflictError(
                 f"assembled batch for parent {parent_key} conflicts with an "
                 f"existing record under that key"
             )
-        merged[parent_key] = parent_record
-        for shard_key, _ in members.values():
-            del merged[shard_key]
+        parents[parent_key] = parent_record
+        consumed.extend(shard_key for shard_key, _ in members.values())
         assembled += 1
-    return assembled, pending
+    return parents, consumed, assembled, pending

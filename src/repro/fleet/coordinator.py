@@ -309,13 +309,15 @@ def merge_fleet_stores(
 ) -> MergeReport:
     """Fan in: union every job's store into ``destination`` and verify it.
 
-    Merging reassembles the shard groups into full batch records; the merged
+    Merging reassembles the shard groups into full batch records, and a
+    compaction leaves the store in canonical (sorted) form.  The merged
     store is then checked against the plan's parent keys, so an incomplete
     fan-in fails loudly naming the missing slice instead of yielding a
     silently partial store.
     """
     with telemetry.span("fleet.merge", sources=len(payloads)) as merge_span:
         report = destination.merge(*[spool.resolve(p["store"]) for p in payloads])
+        destination.compact()
         missing = [key for key in plan.store_keys if key not in destination]
         if missing:
             raise FleetError(

@@ -140,6 +140,9 @@ class SimulationService:
         self.engine_config = dict(engine_config or {})
         self._lock = threading.Lock()
         self._tailer: Optional[TelemetryTailer] = None
+        # The plan each cold ticket was submitted with, until the ticket
+        # answers 200 or 500; a restarted server compiles the ticket file.
+        self._plans: dict[str, CompiledPlan] = {}
         self._tickets_dir = os.path.join(spool.root, _TICKETS_DIR)
         os.makedirs(self._tickets_dir, exist_ok=True)
         spool.write_config()
@@ -198,11 +201,15 @@ class SimulationService:
             if record is None:
                 result = _error(404, f"unknown ticket {ticket!r}")
             else:
-                plan = compile_request(WorkRequest.from_dict(record["request"]))
+                plan = self._plans.get(ticket)
+                if plan is None:
+                    plan = compile_request(WorkRequest.from_dict(record["request"]))
                 etag = plan_etag(plan)
                 result = self._cached_answer(plan, etag, if_none_match)
                 if result is None:
                     result = self._ticket_progress(ticket, record, plan, etag)
+                if result.status in (200, 500):
+                    self._plans.pop(ticket, None)
         if trace_id:
             result.headers.setdefault("X-Trace-Id", trace_id)
         return result
@@ -404,6 +411,7 @@ class SimulationService:
                     "trace": trace_id,
                 }
             )
+            self._plans[ticket] = plan
         if enqueued:
             telemetry.count("serve.enqueue", enqueued)
         location = f"/v1/requests/{ticket}"

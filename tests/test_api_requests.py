@@ -393,6 +393,31 @@ class TestCompileOnce:
         assert service.submit(body).status == 202
         assert len(compiles) == 1
 
+    def test_cold_fill_polls_reuse_the_submitted_plan(self, compiles, tmp_path):
+        from repro.fleet.jobs import execute_job
+        from repro.fleet.queue import JobSpool
+        from repro.serve.service import SimulationService
+
+        spool = JobSpool(str(tmp_path / "spool"))
+        service = SimulationService(ResultStore(str(tmp_path / "store")), spool)
+        body = {"kind": "sweep", "family": "edge-meg", "nodes": [8, 12], "trials": 2}
+        ticket = service.submit(body).payload["ticket"]
+        assert service.poll(ticket).status == 202
+        assert len(compiles) == 1
+        jobs = 0
+        while (job := spool.claim("worker")) is not None:
+            spool.mark_done(job.id, execute_job(job.payload, spool))  # compiles once
+            jobs += 1
+        answer = service.poll(ticket)
+        assert (answer.status, answer.headers["X-Cache"]) == (200, "fill")
+        assert len(compiles) == 1 + jobs
+        # An answered ticket's plan is dropped; later polls compile the
+        # ticket file, as a restarted server does.
+        restarted = SimulationService(ResultStore(str(tmp_path / "store")), spool)
+        for server in (service, restarted):
+            assert server.poll(ticket).payload == answer.payload
+        assert len(compiles) == 3 + jobs
+
 
 class TestPlanRecords:
     def test_records_name_the_first_missing_job(self, tmp_path):
