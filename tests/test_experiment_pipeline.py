@@ -15,10 +15,22 @@ Covers the three contracts the CI experiment fan-out matrix enforces:
   run's store, partial runs resume from the store, warm re-runs are pure
   replay, and the CLI ``repro experiment`` path round-trips through a
   ResultStore.
+
+``tests/data/experiment_pins_golden.json`` pins, byte for byte, what the
+registry declares: the ``(tag, label, store key)`` of every job of E1-E10 at
+both scales, the SHA-256 of every small-scale assembled payload, and the
+text of ``repro experiments list``.  Regenerate it after an intended change
+with::
+
+    PYTHONPATH=src python tests/test_experiment_pipeline.py
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
+import io
 import json
 import os
 
@@ -33,7 +45,12 @@ from repro.experiments.registry import EXPERIMENTS, run_experiment
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "experiments_golden_small.json"
 )
+PINS_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "experiment_pins_golden.json"
+)
 ALL_IDS = sorted(EXPERIMENTS, key=lambda e: int(e[1:]))
+#: The seed the job pins compile at.
+PIN_SEED = 3
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +92,64 @@ def _store_lines(path: str) -> list[str]:
         return sorted(line for line in handle if line.strip())
 
 
+@functools.lru_cache(maxsize=None)
+def _small_payload(experiment_id: str) -> dict:
+    """The assembled small-scale, seed-0 payload of one experiment (run once)."""
+    plan = _plan(experiment_id)
+    batches = plan.run(Engine())
+    return jsonify(plan.assemble({tag: batch.as_dict() for tag, batch in batches.items()}))
+
+
+def job_pins(experiment_id: str, scale: str) -> list[list[str]]:
+    """``[tag, label, store key]`` of every job of one experiment plan."""
+    plan = _plan(experiment_id, scale=scale, seed=PIN_SEED)
+    return [
+        [job.tag, job.spec.label, key] for job, key in zip(plan.jobs, plan.store_keys)
+    ]
+
+
+def payload_sha256(payload: dict) -> str:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def list_stdout() -> str:
+    """What ``repro experiments list`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["experiments", "list"]) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def pins() -> dict:
+    with open(PINS_PATH, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 class TestGoldenValues:
     @pytest.mark.parametrize("experiment_id", ALL_IDS)
     def test_small_scale_report_matches_pre_pipeline_values(self, experiment_id, golden):
-        report = jsonify(run_experiment(experiment_id, scale="small", seed=0).as_dict())
+        report = _small_payload(experiment_id)["report"]
         assert _approx_equal(report, golden[experiment_id]), (
             f"{experiment_id} drifted from its pre-pipeline golden values"
         )
+
+
+class TestDeclarationPins:
+    """Every job, every small payload and the id list, pinned byte for byte."""
+
+    @pytest.mark.parametrize("scale", ["small", "full"])
+    @pytest.mark.parametrize("experiment_id", ALL_IDS)
+    def test_jobs_keep_tags_labels_and_store_keys(self, experiment_id, scale, pins):
+        assert job_pins(experiment_id, scale) == pins["jobs"][f"{experiment_id}/{scale}"]
+
+    @pytest.mark.parametrize("experiment_id", ALL_IDS)
+    def test_small_payload_bytes(self, experiment_id, pins):
+        assert payload_sha256(_small_payload(experiment_id)) == pins["payload_sha256"][experiment_id]
+
+    def test_experiments_list_text(self, pins):
+        assert list_stdout() == pins["experiments_list"]
 
 
 class TestCompile:
@@ -273,3 +341,22 @@ class TestExperimentCLI:
     def test_zero_job_experiment_runs_plain(self, capsys):
         assert main(["experiment", "E9"]) == 0
         assert "E9: Expansion quantities" in capsys.readouterr().out
+
+
+if __name__ == "__main__":
+    goldens = {
+        "jobs": {
+            f"{experiment_id}/{scale}": job_pins(experiment_id, scale)
+            for experiment_id in ALL_IDS
+            for scale in ("small", "full")
+        },
+        "payload_sha256": {
+            experiment_id: payload_sha256(_small_payload(experiment_id))
+            for experiment_id in ALL_IDS
+        },
+        "experiments_list": list_stdout(),
+    }
+    with open(PINS_PATH, "w", encoding="utf-8") as handle:
+        json.dump(goldens, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {PINS_PATH}")
