@@ -147,6 +147,13 @@ def _require_int(name: str, value: object) -> int:
     return int(value)
 
 
+def _require_seed(value: object) -> int:
+    seed = _require_int("seed", value)
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True, eq=True)
 class WorkRequest:
     """One JSON-able unit of simulation work (sweep, experiment or flood).
@@ -213,7 +220,7 @@ class WorkRequest:
         trials = _require_int("trials", self.trials)
         if trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        self._set(trials=trials, seed=_require_int("seed", self.seed))
+        self._set(trials=trials, seed=_require_seed(self.seed))
 
     def _forbid(self, *names: str) -> None:
         blank = {"family": None, "experiment_id": None, "nodes": (), "trials": 0,
@@ -252,7 +259,7 @@ class WorkRequest:
                 raise InvalidParameterError(
                     f"trial counts must be >= 1, got {list(trials)}"
                 )
-            self._set(trials=trials, seed=_require_int("seed", self.seed))
+            self._set(trials=trials, seed=_require_seed(self.seed))
         else:
             self._normalize_trials_seed()
         if self.stopping is not None:
@@ -294,7 +301,7 @@ class WorkRequest:
             raise InvalidParameterError(
                 f"scale must be one of {SCALES}, got {self.scale!r}"
             )
-        self._set(seed=_require_int("seed", self.seed))
+        self._set(seed=_require_seed(self.seed))
 
     def _normalize_flood(self) -> None:
         self._forbid("experiment_id", "nodes", "stopping")

@@ -928,23 +928,34 @@ def _run_experiments_list(args: argparse.Namespace) -> int:
 
 
 def _run_experiments_run(args: argparse.Namespace) -> int:
+    from repro.api import RequestError
     from repro.experiments.registry import run_experiment
 
     if _outputs_unusable(args):
         return 2
-    _print_report(args, run_experiment(args.experiment_id, scale=args.scale, seed=args.seed))
+    try:
+        report = run_experiment(args.experiment_id, scale=args.scale, seed=args.seed)
+    except RequestError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    _print_report(args, report)
     return 0
 
 
 def _run_experiments_run_all(args: argparse.Namespace) -> int:
+    from repro.api import RequestError
     from repro.experiments.registry import EXPERIMENTS, run_experiment
 
     if _outputs_unusable(args):
         return 2
-    reports = [
-        run_experiment(experiment_id, scale=args.scale, seed=args.seed)
-        for experiment_id in EXPERIMENTS
-    ]
+    try:
+        reports = [
+            run_experiment(experiment_id, scale=args.scale, seed=args.seed)
+            for experiment_id in EXPERIMENTS
+        ]
+    except RequestError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     output = "\n\n".join(map(_renderer(args), reports))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -997,7 +1008,7 @@ def _experiment_report(plan, records):
 
 
 def _run_experiment_pipeline(args: argparse.Namespace) -> int:
-    from repro.api import compile_request
+    from repro.api import RequestError, compile_request
     from repro.engine.store import MergeConflictError
     from repro.experiments.pipeline import MissingRecordError
 
@@ -1013,8 +1024,12 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
         return 2
     if _outputs_unusable(args):
         return 2
+    try:
+        plan = compile_request(_request(args))
+    except RequestError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     engine = _build_engine(args)
-    plan = compile_request(_request(args))
 
     if args.merge is not None:
         store = engine.store
@@ -1302,7 +1317,7 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
 
 
 def _fleet_run(args: argparse.Namespace) -> int:
-    from repro.api import compile_request, estimator_description
+    from repro.api import RequestError, compile_request, estimator_description
     from repro.engine.engine import Engine
     from repro.engine.store import MergeConflictError, ResultStore
     from repro.experiments.runner import measurement_from_record, sweep_as_dicts
@@ -1320,8 +1335,12 @@ def _fleet_run(args: argparse.Namespace) -> int:
     if _outputs_unusable(args) or _profile_unusable(args, telemetry_dir):
         return 2
     try:
-        sizing_report = None
         request = _request(args)
+    except RequestError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    try:
+        sizing_report = None
         if args.workload == "sweep" and args.target_ci is not None:
             # Variance-aware sizing: a store-less local pilot round per
             # sweep point, then the fleet shards the derived fixed budgets

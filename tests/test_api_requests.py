@@ -507,3 +507,59 @@ class TestArgvRequests:
         assert [request.to_json() for request in compiles] == [
             json.dumps(payload, sort_keys=True, separators=(",", ":")) for payload in pinned
         ]
+
+
+class TestNegativeSeed:
+    """A negative seed is a bad request at every door, never a NumPy traceback."""
+
+    BODIES = {
+        "sweep": {"kind": "sweep", "family": "edge-meg", "nodes": [16], "trials": 2, "seed": -1},
+        "experiment": {"kind": "experiment", "experiment_id": "E1", "seed": -1},
+        "flood": {"kind": "flood", "family": "edge-meg", "trials": 2, "seed": -1},
+    }
+    ARGVS = {
+        "experiment": ["experiment", "E1", "--seed", "-1"],
+        "experiments-run": ["experiments", "run", "E1", "--seed", "-1"],
+        "experiments-run-all": ["experiments", "run-all", "--seed", "-1"],
+        "flood": ["flood", "edge-meg", "--nodes", "16", "--trials", "2", "--seed", "-1"],
+        "sweep": ["sweep", "edge-meg", "--nodes", "16", "--trials", "2", "--seed", "-1"],
+        "fleet-experiment": ["fleet", "run", "experiment", "E1", "--seed", "-1"],
+        "fleet-sweep": [
+            "fleet", "run", "sweep", "edge-meg", "--nodes", "16", "--trials", "2",
+            "--seed", "-1",
+        ],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BODIES))
+    def test_request_rejects_negative_seed(self, kind):
+        with pytest.raises(InvalidParameterError, match="seed must be a non-negative integer"):
+            WorkRequest.from_dict(self.BODIES[kind])
+
+    def test_zero_seed_is_accepted(self):
+        assert experiment_request("E1", seed=0).seed == 0
+
+    @pytest.mark.parametrize("kind", sorted(BODIES))
+    def test_serve_answers_400(self, kind, tmp_path):
+        from repro.fleet.queue import JobSpool
+        from repro.serve.service import SimulationService
+
+        service = SimulationService(ResultStore(tmp_path / "store"), JobSpool(tmp_path / "spool"))
+        result = service.submit(self.BODIES[kind])
+        assert result.status == 400
+        assert result.payload["error"]["type"] == "InvalidParameterError"
+        assert "seed must be a non-negative integer" in result.payload["error"]["message"]
+        assert service.spool.counts()["jobs"] == 0
+
+    @pytest.mark.parametrize("case", sorted(ARGVS))
+    def test_cli_prints_error_and_exits_2(self, case, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = list(self.ARGVS[case])
+        if argv[0] == "fleet":
+            argv += ["--shards", "2", "--spool", str(tmp_path / "spool"),
+                     "--results-dir", str(tmp_path / "merged")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert "Traceback" not in captured.out
+        assert list(tmp_path.iterdir()) == []
