@@ -11,7 +11,7 @@ lets CI diff regenerated markdown against the committed file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass
@@ -120,9 +120,3 @@ def format_markdown(report: ExperimentReport) -> str:
         lines.append("")
         lines.extend(f"- {note}" for note in report.notes)
     return "\n".join(lines)
-
-
-def combine_reports(reports: Iterable[ExperimentReport], markdown: bool = False) -> str:
-    """Concatenate several reports into one document."""
-    renderer = format_markdown if markdown else format_table
-    return "\n\n".join(renderer(report) for report in reports)

@@ -279,21 +279,3 @@ def measure_flooding_sweep(
 def sweep_as_dicts(measurements: Iterable[SweepMeasurement]) -> list[dict]:
     """Machine-readable form of a sweep (one dict per point)."""
     return [measurement.as_dict() for measurement in measurements]
-
-
-def ratio_spread(measured: Iterable[float], bounds: Iterable[float]) -> float:
-    """Max/min ratio of ``measured[i] / bounds[i]`` across a sweep.
-
-    A bound with the right *shape* keeps this spread small (the measured
-    values track the bound up to a roughly constant factor); a bound with the
-    wrong shape lets it grow with the sweep.  Returns 1.0 for single-point
-    sweeps.
-    """
-    ratios = []
-    for m, b in zip(measured, bounds):
-        if b <= 0:
-            raise ValueError("bound values must be positive")
-        ratios.append(m / b)
-    if not ratios:
-        raise ValueError("need at least one measurement")
-    return max(ratios) / min(ratios)

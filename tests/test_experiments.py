@@ -6,13 +6,8 @@ import pytest
 
 from repro.experiments import EXPERIMENT_IDS
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
-from repro.experiments.report import (
-    ExperimentReport,
-    combine_reports,
-    format_markdown,
-    format_table,
-)
-from repro.experiments.runner import measure_flooding_sweep, ratio_spread
+from repro.experiments.report import ExperimentReport, format_markdown, format_table
+from repro.experiments.runner import measure_flooding_sweep
 from repro.meg.edge_meg import EdgeMEG
 
 
@@ -58,12 +53,6 @@ class TestExperimentReport:
         report.add_row(a=1)
         assert "1" in format_table(report)
 
-    def test_combine_reports(self):
-        combined = combine_reports([self._report(), self._report()])
-        assert combined.count("X1: demo") == 2
-        combined_md = combine_reports([self._report()], markdown=True)
-        assert combined_md.startswith("###")
-
 
 class TestMeasureFloodingSweep:
     def test_sweep_over_sizes(self):
@@ -92,14 +81,6 @@ class TestMeasureFloodingSweep:
             measure_flooding_sweep(lambda n: EdgeMEG(n, 0.1, 0.1), [], num_trials=3)
         with pytest.raises(ValueError):
             measure_flooding_sweep(lambda n: EdgeMEG(n, 0.1, 0.1), [10], num_trials=0)
-
-    def test_ratio_spread(self):
-        assert ratio_spread([1.0, 2.0], [10.0, 20.0]) == pytest.approx(1.0)
-        assert ratio_spread([1.0, 4.0], [10.0, 20.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            ratio_spread([1.0], [0.0])
-        with pytest.raises(ValueError):
-            ratio_spread([], [])
 
 
 class TestRegistry:
