@@ -55,7 +55,7 @@ def experiment_seed_sequence(seed: int, *spawn_key: int) -> np.random.SeedSequen
 
     Spawning is purely functional on fresh parents — the child at path
     ``(i, j)`` equals ``SeedSequence(seed).spawn(...)[i].spawn(...)[j]`` — so
-    plan builders reconstruct the exact children the registry's pre-pipeline
+    planners reconstruct the exact children the registry's pre-pipeline
     code obtained through ``spawn_rngs`` without sharing mutable spawn state
     between compilation, execution and assembly.
     """
@@ -102,7 +102,7 @@ class ExperimentJob:
 class ExperimentPlan:
     """A compiled experiment: declarative jobs plus a pure assembly function.
 
-    What a plan builder ``(scale, seed) -> ExperimentPlan`` returns; the
+    What a planner ``(scale, seed) -> ExperimentPlan`` returns; the
     experiment id, scale and seed it was built from travel on the
     compiled :class:`repro.api.WorkRequest`, not here.  Building again from
     the same inputs yields an equivalent plan (same specs, same store keys).
@@ -115,7 +115,7 @@ class ExperimentPlan:
     assemble:
         Maps ``{job tag: flooding-time samples}`` to the final
         :class:`~repro.experiments.report.ExperimentReport`.  Pure given the
-        builder's inputs: bounds, mixing times and the non-engine
+        planner's inputs: bounds, mixing times and the non-engine
         Monte-Carlo quantities are derived deterministically from
         ``(scale, seed)``, so assembly from live results and assembly from
         store records produce identical reports.
