@@ -187,7 +187,9 @@ def waypoint_model(num_nodes: int, side: float, radius: float, speed: float) -> 
 
 def grid_walk_model(num_nodes: int, grid_side: int) -> RandomWalkMobility:
     """Lazy random-walk mobility on an ``grid_side x grid_side`` grid."""
-    return RandomWalkMobility(num_nodes, grid_side=grid_side, radius=1.0, holding_probability=0.2)
+    return RandomWalkMobility(
+        num_nodes, grid_side=grid_side, radius=1.0, holding_probability=0.2
+    )
 
 
 def grid_path_model(grid_side: int, agents_per_point: int) -> RandomPathModel:
@@ -375,7 +377,6 @@ def _edge_meg_row(multiplier, summary, point) -> dict:
     }
 
 
-#: E1-E7, one row each.
 DESIGNS: tuple[Design, ...] = (
     Design(
         experiment_id="E1",
@@ -425,7 +426,6 @@ DESIGNS: tuple[Design, ...] = (
             "full": {"levels": [60, 120, 240, 480], "trials": 6},
         },
         model=waypoint_model,
-        # side L = sqrt(n), radius 1, speed 1
         args=lambda n, point: (n, math.sqrt(n), 1.0, 1.0),
         row=_waypoint_row,
         notes=_waypoint_notes,
@@ -519,15 +519,14 @@ _E8_SCALES = {"small": {"n": 100, "trials": 5}, "full": {"n": 300, "trials": 10}
 def plan_gossip(scale: str, seed: int) -> ExperimentPlan:
     """E8: push-gossip variants on the same dynamic graphs as plain flooding."""
     n, trials = _E8_SCALES[scale]["n"], _E8_SCALES[scale]["trials"]
-    p = 2.0 / n
-    q = 0.5
+    args = (n, 2.0 / n, 0.5)
     # Only the flooding baseline is an engine workload; the gossip variants
     # use the randomised-spreading simulators and run in assembly.  The
     # historical code ran flooding as `trials` one-trial batches, each seeded
     # from a per-trial child of the protocol's stream — mirror that exactly.
     jobs = tuple(
         _job(
-            "E8", scale, f"flooding/{trial}", edge_meg_model, (n, p, q), 1,
+            "E8", scale, f"flooding/{trial}", edge_meg_model, args, 1,
             experiment_seed_sequence(seed, 0, trial),
         )
         for trial in range(trials)
@@ -540,7 +539,7 @@ def plan_gossip(scale: str, seed: int) -> ExperimentPlan:
             paper_reference="Section 5 (conclusions): randomised-subset protocols",
             columns=["protocol", "n", "mean_completion", "max_completion", "slowdown_vs_flooding"],
         )
-        model = edge_meg_model(n, p, q)
+        model = edge_meg_model(*args)
         baseline_mean = None
         for index, (label, spread) in enumerate(_E8_PROTOCOLS):
             if spread is None:
@@ -698,7 +697,9 @@ def plan_stationarity(scale: str, seed: int) -> ExperimentPlan:
         empirical_density = empirical_positional_distribution(
             waypoint, region, resolution=12, num_snapshots=snapshots, spacing=2, rng=generator
         )
-        empirical = uniformity_parameters(empirical_density, region, radius=radius, resolution=12)
+        empirical = uniformity_parameters(
+            empirical_density, region, radius=radius, resolution=12
+        )
         report.add_row(
             model="random waypoint", quantity="delta (empirical density)", value=empirical.delta
         )
