@@ -1,11 +1,11 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the engine benchmark.
 
-Each benchmark regenerates one experiment of DESIGN.md's per-experiment index
-(E1–E10 plus the ablations) at the "small" scale, checks the qualitative
-shape the paper predicts, and records the wall-clock cost via
-pytest-benchmark.  Run with::
+``bench_engine.py`` checks that the flooding kernels agree and times their
+speed-up ratios via pytest-benchmark; the paper's claims are checked in the
+tier-1 tests (``tests/test_experiments.py`` and
+``tests/test_paper_ablations.py``).  Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/bench_engine.py
 """
 
 from __future__ import annotations

@@ -10,15 +10,15 @@ reports them next to the corresponding bound formula and baselines.
 * :mod:`repro.experiments.runner` — generic sweep/measurement machinery;
 * :mod:`repro.experiments.registry` — the experiments ``E1``–``E10``: E1–E7
   as declared design rows that one generic planner and assembler run, E8–E10
-  with their own planners, and
-  :func:`~repro.experiments.registry.run_experiment`;
+  with their own planners, each with the paper claims its report must show,
+  and :func:`~repro.experiments.registry.run_experiment`;
 * :mod:`repro.experiments.pipeline` — the :class:`~repro.experiments.pipeline
   .ExperimentPlan` a planner returns (engine ``TrialSpec`` jobs + assembly)
   and the seed helpers the planners share.  An experiment runs, shards and
   reads back from a store as a :class:`repro.api.CompiledPlan`, like every
   other request;
 * :mod:`repro.experiments.report` — text/markdown table rendering used by the
-  benchmarks and EXPERIMENTS.md.
+  CLI and EXPERIMENTS.md.
 """
 
 from repro._lazy import lazy_exports

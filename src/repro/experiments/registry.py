@@ -10,10 +10,13 @@ serially, pooled, sharded or replayed from a store — is
 E1-E7 each sweep one factor and are declared as :class:`Design` rows, which
 one generic planner and assembler run.  E8 keeps its own planner; E9 and E10
 measure proof machinery, compile to zero engine jobs and run in assembly.
-``scale`` is ``"small"`` (seconds: what the tests and benchmarks run) or
-``"full"`` (larger sweeps, more trials).  Every job seed is an explicit
-``SeedSequence`` child, the one the pre-pipeline registry got through
-``spawn_rngs``, so reports are bit-identical to the historical numbers.
+Every experiment declares the shapes the paper predicts as :class:`Claim`
+predicates over its report, read from ``EXPERIMENTS[id].claims``; the tests
+check them at small scale over several seeds.  ``scale`` is ``"small"``
+(seconds: what the tests run) or ``"full"`` (larger sweeps, more trials).
+Every job seed is an explicit ``SeedSequence`` child, the one the
+pre-pipeline registry got through ``spawn_rngs``, so reports are
+bit-identical to the historical numbers.
 """
 
 from __future__ import annotations
@@ -68,19 +71,33 @@ from repro.mobility.positional import (
 from repro.mobility.random_path import GraphRandomWalkMobility, RandomPathModel
 from repro.mobility.random_walk import RandomWalkMobility
 from repro.mobility.random_waypoint import RandomWaypoint
-from repro.util.mathutils import loglog_slope
+from repro.util.mathutils import loglog_slope, logn_factor
 from repro.util.rng import ensure_rng, spawn_rngs
 from repro.util.stats import TrialSummary, summarize
 
 
 @dataclass(frozen=True)
+class Claim:
+    """One shape the paper predicts: ``holds(report)`` is true when the report shows it.
+
+    ``statement`` says in words what is checked; ``holds`` is a pure
+    predicate over the :class:`~repro.experiments.report.ExperimentReport`.
+    """
+
+    name: str
+    statement: str
+    holds: Callable[[ExperimentReport], bool]
+
+
+@dataclass(frozen=True)
 class Experiment:
-    """Registry entry: the listed title and reference, and the planner."""
+    """Registry entry: the listed title and reference, the planner and the claims."""
 
     experiment_id: str
     title: str
     paper_reference: str
     planner: Callable[[str, int], ExperimentPlan]
+    claims: tuple[Claim, ...]
 
 
 @dataclass(frozen=True)
@@ -94,7 +111,7 @@ class Design:
     row is ``row(level, summary, point)``, whose keys are the columns, and
     ``notes(rows, point)`` remarks on the whole sweep.  ``point`` holds the
     scale's table, ``scale`` and ``seed``, and per level its ``index`` (which
-    seeds its job) and model ``args``.
+    seeds its job) and model ``args``.  ``claims`` are checked on the report.
     """
 
     experiment_id: str
@@ -107,6 +124,7 @@ class Design:
     model: Callable[..., object]
     args: Callable[[object, SimpleNamespace], tuple]
     row: Callable[[object, TrialSummary, SimpleNamespace], dict]
+    claims: tuple[Claim, ...]
     notes: Optional[Callable[[list, SimpleNamespace], list]] = None
 
     def plan(self, scale: str, seed: int) -> ExperimentPlan:
@@ -156,6 +174,19 @@ def _job(experiment_id: str, scale: str, point: str, factory, args, trials, seed
 
 def _column(rows: list, name: str) -> list:
     return [row[name] for row in rows]
+
+
+def _slope(report: ExperimentReport, x: str, y: str) -> float:
+    return loglog_slope(report.column_values(x), report.column_values(y))
+
+
+def _bound_dominates(bound: str, statement: str) -> Claim:
+    """The claim that every row's measured mean is at most its ``bound`` column."""
+    return Claim(
+        "bound_dominates",
+        statement,
+        lambda r: all(row["measured_mean"] <= row[bound] for row in r.rows),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -350,17 +381,24 @@ def _augmented_grid_row(k, summary, point) -> dict:
     }
 
 
-def _augmented_grid_notes(rows, point) -> list:
+def _drops(rows) -> SimpleNamespace:
+    """The factors by which T_mix, meeting and measured time fall from first to last k."""
     first, last = rows[0], rows[-1]
-    drop_mix = first["T_mix"] / last["T_mix"]
-    drop_meet = first["meeting_time"] / max(last["meeting_time"], 1e-9)
-    drop_measured = first["measured_mean"] / max(last["measured_mean"], 1e-9)
+    return SimpleNamespace(
+        mixing=first["T_mix"] / last["T_mix"],
+        meeting=first["meeting_time"] / max(last["meeting_time"], 1e-9),
+        measured=first["measured_mean"] / max(last["measured_mean"], 1e-9),
+    )
+
+
+def _augmented_grid_notes(rows, point) -> list:
+    first, last, drops = rows[0], rows[-1], _drops(rows)
     return [
-        f"Mixing time drops by a factor {drop_mix:.1f} from k={first['k']} to "
-        f"k={last['k']} while the meeting time only drops by {drop_meet:.1f}; "
+        f"Mixing time drops by a factor {drops.mixing:.1f} from k={first['k']} to "
+        f"k={last['k']} while the meeting time only drops by {drops.meeting:.1f}; "
         "the paper's bound (driven by T_mix) therefore improves on the "
         "meeting-time bound of [15] as k grows.",
-        f"Measured flooding time drops by a factor {drop_measured:.1f} over the same range.",
+        f"Measured flooding time drops by a factor {drops.measured:.1f} over the same range.",
     ]
 
 
@@ -393,6 +431,17 @@ DESIGNS: tuple[Design, ...] = (
         args=lambda n, point: (n, 1.0 / (2.0 * n), 0.5),
         row=_theorem1_row,
         notes=_theorem1_notes,
+        claims=(
+            _bound_dominates(
+                "theorem1_bound", "The Theorem 1 bound (constant 1) dominates every measured mean."
+            ),
+            Claim(
+                "bound_grows_as_fast",
+                "The bound's log-log slope in n is at least the measurement's, less 0.2.",
+                lambda r: _slope(r, "n", "theorem1_bound")
+                >= _slope(r, "n", "measured_mean") - 0.2,
+            ),
+        ),
     ),
     Design(
         experiment_id="E2",
@@ -412,6 +461,21 @@ DESIGNS: tuple[Design, ...] = (
             "Connection map: two agents are linked when their hidden states coincide "
             "(agents hopping on a complete graph of meeting points)."
         ],
+        claims=(
+            _bound_dominates(
+                "theorem3_bound", "The Theorem 3 bound dominates every measured mean."
+            ),
+            Claim(
+                "eta_near_one",
+                "Co-location over a complete meeting graph is pairwise independent: eta <= 1.5.",
+                lambda r: all(eta <= 1.5 for eta in r.column_values("eta")),
+            ),
+            Claim(
+                "denser_floods_faster",
+                "More agents in the same meeting space flood no slower than 1.5x the smallest n.",
+                lambda r: r.rows[-1]["measured_mean"] <= r.rows[0]["measured_mean"] * 1.5,
+            ),
+        ),
     ),
     Design(
         experiment_id="E3",
@@ -429,6 +493,21 @@ DESIGNS: tuple[Design, ...] = (
         args=lambda n, point: (n, math.sqrt(n), 1.0, 1.0),
         row=_waypoint_row,
         notes=_waypoint_notes,
+        claims=(
+            _bound_dominates(
+                "waypoint_bound", "The Section 4.1 waypoint bound dominates every measured mean."
+            ),
+            Claim(
+                "sqrt_n_scaling",
+                "Flooding time scales like sqrt(n): its log-log slope in n is in [0.25, 0.85].",
+                lambda r: 0.25 <= _slope(r, "n", "measured_mean") <= 0.85,
+            ),
+            Claim(
+                "near_lower_bound",
+                "Flooding time stays within 8x the trivial Omega(sqrt(n)/v) lower bound.",
+                lambda r: max(r.column_values("ratio_to_lower")) <= 8.0,
+            ),
+        ),
     ),
     Design(
         experiment_id="E4",
@@ -448,6 +527,18 @@ DESIGNS: tuple[Design, ...] = (
             "Prior work gives almost tight Õ(sqrt(n)) bounds for this model; it serves "
             "as a calibration baseline for the simulator."
         ],
+        claims=(
+            Claim(
+                "respects_lower_bound",
+                "Flooding never beats the geometric lower bound by more than a factor 4.",
+                lambda r: all(row["measured_mean"] >= row["lower_bound"] / 4.0 for row in r.rows),
+            ),
+            Claim(
+                "larger_takes_longer",
+                "More agents on a proportionally larger grid take at least as long.",
+                lambda r: r.rows[-1]["measured_mean"] >= r.rows[0]["measured_mean"],
+            ),
+        ),
     ),
     Design(
         experiment_id="E5",
@@ -464,6 +555,23 @@ DESIGNS: tuple[Design, ...] = (
         args=lambda side, point: (side, point.agents_per_point),
         row=_random_paths_row,
         notes=_random_paths_notes,
+        claims=(
+            _bound_dominates(
+                "corollary5_bound", "The Corollary 5 bound dominates every measured mean."
+            ),
+            Claim(
+                "respects_diameter_bound",
+                "Flooding never beats the diameter lower bound by more than a factor 4.",
+                lambda r: all(
+                    row["measured_mean"] >= row["diameter_lower_bound"] / 4.0 for row in r.rows
+                ),
+            ),
+            Claim(
+                "grows_with_diameter",
+                "Flooding time grows with the diameter: log-log slope in D within [0.2, 2.0].",
+                lambda r: 0.2 <= _slope(r, "diameter", "measured_mean") <= 2.0,
+            ),
+        ),
     ),
     Design(
         experiment_id="E6",
@@ -480,6 +588,28 @@ DESIGNS: tuple[Design, ...] = (
         args=lambda k, point: (point.side, k),
         row=_augmented_grid_row,
         notes=_augmented_grid_notes,
+        claims=(
+            Claim(
+                "starts_at_plain_grid",
+                "The sweep starts at k = 1, the plain grid the drops are measured from.",
+                lambda r: r.rows[0]["k"] == 1,
+            ),
+            Claim(
+                "mixing_time_drops",
+                "The mixing time falls at least 2x from the first k to the last.",
+                lambda r: _drops(r.rows).mixing >= 2.0,
+            ),
+            Claim(
+                "mixing_beats_meeting",
+                "The T_mix-driven bound improves 1.5x faster in k than the meeting time of [15].",
+                lambda r: _drops(r.rows).mixing >= 1.5 * _drops(r.rows).meeting,
+            ),
+            Claim(
+                "flooding_improves_with_k",
+                "The measured flooding time at the last k is at most that at the first.",
+                lambda r: r.rows[-1]["measured_mean"] <= r.rows[0]["measured_mean"],
+            ),
+        ),
     ),
     Design(
         experiment_id="E7",
@@ -499,6 +629,26 @@ DESIGNS: tuple[Design, ...] = (
             "In the q >= n p region the two bounds agree up to polylog factors; for "
             "denser graphs (n p >> q) the prior bound is tighter, as Appendix A states."
         ],
+        claims=(
+            _bound_dominates(
+                "general_bound", "The Appendix A general bound dominates every measured mean."
+            ),
+            Claim(
+                "denser_floods_faster",
+                "The measured time at the largest p is at most that at the smallest.",
+                lambda r: r.rows[0]["measured_mean"] >= r.rows[-1]["measured_mean"],
+            ),
+            Claim(
+                "polylog_agreement_where_tight",
+                "Where q >= np the general bound is within 4 (log2 n)^2 of the bound of [10].",
+                lambda r: all(
+                    row["general_bound"]
+                    <= 4 * logn_factor(r.rows[0]["n"], 2) * row["prior_bound_[10]"]
+                    for row in r.rows
+                    if row["tight_region(q>=np)"]
+                ),
+            ),
+        ),
     ),
 )
 
@@ -571,10 +721,36 @@ def plan_gossip(scale: str, seed: int) -> ExperimentPlan:
     return ExperimentPlan(jobs, assemble)
 
 
+def _small_slowdown(report: ExperimentReport, protocol: str) -> bool:
+    rows = {row["protocol"]: row for row in report.rows}
+    flooding = rows["flooding"]["mean_completion"]
+    return flooding <= rows[protocol]["mean_completion"] <= 6 * flooding
+
+
+_E8_CLAIMS = (
+    Claim(
+        "gossip_small_slowdown",
+        "Push gossip at p = 1/2 completes no faster than flooding and at most 6x slower.",
+        lambda r: _small_slowdown(r, "gossip p=0.5"),
+    ),
+    Claim(
+        "epidemic_small_slowdown",
+        "The SI epidemic at p = 1/2 completes no faster than flooding and at most 6x slower.",
+        lambda r: _small_slowdown(r, "SI epidemic p=0.5"),
+    ),
+    Claim(
+        "all_completed",
+        "Every protocol completed on every trial within 10,000 rounds.",
+        lambda r: all(row["max_completion"] < 10_000 for row in r.rows),
+    ),
+)
+
+
 # --------------------------------------------------------------------------- #
 # E9 — Expansion machinery of Lemmas 9-11
 # --------------------------------------------------------------------------- #
 _E9_SCALES = {"small": {"n": 120, "samples": 60}, "full": {"n": 400, "samples": 200}}
+_E9_DEGREE = "deg_{i,A} (|A|=n/2)"
 
 
 def plan_expansion(scale: str, seed: int) -> ExperimentPlan:
@@ -604,7 +780,7 @@ def plan_expansion(scale: str, seed: int) -> ExperimentPlan:
         )
         degree_summary = summarize(degree_samples)
         report.add_row(
-            quantity="deg_{i,A} (|A|=n/2)",
+            quantity=_E9_DEGREE,
             predicted_mean=len(set_a) * alpha,
             measured_mean=degree_summary.mean,
             measured_q10=float(np.quantile(degree_samples, 0.1)),
@@ -647,6 +823,40 @@ def plan_expansion(scale: str, seed: int) -> ExperimentPlan:
         return report
 
     return ExperimentPlan((), assemble)
+
+
+def _degree_row(report: ExperimentReport) -> dict:
+    return {row["quantity"]: row for row in report.rows}[_E9_DEGREE]
+
+
+# deg_{i,A} has no quantile claim: a single node's degree into A has mean ~2,
+# so its 10% quantile is legitimately 0 for a sizeable fraction of seeds.
+_E9_CLAIMS = (
+    Claim(
+        "degree_at_least_half",
+        "The measured mean of deg_{i,A} is at least half the |A| alpha prediction.",
+        lambda r: _degree_row(r)["measured_mean"] >= 0.5 * _degree_row(r)["predicted_mean"],
+    ),
+    Claim(
+        "degree_at_most_twice",
+        "The measured mean of deg_{i,A} is at most twice the |A| alpha prediction.",
+        lambda r: _degree_row(r)["measured_mean"] <= 2.0 * _degree_row(r)["predicted_mean"],
+    ),
+    Claim(
+        "means_track_predictions",
+        "Every measured mean is at least 0.4x its independent-edge prediction.",
+        lambda r: all(row["measured_mean"] >= 0.4 * row["predicted_mean"] for row in r.rows),
+    ),
+    Claim(
+        "quantiles_do_not_collapse",
+        "deg_{A,B} and spread keep their 10% quantile at least 0.2x their mean (Lemmas 9-11).",
+        lambda r: all(
+            row["measured_q10"] >= 0.2 * row["measured_mean"]
+            for row in r.rows
+            if row["quantity"] != _E9_DEGREE
+        ),
+    ),
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -761,20 +971,77 @@ def plan_stationarity(scale: str, seed: int) -> ExperimentPlan:
     return ExperimentPlan((), assemble)
 
 
+def _value(report: ExperimentReport, model: str, quantity: str) -> float:
+    return {(row["model"], row["quantity"]): row["value"] for row in report.rows}[
+        (model, quantity)
+    ]
+
+
+def _alpha_matches(report: ExperimentReport) -> bool:
+    exact_alpha = _value(report, "co-location node-MEG", "alpha = P_NM (exact)")
+    mc_alpha = _value(report, "co-location node-MEG", "alpha (Monte-Carlo)")
+    return abs(mc_alpha - exact_alpha) <= 0.6 * exact_alpha + 0.05
+
+
+_E10_CLAIMS = (
+    Claim(
+        "waypoint_delta_bounded",
+        "Corollary 4 (a): the analytic waypoint density is within [1, 4] x uniform.",
+        lambda r: 1.0 <= _value(r, "random waypoint", "delta (analytic density)") <= 4.0,
+    ),
+    Claim(
+        "waypoint_lambda_positive",
+        "Corollary 4 (b): more than 5% of the square is high-density.",
+        lambda r: _value(r, "random waypoint", "lambda (analytic density)") > 0.05,
+    ),
+    Claim(
+        "empirical_delta_bounded",
+        "The empirical waypoint density is at most 6x uniform.",
+        lambda r: _value(r, "random waypoint", "delta (empirical density)") <= 6.0,
+    ),
+    Claim(
+        "alpha_matches_exact",
+        "The Monte-Carlo node-MEG alpha is within 0.6 alpha + 0.05 of the exact P_NM.",
+        _alpha_matches,
+    ),
+    Claim(
+        "beta_ratio_below_17eta",
+        "The measured node-MEG correlation ratio is below the 17 eta constant of Lemma 15.",
+        lambda r: _value(r, "co-location node-MEG", "beta ratio (Monte-Carlo)")
+        < _value(r, "co-location node-MEG", "beta = 17 eta (Lemma 15)"),
+    ),
+    Claim(
+        "edge_meg_beta_one",
+        "Independent edge-MEG edges give beta exactly 1.",
+        lambda r: _value(r, "classic edge-MEG", "beta (independent edges)") == 1.0,
+    ),
+)
+
+
 # --------------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------------- #
 EXPERIMENTS: dict[str, Experiment] = {
     entry.experiment_id: entry
     for entry in (
-        *(Experiment(d.experiment_id, d.title, d.paper_reference, d.plan) for d in DESIGNS),
-        Experiment("E8", "Randomised gossip vs flooding", "Section 5", plan_gossip),
-        Experiment("E9", "Expansion machinery of Lemmas 9-11", "Lemmas 9-11", plan_expansion),
+        *(
+            Experiment(d.experiment_id, d.title, d.paper_reference, d.plan, d.claims)
+            for d in DESIGNS
+        ),
+        Experiment("E8", "Randomised gossip vs flooding", "Section 5", plan_gossip, _E8_CLAIMS),
+        Experiment(
+            "E9",
+            "Expansion machinery of Lemmas 9-11",
+            "Lemmas 9-11",
+            plan_expansion,
+            _E9_CLAIMS,
+        ),
         Experiment(
             "E10",
             "Stationarity conditions of concrete models",
             "Fact 2 / Lemma 15 / Corollary 4",
             plan_stationarity,
+            _E10_CLAIMS,
         ),
     )
 }

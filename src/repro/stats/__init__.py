@@ -21,7 +21,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "DEFAULT_RESERVOIR",
             "BatchSketch",
             "MomentSketch",
-            "P2Quantile",
             "QuantileSketch",
             "StoppingRule",
             "merge_sketch_payloads",

@@ -16,8 +16,6 @@ and the bit-identity contract in full):
   priorities.  The kept values are a uniform sample without replacement,
   merging is set union + truncation (associative, deterministic), and a
   sketch whose stream fits within ``capacity`` is *exact*.
-  :class:`P2Quantile` is the classic P² estimator for callers that need a
-  single running quantile with O(1) state and no reservoir at all.
 * :class:`StoppingRule` — the sequential-sampling policy the engine
   evaluates between trial chunks: stop once the normal-approximation
   confidence interval around the running mean is narrower than a target
@@ -412,89 +410,6 @@ class QuantileSketch:
             (int(priority), float(value)) for priority, value in payload["entries"]
         ]
         return sketch
-
-
-class P2Quantile:
-    """The P² streaming estimator of a single quantile (Jain & Chlamtac).
-
-    O(1) state (five markers), no reservoir, order-sensitive — the
-    lightweight companion to :class:`QuantileSketch` for callers that only
-    track one running quantile inside a single pass and never merge.
-    Exact while fewer than five observations have arrived.
-    """
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"q must lie in (0, 1), got {q}")
-        self.q = float(q)
-        self._initial: list[float] = []
-        self._heights: list[float] = []
-        self._positions: list[float] = []
-        self._desired: list[float] = []
-        self._increments: list[float] = []
-
-    def update(self, value: float) -> None:
-        """Fold one observation into the estimator."""
-        value = float(value)
-        if self._initial is not None and len(self._initial) < 5:
-            self._initial.append(value)
-            if len(self._initial) == 5:
-                self._heights = sorted(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                q = self.q
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-                self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-                self._initial = None
-            return
-        if self._initial is not None:
-            return  # pragma: no cover - unreachable
-        heights, positions = self._heights, self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = next(i for i in range(4) if heights[i] <= value < heights[i + 1])
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers with the piecewise-parabolic fit.
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            step = 1.0 if delta >= 1.0 else -1.0 if delta <= -1.0 else 0.0
-            if step == 0.0:
-                continue
-            if not (positions[i + 1] - positions[i] > step > positions[i - 1] - positions[i]):
-                continue
-            candidate = self._parabolic(i, step)
-            if not heights[i - 1] < candidate < heights[i + 1]:
-                candidate = self._linear(i, step)
-            heights[i] = candidate
-            positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + step / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + step) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - step) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, p = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (p[j] - p[i])
-
-    @property
-    def value(self) -> float:
-        """The current quantile estimate."""
-        if self._initial is not None:
-            if not self._initial:
-                raise ValueError("cannot read a quantile before any update")
-            return float(np.quantile(np.asarray(self._initial, dtype=float), self.q))
-        return self._heights[2]
 
 
 @dataclass(frozen=True)

@@ -102,19 +102,28 @@ class TestRegistry:
         with pytest.raises(ValueError):
             run_experiment("E1", scale="huge")
 
-    @pytest.mark.parametrize("experiment_id", ["E1", "E2", "E7"])
+    @pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
     def test_small_scale_experiments_produce_rows(self, experiment_id):
-        report = run_experiment(experiment_id, scale="small", seed=0)
-        assert report.experiment_id == experiment_id
-        assert len(report.rows) >= 3
-        assert all(report.columns)
+        experiment = EXPERIMENTS[experiment_id]
+        assert experiment.claims
+        for seed in (0, 1, 2):
+            report = run_experiment(experiment_id, scale="small", seed=seed)
+            assert report.experiment_id == experiment_id
+            assert len(report.rows) >= 3
+            assert all(report.columns)
+            for claim in experiment.claims:
+                assert claim.holds(report), (
+                    f"{experiment_id} seed {seed}: claim {claim.name} fails: {claim.statement}"
+                )
 
-    def test_e1_bound_dominates_measurement(self):
-        report = run_experiment("E1", scale="small", seed=1)
+    def test_a_bound_below_the_measurement_fails_its_claim(self):
+        report = run_experiment("E1", scale="small", seed=0)
         for row in report.rows:
-            assert row["measured_mean"] <= row["theorem1_bound"]
+            row["theorem1_bound"] *= 1e-3
+        (dominance,) = [c for c in EXPERIMENTS["E1"].claims if c.name == "bound_dominates"]
+        assert not dominance.holds(report)
 
     def test_e7_has_tightness_column(self):
         report = run_experiment("E7", scale="small", seed=2)
         values = report.column_values("tight_region(q>=np)")
-        assert True in values or False in values
+        assert True in values and False in values

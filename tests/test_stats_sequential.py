@@ -15,7 +15,6 @@ from repro.stats.sequential import (
     DEFAULT_RESERVOIR,
     BatchSketch,
     MomentSketch,
-    P2Quantile,
     QuantileSketch,
     StoppingRule,
     merge_sketch_payloads,
@@ -186,22 +185,6 @@ class TestQuantileSketch:
             a.merge(b)
         with pytest.raises(ValueError):
             a.merge(c)
-
-
-class TestP2Quantile:
-    def test_exact_under_five_observations(self):
-        est = P2Quantile(0.5)
-        for value in (5.0, 1.0, 3.0):
-            est.update(value)
-        assert est.value == pytest.approx(3.0)
-
-    def test_converges_to_true_median(self):
-        rng = np.random.default_rng(3)
-        samples = rng.normal(0.0, 1.0, size=50_000)
-        est = P2Quantile(0.5)
-        for value in samples:
-            est.update(float(value))
-        assert abs(est.value - float(np.median(samples))) < 0.05
 
 
 class TestBatchSketch:
