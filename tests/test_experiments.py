@@ -116,6 +116,11 @@ class TestRegistry:
                     f"{experiment_id} seed {seed}: claim {claim.name} fails: {claim.statement}"
                 )
 
+    def test_e1_bound_dominates_measurement(self):
+        report = run_experiment("E1", scale="small", seed=1)
+        for row in report.rows:
+            assert row["measured_mean"] <= row["theorem1_bound"]
+
     def test_a_bound_below_the_measurement_fails_its_claim(self):
         report = run_experiment("E1", scale="small", seed=0)
         for row in report.rows:
