@@ -100,6 +100,7 @@ import argparse
 import errno
 import functools
 import json
+import math
 import os
 import signal
 import sys
@@ -126,6 +127,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
     return value
 
 
@@ -468,9 +476,11 @@ def _add_worker(parser: argparse.ArgumentParser) -> None:
         "--worker-id", default=None,
         help="identity recorded in lease metadata (default: hostname-pid)",
     )
-    parser.add_argument("--poll", type=float, default=0.5, help="seconds between idle spool scans")
     parser.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="S",
+        "--poll", type=_positive_float, default=0.5, help="seconds between idle spool scans"
+    )
+    parser.add_argument(
+        "--lease-ttl", type=_positive_float, default=None, metavar="S",
         help="seconds of heartbeat silence before a lease is presumed dead "
              "(default: the spool's persisted configuration)",
     )
@@ -513,7 +523,7 @@ def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
              "fleet: run `repro worker --spool DIR` elsewhere)",
     )
     parser.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="S",
+        "--lease-ttl", type=_positive_float, default=None, metavar="S",
         help="seconds of heartbeat silence before a lease is requeued",
     )
     parser.add_argument(
@@ -521,10 +531,10 @@ def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
         help="total execution attempts per job before it is marked failed",
     )
     parser.add_argument(
-        "--poll", type=float, default=0.2, help="monitor seconds between spool scans"
+        "--poll", type=_positive_float, default=0.2, help="monitor seconds between spool scans"
     )
     parser.add_argument(
-        "--max-wait", type=float, default=None, metavar="S",
+        "--max-wait", type=_positive_float, default=None, metavar="S",
         help="abort (leaving the spool for inspection) after S seconds",
     )
     parser.add_argument(
@@ -725,7 +735,7 @@ def _add_telemetry_export(parser: argparse.ArgumentParser) -> None:
              f"(default: the {TELEMETRY_ENV} environment variable)",
     )
     parser.add_argument(
-        "--window", type=float, default=DEFAULT_WINDOW_SECONDS, metavar="S",
+        "--window", type=_positive_float, default=DEFAULT_WINDOW_SECONDS, metavar="S",
         help="sliding window for rates and latency quantiles "
              f"(default {DEFAULT_WINDOW_SECONDS:g}s)",
     )
@@ -870,7 +880,11 @@ def _output_problem(args: argparse.Namespace) -> Optional[str]:
 
 
 def _outputs_unusable(args: argparse.Namespace) -> bool:
-    """Check the output paths before any trial runs; print why one fails."""
+    """Check the output paths before any trial runs; print why one fails.
+
+    Call it only once the request has compiled: it creates ``--results-dir``,
+    and a rejected request should leave nothing behind.
+    """
     problem = _output_problem(args)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
@@ -1022,12 +1036,12 @@ def _run_experiment_pipeline(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if _outputs_unusable(args):
-        return 2
     try:
         plan = compile_request(_request(args))
     except RequestError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    if _outputs_unusable(args):
         return 2
     engine = _build_engine(args)
 
@@ -1105,12 +1119,12 @@ def _run_flood(args: argparse.Namespace) -> int:
     from repro.core.bounds import classic_edge_meg_bound, corollary6_bound, waypoint_flooding_bound
     from repro.util.stats import summarize
 
-    if _outputs_unusable(args):
-        return 2
     try:
         plan = compile_request(_request(args))
     except RequestError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    if _outputs_unusable(args):
         return 2
     spec = plan.jobs[0].spec
     model = spec.args[0]
@@ -1200,15 +1214,15 @@ def _run_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if _outputs_unusable(args):
-        return 2
-    engine = _build_engine(args)
     try:
         request = _request(args)
         plan = compile_request(request)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    if _outputs_unusable(args):
+        return 2
+    engine = _build_engine(args)
     stopping = request.stopping
     estimator = estimator_description(request.sources, request.num_sources)
     batches = plan.run(engine, shard=args.shard)

@@ -23,9 +23,8 @@ execute and store the record.  Around that lifecycle the engine owns:
 * **statistics** — specs carrying a
   :class:`~repro.stats.sequential.StoppingRule` stop between rule-sized
   chunks once the running confidence interval is narrow enough (the realized
-  count depends only on the worker-invariant samples), and engines built
-  with ``sketch=True`` embed mergeable moment/quantile sketches in stored
-  records.
+  count depends only on the worker-invariant samples), and their stored
+  records embed a moment/quantile sketch of the realized samples.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from repro.engine.batch import flood_trials_batch
 from repro.engine.kernel import flood_sources_batch, flood_sparse, flood_vectorized
 from repro.engine.options import BACKENDS as BACKENDS, EXECUTORS as EXECUTORS
 from repro.engine.shard import (
+    KeySeeds,
     ShardSpec,
     batch_salt,
     batch_store_key,
@@ -364,16 +364,12 @@ def _chunk_writer(directory: Optional[str]):
     return writer
 
 
-def _store_payload(
-    result: BatchResult, spec: TrialSpec, salt: Optional[int], start: int, stride: int
-) -> dict:
+def _store_payload(result: BatchResult, spec: TrialSpec, key_material: KeySeeds) -> dict:
     """The persisted form of a batch result (plus the spec's provenance tags).
 
-    ``salt`` (derived from the *full* batch's seed token) switches on the
-    embedded sketch; ``start``/``stride`` are a shard's interleave
-    coordinates (``0, 1`` for a whole batch), so its entries carry the exact
-    reservoir priorities the unsharded stream assigns them, making
-    shard-merged sketches byte-identical to unsharded ones.
+    Adaptive (stopping-rule) records also embed the sketch of their samples,
+    salted by the batch's seed token ``key_material``, and the rule's
+    outcome.
     """
     payload = {
         "label": result.label,
@@ -383,11 +379,10 @@ def _store_payload(
     }
     if spec.tags:
         payload["tags"] = dict(spec.tags)
-    if salt is not None and result.flooding_times:
-        payload["sketch"] = sketch_from_samples(
-            result.flooding_times, salt, start=start, stride=stride
-        )
     if spec.stopping is not None:
+        payload["sketch"] = sketch_from_samples(
+            result.flooding_times, batch_salt(key_material)
+        )
         payload["stopping"] = {
             "rule": spec.stopping.as_dict(),
             "budget": spec.num_trials,
@@ -458,13 +453,6 @@ class Engine:
         realization once (:class:`~repro.engine.replay.SnapshotReplay`) and
         replay it for the remaining chunks — bit-identical results with the
         ``n x B`` informed matrix bounded at ``n x source_chunk``.
-    sketch:
-        Embed a mergeable moment/quantile sketch
-        (:func:`repro.stats.sequential.sketch_from_samples`) in every
-        stored record, letting :meth:`ResultStore.merge
-        <repro.engine.store.ResultStore.merge>` aggregate sharded batches
-        in O(1) memory per point.  Sketches never change the samples;
-        adaptive (stopping-rule) records always embed one.
     """
 
     def __init__(
@@ -474,7 +462,6 @@ class Engine:
         store: Optional[ResultStore] = None,
         source_chunk: Optional[int] = None,
         executor: str = "process",
-        sketch: bool = False,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -489,7 +476,6 @@ class Engine:
         self.store = store
         self.source_chunk = source_chunk
         self.executor = executor
-        self.sketch = bool(sketch)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -687,8 +673,6 @@ class Engine:
                     record = self.store.get(parent_key)
                     if record is not None:
                         record = dict(record)
-                        # The full batch's sketch covers all trials, not this slice.
-                        record.pop("sketch", None)
                         record["flooding_times"] = record["flooding_times"][
                             shard.index :: shard.count
                         ]
@@ -722,15 +706,7 @@ class Engine:
                 stopped_early=stopped_early,
             )
             if key is not None:
-                # The salt comes from the *parent* seed token and a shard's
-                # (start, stride) are its interleave coordinates, so a shard's
-                # sketch entries are exactly the ones the unsharded run assigns
-                # those trials — merge is byte-identical.
-                salt = None
-                if self.sketch or spec.stopping is not None:
-                    salt = batch_salt(key_material)
-                start, stride = (0, 1) if shard is None else (shard.index, shard.count)
-                payload = _store_payload(result, spec, salt, start, stride)
+                payload = _store_payload(result, spec, key_material)
                 if shard is not None:
                     payload = shard.store_record(payload, parent_key)
                 self.store.put(key, payload)

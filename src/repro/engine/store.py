@@ -61,7 +61,6 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.stats.sequential import merge_sketch_payloads
 from repro.telemetry import core as telemetry
 
 try:
@@ -672,7 +671,9 @@ def _assemble_shard_groups(
     indices are present with consistent metadata and trial counts.  Assembly interleaves the partial
     ``flooding_times`` back into trial order (shard ``i`` of ``K`` holds
     trials ``i, i+K, i+2K, ...``), producing a record bit-identical to what
-    an unsharded run of the same spec would have stored.
+    an unsharded run of the same spec would have stored.  Only fixed-count
+    batches shard (adaptive ones always run whole), so a group assembles
+    from its samples and metadata alone.
     """
     groups: dict[tuple[str, int], dict[int, tuple[str, dict]]] = {}
     for key, record in partials.items():
@@ -728,14 +729,6 @@ def _assemble_shard_groups(
         }
         if tags is not None:
             parent_record["tags"] = tags
-        # Sketch fan-in: when every shard embeds a sketch, the parent gets
-        # their merge — byte-identical to the sketch an unsharded run embeds,
-        # because shard reservoirs share the parent's salt and priorities
-        # (see repro.stats.sequential).  A group with partial sketch coverage
-        # assembles without one rather than publishing a sketch of a subset.
-        sketches = [rec.get("sketch") for _, (_, rec) in sorted(members.items())]
-        if all(s is not None for s in sketches):
-            parent_record["sketch"] = merge_sketch_payloads(sketches)
         current = parents[parent_key] if parent_key in parents else lookup(parent_key)
         if current is not _ABSENT and current != parent_record:
             raise MergeConflictError(

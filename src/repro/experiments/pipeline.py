@@ -24,12 +24,10 @@ sweep and flood.
   attached store already holds (the engine serves them as cache hits), and a
   re-run against a warm store executes zero trials.
 
-Experiment assembly functions consume the *full* per-trial sample arrays, so
-sketch-bearing store records (:mod:`repro.stats.sequential`) pass through
-untouched here — the embedded ``"sketch"`` payload is extra metadata, never
-a substitute for ``flooding_times`` on the experiment path.  Stopping rules
-are likewise a sweep-only feature: experiment jobs always run their declared
-fixed trial counts so the golden-value regressions stay bit-identical.
+Experiment assembly functions consume the *full* per-trial sample arrays.
+Stopping rules are a sweep-only feature: experiment jobs always run their
+declared fixed trial counts so the golden-value regressions stay
+bit-identical.
 """
 
 from __future__ import annotations

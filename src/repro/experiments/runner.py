@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.engine import BatchResult, Engine, TrialSpec
 from repro.meg.base import DynamicGraph
-from repro.stats.sequential import StoppingRule, summary_from_sketch, whp_from_sketch
+from repro.stats.sequential import StoppingRule
 from repro.util.rng import RNGLike, spawn_seed_sequences
 from repro.util.stats import TrialSummary, summarize_with_whp
 
@@ -150,29 +150,10 @@ def measurement_from_record(spec: TrialSpec, record: dict) -> SweepMeasurement:
     execution.  The fleet fan-in and the ``repro serve`` warm path both
     assemble through this, so store-backed measurements are identical to
     live ones field by field.
-
-    Records holding full samples take the exact path (identical to a live
-    run).  A record carrying only an embedded sketch — how million-trial
-    aggregates travel without materializing every sample — yields a
-    measurement whose summary and whp value come from the sketch (exact
-    moments for integer streams, DKW-bounded quantiles; see
-    :mod:`repro.stats.sequential`) with ``samples`` left empty.
     """
     num_nodes = int(record["num_nodes"])
     stopping = record.get("stopping") or {}
-    stopped_early = bool(stopping.get("stopped_early", False))
-    times = record.get("flooding_times")
-    if not times and record.get("sketch") is not None:
-        return SweepMeasurement(
-            parameter=spec.args[0],
-            num_nodes=num_nodes,
-            summary=summary_from_sketch(record["sketch"]),
-            whp_value=whp_from_sketch(record["sketch"], num_nodes),
-            samples=(),
-            from_cache=True,
-            stopped_early=stopped_early,
-        )
-    samples = list(map(int, times))
+    samples = list(map(int, record["flooding_times"]))
     summary, whp_value = summarize_with_whp(samples, num_nodes)
     return SweepMeasurement(
         parameter=spec.args[0],
@@ -181,7 +162,7 @@ def measurement_from_record(spec: TrialSpec, record: dict) -> SweepMeasurement:
         whp_value=whp_value,
         samples=tuple(samples),
         from_cache=True,
-        stopped_early=stopped_early,
+        stopped_early=bool(stopping.get("stopped_early", False)),
     )
 
 

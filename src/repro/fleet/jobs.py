@@ -57,7 +57,7 @@ _PRIORITY_PREFIX = {"interactive": "p0", "normal": "p1", "batch": "p2"}
 def _engine_config(engine: Optional[dict]) -> dict:
     """Normalised engine configuration carried in a job descriptor."""
     config = dict(engine or {})
-    unknown = set(config) - {"workers", "backend", "executor", "source_chunk", "sketch"}
+    unknown = set(config) - {"workers", "backend", "executor", "source_chunk"}
     if unknown:
         raise ValueError(f"unknown engine config keys: {sorted(unknown)}")
     return config
@@ -71,7 +71,6 @@ def engine_from_config(config: Optional[dict], store: ResultStore) -> Engine:
         backend=config.get("backend", "auto"),
         executor=config.get("executor", "process"),
         source_chunk=config.get("source_chunk"),
-        sketch=bool(config.get("sketch", False)),
         store=store,
     )
 

@@ -1,15 +1,15 @@
-"""repro.stats — streaming statistics for adaptive, store-scale aggregation.
+"""repro.stats — streaming statistics for adaptive sampling.
 
 The classical helpers in :mod:`repro.util.stats` operate on fully
 materialized sample lists.  This package holds their *streaming* analogues
-(:mod:`repro.stats.sequential`): mergeable moment accumulators and
-bounded-size quantile sketches that batch records can embed, plus the
+(:mod:`repro.stats.sequential`): the running-moment accumulator behind the
 sequential :class:`~repro.stats.sequential.StoppingRule` the engine
-evaluates between trial chunks.  Invariants: integer-valued streams (the
-flooding times) accumulate *exactly* — arbitrary-precision integer sums make
-sketch merging associative and byte-stable in any merge order — and the
-reservoir streams are seed-derived, so sharded and unsharded runs embed
-bit-identical sketches.
+evaluates between trial chunks, and the sketch (exact moments plus a
+bounded quantile reservoir) that adaptive batch records embed.  Invariants:
+integer-valued streams (the flooding times) accumulate *exactly* —
+arbitrary-precision integer sums make the moments independent of chunking —
+and the reservoir streams are seed-derived, so a record's sketch depends
+only on its seeds and samples.
 """
 
 from repro._lazy import lazy_exports
@@ -19,16 +19,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "repro.stats.sequential": (
             "DEFAULT_RESERVOIR",
-            "BatchSketch",
             "MomentSketch",
-            "QuantileSketch",
             "StoppingRule",
-            "merge_sketch_payloads",
             "quantile_rank_epsilon",
             "sketch_from_samples",
             "sketch_salt",
-            "summary_from_sketch",
-            "whp_from_sketch",
             "z_score",
         ),
     },

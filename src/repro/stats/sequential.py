@@ -1,21 +1,20 @@
-"""Online sketches and sequential stopping rules for trial batches.
+"""Online moments, the adaptive-record sketch and sequential stopping rules.
 
 Three cooperating pieces (see ``docs/statistics.md`` for the error bounds
 and the bit-identity contract in full):
 
-* :class:`MomentSketch` — a mergeable streaming moment accumulator
-  (count, mean, variance, min, max).  Updates are Welford's algorithm and
-  merges are Chan's parallel-variance formula, but integer-valued streams
-  — the flooding times — additionally carry *exact* arbitrary-precision
-  integer sums, so their means/variances are computed from exact sums and
-  sketch merging is associative and byte-stable in any merge order.
-* :class:`QuantileSketch` — a bounded-size quantile sketch built on a
-  deterministic bottom-``k`` reservoir: every trial index gets a 64-bit
-  priority from a seed-derived stream (:func:`sketch_salt` +
-  ``splitmix64``), and the sketch keeps the ``capacity`` smallest
-  priorities.  The kept values are a uniform sample without replacement,
-  merging is set union + truncation (associative, deterministic), and a
-  sketch whose stream fits within ``capacity`` is *exact*.
+* :class:`MomentSketch` — a streaming moment accumulator (count, mean,
+  variance, min, max) updated with Welford's algorithm.  Integer-valued
+  streams — the flooding times — additionally carry *exact*
+  arbitrary-precision integer sums, so their means/variances are computed
+  from exact sums and do not depend on how the stream was chunked.
+* :func:`sketch_from_samples` — the ``"sketch"`` payload an adaptive batch
+  record embeds: the exact moments plus a deterministic bottom-``k``
+  reservoir.  Every trial index gets a 64-bit priority from a seed-derived
+  stream (:func:`sketch_salt` + ``splitmix64``) and the reservoir keeps the
+  ``capacity`` smallest priorities, so the kept values are a uniform sample
+  without replacement and a stream that fits within ``capacity`` is kept
+  whole.
 * :class:`StoppingRule` — the sequential-sampling policy the engine
   evaluates between trial chunks: stop once the normal-approximation
   confidence interval around the running mean is narrower than a target
@@ -23,10 +22,8 @@ and the bit-identity contract in full):
   Decisions depend only on the samples (which are worker-invariant), so
   the realized trial count is identical at any worker count or executor.
 
-Nothing here imports the engine: the engine, the result store and the
-fleet import *this* module, embed sketch payloads (:func:`sketch_from_samples`)
-in batch records and merge them (:func:`merge_sketch_payloads`) during
-shard assembly.
+Nothing here imports the engine: the engine imports *this* module and embeds
+:func:`sketch_from_samples` payloads in the records of adaptive batches.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.telemetry import core as telemetry
-from repro.util.stats import TrialSummary
 from repro.util.stats import z_score as z_score  # re-exported; single source of truth
 
 #: Schema version stamped into serialized sketch payloads.
@@ -63,7 +58,8 @@ def quantile_rank_epsilon(capacity: int, confidence: float = 0.95) -> float:
     ``(q - eps)``- and ``(q + eps)``-quantiles, where
     ``eps = sqrt(ln(2 / (1 - confidence)) / (2 * capacity))`` (the
     Dvoretzky–Kiefer–Wolfowitz inequality).  This is the documented error
-    bound of :class:`QuantileSketch` beyond its exact regime.
+    bound of the :func:`sketch_from_samples` reservoir once the stream
+    outgrows it.
     """
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -77,8 +73,8 @@ def sketch_salt(token: object) -> int:
 
     ``token`` is any JSON-able identity (the engine passes the batch's
     ``seed_token``).  The salt — not the values — drives the reservoir's
-    priority stream, so every shard of one batch derives the same stream
-    and sharded/unsharded runs embed bit-identical sketches.
+    priority stream, so a batch's sketch depends only on its seeds and
+    samples, whatever the worker count or executor.
     """
     return text_salt(json.dumps(token, sort_keys=True, separators=(",", ":")))
 
@@ -113,19 +109,17 @@ def _is_exact(value) -> bool:
 
 
 class MomentSketch:
-    """Mergeable streaming moments: count, mean, variance, min, max.
+    """Streaming moments: count, mean, variance, min, max.
 
-    Updates use Welford's online algorithm and merges use Chan's
-    parallel-variance formula.  Integer-valued streams additionally keep
-    exact integer ``total`` / ``total_sq`` sums; while that track is alive,
-    ``mean`` and ``variance`` are derived from the exact sums — one float
-    division at the very end — making them independent of update order,
-    chunking and merge shape (the property the result store's byte-identity
-    contract relies on).  A single non-integer observation permanently
-    drops the stream to the float track, which is mergeable but only
-    reproducible for one fixed merge shape: its mean comes from a
-    Neumaier-compensated running sum (Welford's running mean drifts when
-    large values cancel) and its variance from Welford/Chan.
+    Updates use Welford's online algorithm.  Integer-valued streams
+    additionally keep exact integer ``total`` / ``total_sq`` sums; while
+    that track is alive, ``mean`` and ``variance`` are derived from the
+    exact sums — one float division at the very end — making them
+    independent of update order and chunking (the property the result
+    store's byte-identity contract relies on).  A single non-integer
+    observation permanently drops the stream to the float track: its mean
+    comes from a Neumaier-compensated running sum (Welford's running mean
+    drifts when large values cancel) and its variance from Welford.
     """
 
     __slots__ = (
@@ -152,11 +146,6 @@ class MomentSketch:
         sketch = cls()
         sketch.update_many(samples)
         return sketch
-
-    @property
-    def exact(self) -> bool:
-        """Whether the exact integer track is still alive."""
-        return self._total is not None
 
     def update(self, value) -> None:
         """Fold one observation into the sketch."""
@@ -191,32 +180,6 @@ class MomentSketch:
         """Fold a batch of observations into the sketch, in order."""
         for value in values:
             self.update(value)
-
-    def merge(self, other: "MomentSketch") -> None:
-        """Fold ``other`` into this sketch (Chan's parallel update)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.minimum, self.maximum = other.minimum, other.maximum
-            self._mean, self._m2 = other._mean, other._m2
-            self._sum, self._sum_err = other._sum, other._sum_err
-            self._total, self._total_sq = other._total, other._total_sq
-            return
-        total_count = self.count + other.count
-        delta = other._mean - self._mean
-        self._mean += delta * other.count / total_count
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total_count
-        self._add_to_sum(other._sum)
-        self._add_to_sum(other._sum_err)
-        self.count = total_count
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        if self._total is not None and other._total is not None:
-            self._total += other._total
-            self._total_sq += other._total_sq
-        else:
-            self._total = self._total_sq = None
 
     @property
     def mean(self) -> float:
@@ -258,9 +221,8 @@ class MomentSketch:
         return z_score(confidence) * self.sem
 
     def as_dict(self) -> dict:
-        """JSON-able form.  Exact streams persist the integer sums only —
-        mean/variance are re-derived on load, so the payload is byte-stable
-        whatever the update or merge order that produced it."""
+        """JSON-able form.  Exact streams persist the integer sums only, so
+        the payload is byte-stable whatever the chunking that produced it."""
         payload: dict = {
             "count": self.count,
             "min": self.minimum,
@@ -275,250 +237,36 @@ class MomentSketch:
             payload["m2"] = self._m2
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MomentSketch":
-        """Rebuild a sketch from its :meth:`as_dict` payload."""
-        sketch = cls()
-        sketch.count = int(payload["count"])
-        sketch.minimum = None if payload["min"] is None else float(payload["min"])
-        sketch.maximum = None if payload["max"] is None else float(payload["max"])
-        if "total" in payload:
-            sketch._total = int(payload["total"])
-            sketch._total_sq = int(payload["total_sq"])
-            sketch._sum = float(sketch._total)
-            sketch._sum_err = float(sketch._total - int(sketch._sum))
-            if sketch.count:
-                sketch._mean = sketch._total / sketch.count
-                sketch._m2 = sketch.variance * max(sketch.count - 1, 0)
-        else:
-            sketch._total = sketch._total_sq = None
-            if "sum" in payload:
-                sketch._sum = float(payload["sum"])
-                sketch._sum_err = float(payload["sum_err"])
-            else:  # float payloads written before the compensated sum
-                sketch._sum = float(payload["mean"]) * sketch.count
-            if sketch.count:
-                sketch._mean = sketch.mean
-            sketch._m2 = float(payload["m2"])
-        return sketch
-
-
-class QuantileSketch:
-    """Bounded-size quantile sketch: a deterministic bottom-``k`` reservoir.
-
-    Each observed trial index ``i`` receives the 64-bit priority
-    ``splitmix64(salt, i)``; the sketch keeps the ``capacity`` entries with
-    the smallest priorities.  Because priorities are a pseudo-random
-    permutation of the indices, the kept values are a uniform sample
-    without replacement — so quantiles of the reservoir estimate stream
-    quantiles with the DKW rank error of :func:`quantile_rank_epsilon`,
-    and a stream no longer than ``capacity`` is represented *exactly*.
-    Merging is set union plus truncation: associative, commutative and
-    deterministic, so any shard partition merges to the sketch the
-    unsharded stream would have built, entry for entry.
-    """
-
-    __slots__ = ("capacity", "salt", "total", "entries")
-
-    def __init__(self, salt: int, capacity: int = DEFAULT_RESERVOIR) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.salt = int(salt) & _MASK64
-        self.total = 0
-        #: ``(priority, value)`` pairs, sorted ascending, at most ``capacity``.
-        self.entries: list[tuple[int, float]] = []
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples: Sequence[float],
-        salt: int,
-        start: int = 0,
-        stride: int = 1,
-        capacity: int = DEFAULT_RESERVOIR,
-    ) -> "QuantileSketch":
-        """Sketch of ``samples`` occupying trial indices ``start, start+stride, ...``.
-
-        Shard ``i`` of ``K`` passes ``start=i, stride=K`` so its entries get
-        the exact priorities the unsharded stream assigns those trials.
-        """
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        sketch = cls(salt, capacity)
-        sketch.total = len(samples)
-        entries = [
-            (_priority(sketch.salt, start + offset * stride), float(value))
-            for offset, value in enumerate(samples)
-        ]
-        entries.sort()
-        sketch.entries = entries[: sketch.capacity]
-        return sketch
-
-    def merge(self, other: "QuantileSketch") -> None:
-        """Fold ``other`` into this sketch (union, sort, truncate)."""
-        if other.salt != self.salt:
-            raise ValueError(
-                f"cannot merge quantile sketches with different salts "
-                f"({self.salt:#x} vs {other.salt:#x})"
-            )
-        if other.capacity != self.capacity:
-            raise ValueError(
-                f"cannot merge quantile sketches with different capacities "
-                f"({self.capacity} vs {other.capacity})"
-            )
-        merged = sorted(set(self.entries) | set(other.entries))
-        self.entries = merged[: self.capacity]
-        self.total += other.total
-
-    @property
-    def exact(self) -> bool:
-        """Whether the reservoir holds the entire stream."""
-        return self.total <= self.capacity
-
-    def values(self) -> np.ndarray:
-        """The reservoir's values (the uniform sample), as an array."""
-        if not self.entries:
-            raise ValueError("cannot read quantiles of an empty sketch")
-        return np.asarray([value for _, value in self.entries], dtype=float)
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile of the reservoir sample."""
-        return float(np.quantile(self.values(), q))
-
-    def whp_value(self, n: int) -> float:
-        """The ``1 - 1/n`` quantile (the paper's w.h.p. level), clamped."""
-        if n < 2:
-            return float(self.values().max())
-        return self.quantile(min(1.0 - 1.0 / n, 1.0))
-
-    def as_dict(self) -> dict:
-        """JSON-able form (entries are byte-stable: sorted, deduplicated)."""
-        return {
-            "capacity": self.capacity,
-            "salt": self.salt,
-            "total": self.total,
-            "entries": [[priority, value] for priority, value in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "QuantileSketch":
-        """Rebuild a sketch from its :meth:`as_dict` payload."""
-        sketch = cls(int(payload["salt"]), int(payload["capacity"]))
-        sketch.total = int(payload["total"])
-        sketch.entries = [
-            (int(priority), float(value)) for priority, value in payload["entries"]
-        ]
-        return sketch
-
-
-@dataclass(frozen=True)
-class BatchSketch:
-    """The sketch a batch record embeds: exact moments + a quantile reservoir."""
-
-    moments: MomentSketch
-    quantiles: QuantileSketch
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples: Sequence[float],
-        salt: int,
-        start: int = 0,
-        stride: int = 1,
-        capacity: int = DEFAULT_RESERVOIR,
-    ) -> "BatchSketch":
-        """Sketch of one (possibly strided) slice of a trial stream."""
-        return cls(
-            moments=MomentSketch.from_samples(samples),
-            quantiles=QuantileSketch.from_samples(
-                samples, salt, start=start, stride=stride, capacity=capacity
-            ),
-        )
-
-    def merge(self, other: "BatchSketch") -> None:
-        """Fold ``other`` into this sketch (both halves mergeable)."""
-        self.moments.merge(other.moments)
-        self.quantiles.merge(other.quantiles)
-
-    def summary(self) -> TrialSummary:
-        """A :class:`~repro.util.stats.TrialSummary` computed in O(capacity).
-
-        Count, mean, std, min and max come from the moment sketch (exact
-        for integer streams); median/q90/q99 from the reservoir (exact
-        while the stream fits, DKW-bounded beyond).
-        """
-        moments, quantiles = self.moments, self.quantiles
-        if moments.count == 0:
-            raise ValueError("cannot summarise an empty sketch")
-        return TrialSummary(
-            count=moments.count,
-            mean=moments.mean,
-            std=moments.std,
-            minimum=moments.minimum,
-            maximum=moments.maximum,
-            median=quantiles.quantile(0.5),
-            q90=quantiles.quantile(0.90),
-            q99=quantiles.quantile(0.99),
-        )
-
-    def as_dict(self) -> dict:
-        """The JSON payload batch records embed under their ``sketch`` key."""
-        return {
-            "schema": SKETCH_SCHEMA,
-            "moments": self.moments.as_dict(),
-            "quantiles": self.quantiles.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "BatchSketch":
-        """Rebuild a batch sketch from its embedded payload."""
-        schema = payload.get("schema")
-        if schema != SKETCH_SCHEMA:
-            raise ValueError(f"unsupported sketch schema {schema!r}")
-        return cls(
-            moments=MomentSketch.from_dict(payload["moments"]),
-            quantiles=QuantileSketch.from_dict(payload["quantiles"]),
-        )
-
 
 def sketch_from_samples(
-    samples: Sequence[float],
-    salt: int,
-    start: int = 0,
-    stride: int = 1,
-    capacity: int = DEFAULT_RESERVOIR,
+    samples: Sequence[float], salt: int, capacity: int = DEFAULT_RESERVOIR
 ) -> dict:
-    """The embeddable sketch payload of one (possibly strided) sample slice."""
-    return BatchSketch.from_samples(
-        samples, salt, start=start, stride=stride, capacity=capacity
-    ).as_dict()
+    """The ``"sketch"`` payload an adaptive batch record embeds.
 
-
-def merge_sketch_payloads(payloads: Sequence[dict]) -> dict:
-    """Merge embedded sketch payloads (shard assembly's sketch fan-in).
-
-    Associative and order-independent for integer streams, so the merged
-    payload is byte-identical to the sketch an unsharded run embeds.
-    Counts one ``stats.sketch.merge`` telemetry tick per fold.
+    ``moments`` is the :class:`MomentSketch` of ``samples``; ``quantiles``
+    is a bottom-``capacity`` reservoir: trial ``i`` gets the priority
+    ``splitmix64(salt, i)`` and the ``capacity`` smallest ``[priority,
+    value]`` pairs are kept, sorted.  Priorities are a pseudo-random
+    permutation of the trial indices, so the kept values are a uniform
+    sample without replacement (quantiles within the DKW rank error of
+    :func:`quantile_rank_epsilon`), and all of ``samples`` when it fits.
     """
-    if not payloads:
-        raise ValueError("need at least one sketch payload to merge")
-    merged = BatchSketch.from_dict(payloads[0])
-    for payload in payloads[1:]:
-        merged.merge(BatchSketch.from_dict(payload))
-        telemetry.count("stats.sketch.merge")
-    return merged.as_dict()
-
-
-def summary_from_sketch(payload: dict) -> TrialSummary:
-    """A :class:`~repro.util.stats.TrialSummary` from an embedded sketch."""
-    return BatchSketch.from_dict(payload).summary()
-
-
-def whp_from_sketch(payload: dict, n: int) -> float:
-    """The w.h.p. (``1 - 1/n``) quantile estimate of an embedded sketch."""
-    return BatchSketch.from_dict(payload).quantiles.whp_value(n)
+    if capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
+    salt = int(salt) & _MASK64
+    entries = sorted(
+        (_priority(salt, index), float(value)) for index, value in enumerate(samples)
+    )
+    return {
+        "schema": SKETCH_SCHEMA,
+        "moments": MomentSketch.from_samples(samples).as_dict(),
+        "quantiles": {
+            "capacity": int(capacity),
+            "salt": salt,
+            "total": len(samples),
+            "entries": [[priority, value] for priority, value in entries[:capacity]],
+        },
+    }
 
 
 @dataclass(frozen=True)

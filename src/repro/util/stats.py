@@ -4,9 +4,9 @@ The experiments measure flooding times over many independent trials; these
 helpers summarise those samples (mean, quantiles, confidence intervals) and
 provide the "with high probability" style quantile estimates used when
 comparing to the paper's w.h.p. bounds.  Everything here operates on fully
-materialized sample sequences; the streaming/mergeable analogues — sketches
-batch records can embed and the sequential stopping rules built on them —
-live in :mod:`repro.stats.sequential`, which derives its z-values from the
+materialized sample sequences; the streaming analogues — running moments,
+the sequential stopping rules built on them and the sketch adaptive records
+embed — live in :mod:`repro.stats.sequential`, which derives its z-values from the
 same normal quantile as :func:`mean_confidence_interval` so both paths
 report identical intervals for identical samples.
 """

@@ -41,7 +41,6 @@ from repro.fleet import (
     request_job_payloads,
 )
 from repro.meg.edge_meg import EdgeMEG
-from repro.stats.sequential import sketch_from_samples, sketch_salt
 
 
 def make_edge_meg(num_nodes: int) -> EdgeMEG:
@@ -115,39 +114,6 @@ class TestEngineStopping:
         sharded = engine.run_shard(ShardSpec(adaptive_spec(), 0, 1))
         direct = engine.run(adaptive_spec())
         assert sharded.flooding_times == direct.flooding_times
-
-
-class TestSketchRecords:
-    def test_sharded_sketch_merge_byte_identical(self, tmp_path):
-        spec = TrialSpec(factory=make_edge_meg, args=(20,), num_trials=12, seed=3)
-        whole_store = ResultStore(str(tmp_path / "whole"))
-        Engine(store=whole_store, sketch=True).run(spec)
-        whole = whole_store.get(batch_store_key(spec))
-
-        shard_stores = [ResultStore(str(tmp_path / f"s{i}")) for i in range(3)]
-        for index, store in enumerate(shard_stores):
-            Engine(store=store, sketch=True).run_shard(ShardSpec(spec, index, 3))
-        merged = ResultStore(str(tmp_path / "merged"))
-        merged.merge(*shard_stores)
-        assembled = merged.get(batch_store_key(spec))
-        assert assembled["sketch"] == whole["sketch"]
-        assert assembled["flooding_times"] == whole["flooding_times"]
-
-    def test_measurement_from_sketch_only_record(self):
-        spec = TrialSpec(factory=make_edge_meg, args=(20,), num_trials=10, seed=5)
-        result = Engine().run(spec)
-        salt = sketch_salt({"probe": 5})
-        record = {
-            "num_nodes": 20,
-            "num_trials": result.num_trials,
-            "sketch": sketch_from_samples(result.flooding_times, salt),
-        }
-        measurement = measurement_from_record(spec, record)
-        assert measurement.samples == ()
-        assert measurement.summary.count == result.num_trials
-        assert measurement.summary.mean == pytest.approx(
-            sum(result.flooding_times) / len(result.flooding_times)
-        )
 
 
 class TestApiRoundTrip:

@@ -528,6 +528,15 @@ class TestNegativeSeed:
             "fleet", "run", "sweep", "edge-meg", "--nodes", "16", "--trials", "2",
             "--seed", "-1",
         ],
+        "experiment-results-dir": ["experiment", "E1", "--seed", "-1", "--results-dir", "{tmp}/D"],
+        "flood-results-dir": [
+            "flood", "edge-meg", "--nodes", "8", "--trials", "2", "--seed", "-1",
+            "--results-dir", "{tmp}/D",
+        ],
+        "sweep-results-dir": [
+            "sweep", "edge-meg", "--nodes", "8", "--trials", "2", "--seed", "-1",
+            "--results-dir", "{tmp}/D",
+        ],
     }
 
     @pytest.mark.parametrize("kind", sorted(BODIES))
@@ -554,7 +563,7 @@ class TestNegativeSeed:
     def test_cli_prints_error_and_exits_2(self, case, tmp_path, capsys):
         from repro.cli import main
 
-        argv = list(self.ARGVS[case])
+        argv = [part.format(tmp=tmp_path) for part in self.ARGVS[case]]
         if argv[0] == "fleet":
             argv += ["--shards", "2", "--spool", str(tmp_path / "spool"),
                      "--results-dir", str(tmp_path / "merged")]

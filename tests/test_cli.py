@@ -293,3 +293,33 @@ class TestUnusableOutputPaths:
                      "--output", str(tmp_path / "missing" / "report.md")])
         self._assert_refused(capsys, code, "--output")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestPositiveFloatFlags:
+    """Durations must be finite and positive: a usage error, before any side effect."""
+
+    FLEET_SWEEP = ["fleet", "run", "sweep", "edge-meg", "--nodes", "8", "--trials", "2",
+                   "--shards", "2", "--spool", "{spool}", "--results-dir", "{results}"]
+    ARGVS = {
+        "worker-poll": ["worker", "--spool", "{spool}", "--poll", "0"],
+        "worker-lease-ttl": ["worker", "--spool", "{spool}", "--lease-ttl", "-1"],
+        "fleet-poll": [*FLEET_SWEEP, "--poll", "-1"],
+        "fleet-max-wait": [*FLEET_SWEEP, "--max-wait", "-1"],
+        "fleet-lease-ttl": [*FLEET_SWEEP, "--lease-ttl", "-1"],
+        "fleet-poll-nan": [*FLEET_SWEEP, "--poll", "nan"],
+        "telemetry-export-window": ["telemetry", "export", "--telemetry", "{spool}",
+                                    "--window", "-5"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(ARGVS))
+    def test_exits_2_and_creates_nothing(self, case, tmp_path, capsys):
+        argv = [part.format(spool=tmp_path / "spool", results=tmp_path / "merged")
+                for part in self.ARGVS[case]]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a finite number > 0" in captured.err
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []

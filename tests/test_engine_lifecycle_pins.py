@@ -6,9 +6,8 @@ file's SHA-256 is compared with a pinned value, together with the returned
 ``engine.run``/``engine.run_shard`` span fields and the ``engine.store.*``
 counters.  The paths: a fixed spec through ``run``; ``run_shard`` for every
 shard at K = 1, 2 and 5 of a 3-trial spec (so some shards are empty); shards
-served from a stored parent record; all of these again with
-``Engine(sketch=True)``; and an adaptive spec through ``run`` and
-``run_shard``.
+served from a stored parent record; and an adaptive spec through ``run``
+and ``run_shard``.
 
 Regenerate after an intended change with
 ``PYTHONPATH=src python tests/test_engine_lifecycle_pins.py``.
@@ -61,44 +60,38 @@ def _fields(result) -> list:
     return list(fields.values())
 
 
-def _observe(directory: str, sketch: bool, action) -> list:
+def _observe(directory: str, action) -> list:
     """Run ``action(engine)`` on a fresh store: ``[store SHA-256, result fields]``."""
     os.makedirs(directory)
     store = ResultStore(directory)
-    result = action(Engine(store=store, sketch=sketch))
+    result = action(Engine(store=store))
     return [_digest(store), _fields(result)]
 
 
 def observations(root: str) -> dict:
     """Everything the pins cover, computed under ``root``."""
     out: dict = {}
-    for sketch in (False, True):
-        prefix = "sketch " if sketch else ""
-        base = os.path.join(root, "sketch" if sketch else "plain")
-        out[prefix + "run"] = _observe(
-            os.path.join(base, "run"), sketch, lambda engine: engine.run(_spec())
+    base = os.path.join(root, "plain")
+    out["run"] = _observe(os.path.join(base, "run"), lambda engine: engine.run(_spec()))
+    for index, count in SHARDINGS:
+        shard = ShardSpec(_spec(), index, count)
+        out[f"shard {index}/{count}"] = _observe(
+            os.path.join(base, f"shard-{index}-{count}"),
+            lambda engine, shard=shard: engine.run_shard(shard),
         )
-        for index, count in SHARDINGS:
-            shard = ShardSpec(_spec(), index, count)
-            out[f"{prefix}shard {index}/{count}"] = _observe(
-                os.path.join(base, f"shard-{index}-{count}"),
-                sketch,
-                lambda engine, shard=shard: engine.run_shard(shard),
-            )
 
-            def from_parent(engine, shard=shard):
-                engine.run(_spec())
-                return engine.run_shard(shard)
+        def from_parent(engine, shard=shard):
+            engine.run(_spec())
+            return engine.run_shard(shard)
 
-            out[f"{prefix}parent {index}/{count}"] = _observe(
-                os.path.join(base, f"parent-{index}-{count}"), sketch, from_parent
-            )
+        out[f"parent {index}/{count}"] = _observe(
+            os.path.join(base, f"parent-{index}-{count}"), from_parent
+        )
     out["adaptive run"] = _observe(
-        os.path.join(root, "adaptive-run"), False, lambda engine: engine.run(_adaptive_spec())
+        os.path.join(root, "adaptive-run"), lambda engine: engine.run(_adaptive_spec())
     )
     out["adaptive shard 0/1"] = _observe(
         os.path.join(root, "adaptive-shard"),
-        False,
         lambda engine: engine.run_shard(ShardSpec(_adaptive_spec(), 0, 1)),
     )
     return out
@@ -155,23 +148,6 @@ PINNED = {
     "parent 3/5": ["50c6331d5461078891d062116da3f8c0a39d35ed011311ff6a8388f4b42a0bba", ["pin", 12, [], "auto", 1, True, False]],
     "shard 4/5": ["9f6d867498fdd0422fbc1410e88e9ac355c1fccef92cc4e3e28c7801357ee9ee", ["pin", 12, [], "auto", 1, False, False]],
     "parent 4/5": ["50c6331d5461078891d062116da3f8c0a39d35ed011311ff6a8388f4b42a0bba", ["pin", 12, [], "auto", 1, True, False]],
-    "sketch run": ["9666e1bc6b6eaf826c15b91c17b3cd8666f8af76caed88553fd3b2ebddab6a55", ["pin", 12, [2, 2, 3], "auto", 1, False, False]],
-    "sketch shard 0/1": ["53a8bc9b1ace6622bfa5e2b907666df0eca425f9efa4359b7463e66c29a6efa5", ["pin", 12, [2, 2, 3], "auto", 1, False, False]],
-    "sketch parent 0/1": ["9666e1bc6b6eaf826c15b91c17b3cd8666f8af76caed88553fd3b2ebddab6a55", ["pin", 12, [2, 2, 3], "auto", 1, True, False]],
-    "sketch shard 0/2": ["352a074308043b0c2a925b4e7f16b017ab16cfbe2bbd6a89b2be3d4a1f486255", ["pin", 12, [2, 3], "auto", 1, False, False]],
-    "sketch parent 0/2": ["9666e1bc6b6eaf826c15b91c17b3cd8666f8af76caed88553fd3b2ebddab6a55", ["pin", 12, [2, 3], "auto", 1, True, False]],
-    "sketch shard 1/2": ["113157fca7d44f5ba4154b9b247c8bf8aaee5a442ecb38b181945e0bd98590e5", ["pin", 12, [2], "auto", 1, False, False]],
-    "sketch parent 1/2": ["9666e1bc6b6eaf826c15b91c17b3cd8666f8af76caed88553fd3b2ebddab6a55", ["pin", 12, [2], "auto", 1, True, False]],
-    "sketch shard 0/5": ["d4df0f9a8deacc2b62061e7a286ceb14ae81aeba676cf8db8d1e02090e23b80e", ["pin", 12, [2], "auto", 1, False, False]],
-    "sketch parent 0/5": ["9666e1bc6b6eaf826c15b91c17b3cd8666f8af76caed88553fd3b2ebddab6a55", ["pin", 12, [2], "auto", 1, True, False]],
-    "sketch shard 1/5": ["8f240096bc973e8fd66975a8c149321aec76630926388b3d074c0765d9080ef6", ["pin", 12, [2], "auto", 1, False, False]],
-    "sketch parent 1/5": ["9666e1bc6b6eaf826c15b91c17b3cd8666f8af76caed88553fd3b2ebddab6a55", ["pin", 12, [2], "auto", 1, True, False]],
-    "sketch shard 2/5": ["3c6621c6f5a475c8c2fe1042bb1cfe84f1fc7c9231bfd4760cb8215ee50a89e8", ["pin", 12, [3], "auto", 1, False, False]],
-    "sketch parent 2/5": ["9666e1bc6b6eaf826c15b91c17b3cd8666f8af76caed88553fd3b2ebddab6a55", ["pin", 12, [3], "auto", 1, True, False]],
-    "sketch shard 3/5": ["b6e7b9e1b44cf859d4174f35da4cdbcefaec1b3319684fe6d24a4994b11c583a", ["pin", 12, [], "auto", 1, False, False]],
-    "sketch parent 3/5": ["9666e1bc6b6eaf826c15b91c17b3cd8666f8af76caed88553fd3b2ebddab6a55", ["pin", 12, [], "auto", 1, True, False]],
-    "sketch shard 4/5": ["9f6d867498fdd0422fbc1410e88e9ac355c1fccef92cc4e3e28c7801357ee9ee", ["pin", 12, [], "auto", 1, False, False]],
-    "sketch parent 4/5": ["9666e1bc6b6eaf826c15b91c17b3cd8666f8af76caed88553fd3b2ebddab6a55", ["pin", 12, [], "auto", 1, True, False]],
     "adaptive run": ["14705bcf4b75ecf31f293a87661fc4a50b98123ed966c6e7514678ab0ec4567b", ["pin", 12, [2, 2], "auto", 1, False, True]],
     "adaptive shard 0/1": ["14705bcf4b75ecf31f293a87661fc4a50b98123ed966c6e7514678ab0ec4567b", ["pin", 12, [2, 2], "auto", 1, False, True]],
 }
@@ -227,7 +203,7 @@ def test_adaptive_spec_refuses_trial_shards():
 
 
 def test_shard_from_parent_record_is_sliced_without_sketch(tmp_path, monkeypatch):
-    """The record a parent-served shard reads is ``[i::K]`` and has no sketch."""
+    """The record a parent-served shard reads is ``[i::K]`` of the parent's."""
     seen = []
     original = Engine._cached_result
 
@@ -236,19 +212,17 @@ def test_shard_from_parent_record_is_sliced_without_sketch(tmp_path, monkeypatch
         return original(self, record, spec, started)
 
     monkeypatch.setattr(Engine, "_cached_result", spy)
-    engine = Engine(store=ResultStore(str(tmp_path)), sketch=True)
+    engine = Engine(store=ResultStore(str(tmp_path)))
     full = engine.run(_spec())
     stored = engine.store.get(next(iter(engine.store.keys())))
-    assert "sketch" in stored
     for index, count in SHARDINGS:
         seen.clear()
         result = engine.run_shard(ShardSpec(_spec(), index, count))
         (record,) = seen
-        assert "sketch" not in record
         assert list(record["flooding_times"]) == list(full.flooding_times[index::count])
         assert result.flooding_times == full.flooding_times[index::count]
     # The parent record itself is left untouched.
-    assert "sketch" in engine.store.get(next(iter(engine.store.keys())))
+    assert engine.store.get(next(iter(engine.store.keys()))) == stored
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper

@@ -30,34 +30,28 @@ from repro.engine.store import jsonify
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                            "serve_bodies_golden.json")
 
-#: case name -> (request, engine sketches records, records drop their samples)
+#: case name -> request
 CASES = {
-    "sweep-edge-meg-1024": (sweep_request("edge-meg", [16, 32], [24, 1024], seed=5), False, False),
-    "sweep-waypoint": (sweep_request("waypoint", [8, 12], 6, seed=2), False, False),
-    "sweep-grid-walk": (sweep_request("grid-walk", [8, 12], 6, seed=2), False, False),
-    "flood-edge-meg": (flood_request("edge-meg", 64, seed=1), False, False),
-    "experiment-E3-small": (experiment_request("E3", "small", seed=3), False, False),
-    "sweep-edge-meg-stopping": (
-        sweep_request("edge-meg", [16, 24], 64, seed=7, stopping={"target_halfwidth": 0.5}),
-        False, False,
+    "sweep-edge-meg-1024": sweep_request("edge-meg", [16, 32], [24, 1024], seed=5),
+    "sweep-waypoint": sweep_request("waypoint", [8, 12], 6, seed=2),
+    "sweep-grid-walk": sweep_request("grid-walk", [8, 12], 6, seed=2),
+    "flood-edge-meg": flood_request("edge-meg", 64, seed=1),
+    "experiment-E3-small": experiment_request("E3", "small", seed=3),
+    "sweep-edge-meg-stopping": sweep_request(
+        "edge-meg", [16, 24], 64, seed=7, stopping={"target_halfwidth": 0.5}
     ),
-    "sweep-edge-meg-sketch-only": (sweep_request("edge-meg", [16, 24], 40, seed=9), True, True),
 }
 
 
 def served_body(name: str, directory: str) -> tuple[str, str]:
     """``(body text, first store key)`` of case ``name``, run into ``directory``."""
-    request, sketch, sketch_only = CASES[name]
-    plan = compile_request(request)
+    plan = compile_request(CASES[name])
     store = ResultStore(directory)
-    engine = Engine(workers=1, store=store, sketch=sketch)
+    engine = Engine(workers=1, store=store)
     records = {}
     for job, key in zip(plan.jobs, plan.store_keys):
         engine.run(job.spec)
-        record = store.get(key)
-        if sketch_only:
-            record = {field: value for field, value in record.items() if field != "flooding_times"}
-        records[job.tag] = record
+        records[job.tag] = store.get(key)
     text = json.dumps(jsonify(plan.assemble(records)), indent=2, sort_keys=True) + "\n"
     return text, plan.store_keys[0]
 
@@ -81,12 +75,6 @@ def test_goldens_cover_every_case():
 def test_body_matches_golden(name, tmp_path):
     text, key = served_body(name, str(tmp_path))
     assert pin(text, key) == load_goldens()[name]
-
-
-def test_sketch_only_case_serves_no_samples(tmp_path):
-    text, _ = served_body("sweep-edge-meg-sketch-only", str(tmp_path))
-    for measurement in json.loads(text)["measurements"]:
-        assert measurement["samples"] == []
 
 
 if __name__ == "__main__":

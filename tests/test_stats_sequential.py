@@ -1,7 +1,8 @@
-"""Tests for repro.stats.sequential: sketches, quantiles, stopping rules."""
+"""Tests for repro.stats.sequential: moments, the record sketch, stopping rules."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -12,20 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.stats.sequential import (
-    DEFAULT_RESERVOIR,
-    BatchSketch,
     MomentSketch,
-    QuantileSketch,
     StoppingRule,
-    merge_sketch_payloads,
     quantile_rank_epsilon,
     sketch_from_samples,
     sketch_salt,
-    summary_from_sketch,
-    whp_from_sketch,
     z_score,
 )
-from repro.util.stats import halfwidth, summarize, whp_quantile
+from repro.util.stats import halfwidth
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -64,54 +59,6 @@ class TestMomentSketch:
         assert sketch.mean == pytest.approx(mean, rel=1e-9, abs=1e-9)
         assert sketch.std == pytest.approx(std, rel=1e-6, abs=1e-7)
 
-    @given(samples=int_samples, cut=st.integers(min_value=0, max_value=200))
-    @settings(max_examples=60, deadline=None)
-    def test_merge_equals_single_pass(self, samples, cut):
-        cut = cut % (len(samples) + 1)
-        left, right = MomentSketch(), MomentSketch()
-        left.update_many(samples[:cut])
-        right.update_many(samples[cut:])
-        left.merge(right)
-        whole = MomentSketch()
-        whole.update_many(samples)
-        # Integer streams keep exact integer sums, so any split merges to
-        # byte-identical persisted state — not merely approximately equal.
-        assert left.as_dict() == whole.as_dict()
-
-    @given(samples=int_samples)
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_preserves_state(self, samples):
-        sketch = MomentSketch()
-        sketch.update_many(samples)
-        clone = MomentSketch.from_dict(json.loads(json.dumps(sketch.as_dict())))
-        assert clone.as_dict() == sketch.as_dict()
-        assert clone.mean == sketch.mean
-        assert clone.variance == sketch.variance
-
-    @given(samples=float_samples, cut=st.integers(min_value=0, max_value=200))
-    @settings(max_examples=40, deadline=None)
-    def test_float_track_roundtrip_and_merge(self, samples, cut):
-        samples = [*samples, 0.5]  # one non-integer value forces the float track
-        cut = cut % (len(samples) + 1)
-        left, right = MomentSketch(), MomentSketch()
-        left.update_many(samples[:cut])
-        right.update_many(samples[cut:])
-        left.merge(right)
-        clone = MomentSketch.from_dict(json.loads(json.dumps(left.as_dict())))
-        assert not clone.exact
-        assert clone.as_dict() == left.as_dict()
-        assert clone.mean == left.mean
-        mean, _ = _exact_mean_std(samples)
-        assert left.mean == pytest.approx(mean, rel=1e-9, abs=1e-9)
-
-    def test_float_payload_with_mean_still_loads(self):
-        # Float-track payloads persisted "mean" before the compensated sum.
-        payload = {"count": 2, "min": 1.0, "max": 2.0, "mean": 1.5, "m2": 0.5}
-        sketch = MomentSketch.from_dict(payload)
-        assert not sketch.exact
-        assert sketch.mean == 1.5
-        assert sketch.variance == 0.5
-
     def test_ci_halfwidth_matches_util_stats(self):
         rng = np.random.default_rng(7)
         samples = rng.normal(50.0, 5.0, size=200)
@@ -130,106 +77,54 @@ class TestMomentSketch:
         assert one.ci_halfwidth(0.95) == float("inf")
 
 
+def _reservoir(payload: dict) -> list[float]:
+    """The values a sketch payload's quantile reservoir keeps."""
+    return [value for _, value in payload["quantiles"]["entries"]]
+
+
 class TestQuantileSketch:
     @given(samples=int_samples, seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
     def test_exact_when_under_capacity(self, samples, seed):
         salt = sketch_salt({"seed": seed})
-        sketch = QuantileSketch.from_samples(samples, salt, capacity=512)
+        payload = sketch_from_samples(samples, salt, capacity=512)
         if len(samples) <= 512:
-            assert sorted(sketch.values()) == sorted(samples)
-            assert sketch.quantile(0.5) == pytest.approx(
-                float(np.quantile(np.asarray(samples, dtype=float), 0.5))
-            )
-
-    @given(
-        samples=st.lists(
-            st.integers(min_value=0, max_value=10_000), min_size=20, max_size=300
-        ),
-        parts=st.integers(min_value=2, max_value=7),
-        seed=st.integers(min_value=0, max_value=2**32),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_sharded_merge_is_byte_identical(self, samples, parts, seed):
-        salt = sketch_salt({"seed": seed})
-        whole = QuantileSketch.from_samples(samples, salt, capacity=64)
-        shards = [
-            QuantileSketch.from_samples(
-                samples[index::parts], salt, start=index, stride=parts, capacity=64
-            )
-            for index in range(parts)
-        ]
-        merged = shards[0]
-        for shard in shards[1:]:
-            merged.merge(shard)
-        assert merged.as_dict() == whole.as_dict()
+            assert sorted(_reservoir(payload)) == sorted(samples)
+            assert payload["quantiles"]["total"] == len(samples)
+            assert payload["moments"]["count"] == len(samples)
+            assert payload["moments"]["total"] == sum(samples)
 
     def test_quantiles_within_dkw_bound(self):
         rng = np.random.default_rng(11)
         samples = rng.normal(100.0, 10.0, size=20_000).tolist()
         salt = sketch_salt({"seed": 11})
         capacity = 1024
-        sketch = QuantileSketch.from_samples(samples, salt, capacity=capacity)
+        kept = _reservoir(sketch_from_samples(samples, salt, capacity=capacity))
+        assert len(kept) == capacity
         epsilon = quantile_rank_epsilon(capacity, 0.99)
         ordered = np.sort(np.asarray(samples))
         for q in (0.1, 0.5, 0.9):
-            estimate = sketch.quantile(q)
+            estimate = float(np.quantile(kept, q))
             rank = np.searchsorted(ordered, estimate) / len(ordered)
             assert abs(rank - q) <= 2.0 * epsilon
 
-    def test_merge_rejects_mismatched_salt_or_capacity(self):
-        a = QuantileSketch.from_samples([1, 2], sketch_salt({"s": 1}), capacity=8)
-        b = QuantileSketch.from_samples([1, 2], sketch_salt({"s": 2}), capacity=8)
-        c = QuantileSketch.from_samples([1, 2], sketch_salt({"s": 1}), capacity=16)
-        with pytest.raises(ValueError):
-            a.merge(b)
-        with pytest.raises(ValueError):
-            a.merge(c)
-
-
-class TestBatchSketch:
-    @given(
-        samples=st.lists(
-            st.integers(min_value=1, max_value=500), min_size=2, max_size=120
-        ),
-        seed=st.integers(min_value=0, max_value=2**32),
+    @pytest.mark.parametrize(
+        "samples, capacity, length, digest",
+        [
+            ([5, 3, 3, 9, 4], 512, 321,
+             "458cf28a5e0c821878f633a086bd80951f5afa688cb10d73aaaa227494edd9ac"),
+            (list(range(40)), 16, 644,
+             "f5829ccf8c960b3fb8242591919f6c04f422623a06b80bbcaf6228eaf3899e0a"),
+            ([1.5, 2, 7.25], 2, 261,
+             "0be75b8284fb86844a6b30232be39b181bd9dc40b84e586fbf2fb7cd3c993be7"),
+        ],
     )
-    @settings(max_examples=40, deadline=None)
-    def test_summary_matches_exact_in_reservoir_regime(self, samples, seed):
-        # Under DEFAULT_RESERVOIR samples the reservoir holds everything, so
-        # the sketch summary must equal the exact one field for field.
-        assert len(samples) <= DEFAULT_RESERVOIR
-        salt = sketch_salt({"seed": seed})
-        payload = sketch_from_samples(samples, salt)
-        sketched = summary_from_sketch(payload).as_dict()
-        exact = summarize(samples).as_dict()
-        # std may differ from np.std by an ulp: the sketch derives variance
-        # from exact integer sums, numpy from a two-pass float reduction.
-        assert sketched.pop("std") == pytest.approx(exact.pop("std"), rel=1e-12)
-        assert sketched == exact
-        assert whp_from_sketch(payload, 100) == pytest.approx(
-            whp_quantile(samples, 100)
-        )
-
-    def test_merge_payloads_associative(self):
-        rng = np.random.default_rng(5)
-        samples = rng.integers(1, 400, size=900).tolist()
-        salt = sketch_salt({"seed": 5})
-        parts = [
-            sketch_from_samples(samples[i::3], salt, start=i, stride=3)
-            for i in range(3)
-        ]
-        forward = merge_sketch_payloads(parts)
-        backward = merge_sketch_payloads(list(reversed(parts)))
-        whole = sketch_from_samples(samples, salt)
-        assert forward == whole
-        assert backward == whole
-
-    def test_schema_mismatch_rejected(self):
-        payload = sketch_from_samples([1, 2, 3], sketch_salt({"s": 0}))
-        payload["schema"] = 999
-        with pytest.raises(ValueError):
-            BatchSketch.from_dict(payload)
+    def test_payload_bytes_pinned(self, samples, capacity, length, digest):
+        # Adaptive store records embed this payload, so its bytes are part
+        # of the store format: integer, truncated and float-track streams.
+        payload = sketch_from_samples(samples, sketch_salt({"seed": 3}), capacity=capacity)
+        text = json.dumps(payload, sort_keys=True)
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (length, digest)
 
 
 class TestStoppingRule:
